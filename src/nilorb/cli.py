@@ -25,12 +25,13 @@ import re
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import __version__ as ENGINE_VERSION
 from . import fforacle, pipeline
-from .exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from .exactnum import InternalCheckError, PolyQ, RationalFunctionQ, quotient_str
 from .fforacle import FieldSpec, SizeGuardError
 from .partitions import Partition, inner_product
 
@@ -117,19 +118,24 @@ def _compute_outputs(kind: str, g: int, mode: str, value: int) -> dict:
     return {"polynomials": polys}
 
 
+def _payload_poly(coeffs: list[str]) -> PolyQ:
+    return PolyQ(map(Fraction, coeffs))
+
+
 def _payload_to_pretty(kind: str, outputs: dict, single: bool) -> str:
+    """Format the payload as is: each H value is stored in the integer form
+    that ``RationalFunctionQ.__str__`` prints, so it needs no reduction."""
     lines = []
     if kind == "H":
         for item in outputs["rational_functions"]:
-            num = PolyQ([_parse_frac(c) for c in item["num_coeffs"]])
-            den = PolyQ([_parse_frac(c) for c in item["den_coeffs"]])
-            rf = RationalFunctionQ(num, den)
+            text = quotient_str(_payload_poly(item["num_coeffs"]),
+                                _payload_poly(item["den_coeffs"]))
             if single:
-                return str(rf)
-            lines.append(f"H_{item['g']}({item['n']},q) = {rf}")
+                return text
+            lines.append(f"H_{item['g']}({item['n']},q) = {text}")
         return "\n".join(lines)
     for item in outputs["polynomials"]:
-        poly = PolyQ([_parse_frac(c) for c in item["coeffs"]])
+        poly = _payload_poly(item["coeffs"])
         if single:
             return str(poly)
         lines.append(f"{item['kind']}_{item['g']}({item['n']},q) = {poly}")
@@ -142,12 +148,6 @@ def _payload_to_csv(outputs: dict) -> str:
         for s, c in enumerate(item["coeffs"]):
             lines.append(f"{item['kind']},{item['g']},{item['n']},{s},{c}")
     return "\n".join(lines)
-
-
-def _parse_frac(text: str):
-    from fractions import Fraction
-
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,6 @@ class PolyQ:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(x: Scalar) -> "PolyQ":
-        return PolyQ([x])
-
-    @staticmethod
     def q_power(k: int, coeff: Scalar = 1) -> "PolyQ":
         """The monomial coeff * q**k."""
         if k < 0:
@@ -205,11 +201,6 @@ class PolyQ:
             num = _int_gcd(num, c.numerator)
             den = den * c.denominator // _int_gcd(den, c.denominator)
         return Fraction(num, den)
-
-    def primitive_part(self) -> "PolyQ":
-        if self.is_zero:
-            return self
-        return self * (1 / self.content())
 
     # -- substitution and evaluation -----------------------------------
 
@@ -373,10 +364,6 @@ class RationalFunctionQ:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def constant(x: Scalar) -> "RationalFunctionQ":
-        return RationalFunctionQ(PolyQ([x]))
-
-    @staticmethod
     def _raw(num: PolyQ, den: PolyQ) -> "RationalFunctionQ":
         """Build without re-canonicalizing (caller guarantees the form)."""
         rf = object.__new__(RationalFunctionQ)
@@ -525,10 +512,7 @@ class RationalFunctionQ:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        num, den = self.integerized()
-        if den.is_one:
-            return str(num)
-        return f"({num}) / ({den})"
+        return quotient_str(*self.integerized())
 
     def __repr__(self) -> str:
         return f"RationalFunctionQ({self})"
@@ -545,6 +529,13 @@ class RationalFunctionQ:
             num = num * Fraction(1, g)
             den = den * Fraction(1, g)
         return num, den
+
+
+def quotient_str(num: PolyQ, den: PolyQ) -> str:
+    """Display form of num / den, taken as given (no reduction)."""
+    if den.is_one:
+        return str(num)
+    return f"({num}) / ({den})"
 
 
 def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:

@@ -2,9 +2,9 @@
 
 Covers partition enumeration (reverse-lexicographic, for deterministic
 series assembly), conjugation, the inner product computed by two independent
-routes, q-Pochhammer products, centralizer orders of nilpotent Jordan types,
-per-partition weights of the orbit generating series, the Moebius function
-and the count of monic irreducible polynomials of a given degree.
+routes, centralizer orders of nilpotent Jordan types, per-partition weights
+of the orbit generating series, the Moebius function and the count of monic
+irreducible polynomials of a given degree.
 """
 
 from __future__ import annotations
@@ -134,31 +134,13 @@ def inner_product(lam: Partition, mu: Partition) -> int:
     return via_conjugates
 
 
-def q_pochhammer(r: int) -> PolyQ:
-    """The product (1-q)(1-q^2)...(1-q^r); the empty product 1 for r = 0."""
-    if r < 0:
-        raise ValueError("q_pochhammer requires r >= 0")
-    out = PolyQ([1])
-    for j in range(1, r + 1):
-        out = out * PolyQ([1] + [0] * (j - 1) + [-1])
-    return out
-
-
-def pochhammer_product(lam: Partition) -> PolyQ:
-    """Product of q_pochhammer(m) over the part multiplicities m of lam."""
-    out = PolyQ([1])
-    for m in lam.exponential_form().values():
-        out = out * q_pochhammer(m)
-    return out
-
-
 def centralizer_order(lam: Partition) -> PolyQ:
     """Order of the centralizer of a nilpotent matrix of Jordan type lam,
     as a polynomial in the field size.
 
-    Equals q**<lam,lam> times the pochhammer product evaluated at 1/q, with
-    the negative powers cleared symbolically so the result stays a plain
-    polynomial.
+    Equals q**<lam,lam> times the product over part multiplicities m of
+    (1 - q**-1)...(1 - q**-m), with the negative powers cleared symbolically
+    so the result stays a plain polynomial.
     """
     ip = inner_product(lam, lam)
     cleared = sum(m * (m + 1) // 2 for m in lam.exponential_form().values())

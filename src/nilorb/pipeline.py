@@ -14,6 +14,7 @@ ever a report.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .partitions import (
     orbit_weight,
     partitions_of,
 )
-from .series import TruncatedXSeries
+from .series import TruncatedXSeries, log_coefficients
 
 KINDS = ("A", "I", "M", "H")
 
@@ -113,7 +114,52 @@ class ScanReport:
 # the weight series and its formal log
 
 
-@lru_cache(maxsize=None)
+class _ChainMemo:
+    """What the chain has built for one tuple length g, kept as prefixes.
+
+    Coefficient n of the weight series and of its log, and the orbit count
+    M(g, n), do not depend on the truncation order, so the longest prefix
+    built so far serves every order.  A prefix is an immutable tuple that is
+    only ever replaced by a longer one built aside, so a concurrent reader
+    always sees a whole prefix; the lock keeps a late, shorter build from
+    replacing a longer one.
+    """
+
+    __slots__ = ("weights", "logs", "orbits", "_lock")
+
+    def __init__(self):
+        self.weights, self.logs, self.orbits = (RF_ONE,), (RF_ZERO,), ()
+        self._lock = threading.Lock()
+
+    def prefix(self, field: str, length: int, extend) -> tuple:
+        """The prefix held in ``field``, first replaced by ``extend(prefix)``
+        when it is shorter than ``length``."""
+        have = getattr(self, field)
+        if len(have) < length:
+            have = extend(have)
+            with self._lock:
+                if len(getattr(self, field)) < len(have):
+                    setattr(self, field, have)
+        return have
+
+
+_MEMOS: dict[int, _ChainMemo] = {}
+
+
+def _memo(g: int) -> _ChainMemo:
+    return _MEMOS.get(g) or _MEMOS.setdefault(g, _ChainMemo())
+
+
+def _weight_coefficients(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
+    def extend(have):
+        return have + tuple(
+            sum((orbit_weight(lam, g) for lam in partitions_of(n)), RF_ZERO)
+            for n in range(len(have), order + 1)
+        )
+
+    return _memo(g).prefix("weights", order + 1, extend)[: order + 1]
+
+
 def weight_series(g: int, order: int) -> TruncatedXSeries:
     """Generating series whose X**n coefficient sums orbit_weight over all
     partitions of n (constant term 1)."""
@@ -121,32 +167,17 @@ def weight_series(g: int, order: int) -> TruncatedXSeries:
         raise ValueError("tuple length g must be >= 1")
     if order < 0:
         raise ValueError("series order must be >= 0")
-    coeffs = [RF_ONE]
-    for n in range(1, order + 1):
-        total = RF_ZERO
-        for lam in partitions_of(n):
-            total = total + orbit_weight(lam, g)
-        coeffs.append(total)
-    return TruncatedXSeries(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _log_coefficients(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
-    return weight_series(g, order).log().coefficients
+    return TruncatedXSeries(_weight_coefficients(g, order))
 
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _log_coefficients(g, n)[n]
-
-
-@lru_cache(maxsize=None)
-def _log_weight_adams(g: int, n: int, d: int) -> RationalFunctionQ:
-    """log_weight_coefficient with q -> q**d, cached: the Moebius sums below
-    re-request the same transported values many times."""
-    return log_weight_coefficient(g, n).adams(d)
+    logs = _memo(g).prefix(
+        "logs", n + 1, lambda have: log_coefficients(_weight_coefficients(g, n), have)
+    )
+    return logs[n]
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +199,7 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
         mu = mobius(d)
         if mu == 0:
             continue
-        total = total + _log_weight_adams(g, n // d, d) * Fraction(mu, d)
+        total = total + log_weight_coefficient(g, n // d).adams(d) * Fraction(mu, d)
     value = total * PolyQ([-1, 1])
     if not value.is_polynomial:
         raise InternalCheckError(f"non-polynomial result for A at g={g}, n={n}")
@@ -248,12 +279,16 @@ def _orbit_series_component_route(g: int, order: int) -> TruncatedXSeries:
     return TruncatedXSeries(coeffs).exp()
 
 
-@lru_cache(maxsize=None)
 def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
     """Full orbit counts for n = 1..order, computed by both routes and
     cross-asserted coefficientwise before conversion to polynomials."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
+    counts = _memo(g).prefix("orbits", order, lambda _: _cross_asserted_orbit_counts(g, order))
+    return counts[:order]
+
+
+def _cross_asserted_orbit_counts(g: int, order: int) -> tuple[CountingPolynomial, ...]:
     via_product = _orbit_series_product_route(g, order)
     via_components = _orbit_series_component_route(g, order)
     out = []

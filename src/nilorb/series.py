@@ -1,7 +1,7 @@
 """Truncated formal power series in X with rational-function coefficients.
 
 Supports the operations the counting pipeline needs: Cauchy product,
-inverse, formal log/exp, powers with q-polynomial exponents, and the joint
+formal log/exp, powers with q-polynomial exponents, and the joint
 substitution (X, q) -> (X**d, q**d).
 
 Truncation orders are explicit and must match on binary operations; silent
@@ -11,7 +11,7 @@ precision loss is a classic computer-algebra bug, so mismatches fail loudly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .exactnum import PolyQ, RationalFunctionQ, RF_ONE, RF_ZERO, _coerce_rf
 
@@ -82,42 +82,11 @@ class TruncatedXSeries:
         x = _coerce_rf(x)
         return TruncatedXSeries([a * x for a in self._c])
 
-    def inv(self) -> "TruncatedXSeries":
-        """Multiplicative inverse; needs an invertible constant term."""
-        if self._c[0].is_zero:
-            raise ValueError("cannot invert a series with zero constant term")
-        n = self.order
-        c0inv = self._c[0].inverse()
-        out = [RF_ZERO] * (n + 1)
-        out[0] = c0inv
-        for k in range(1, n + 1):
-            acc = RF_ZERO
-            for j in range(1, k + 1):
-                if not self._c[j].is_zero:
-                    acc = acc + self._c[j] * out[k - j]
-            out[k] = -(c0inv * acc)
-        return TruncatedXSeries(out)
-
     # -- log / exp -----------------------------------------------------------
 
     def log(self) -> "TruncatedXSeries":
-        """Formal logarithm of a series with constant term 1.
-
-        Uses the derivative recurrence n*h_n = n*a_n - sum k*h_k*a_{n-k},
-        which agrees with the alternating-sum expansion of log(1 + x) but
-        costs O(N^2) coefficient operations instead of O(N^3).
-        """
-        if self._c[0] != RF_ONE:
-            raise ValueError("log requires constant term 1")
-        n = self.order
-        h = [RF_ZERO] * (n + 1)
-        for m in range(1, n + 1):
-            acc = self._c[m] * m
-            for k in range(1, m):
-                if not (h[k].is_zero or self._c[m - k].is_zero):
-                    acc = acc - h[k] * self._c[m - k] * k
-            h[m] = acc * Fraction(1, m)
-        return TruncatedXSeries(h)
+        """Formal logarithm of a series with constant term 1."""
+        return TruncatedXSeries(log_coefficients(self._c))
 
     def exp(self) -> "TruncatedXSeries":
         """Formal exponential of a series with constant term 0."""
@@ -174,6 +143,25 @@ class TruncatedXSeries:
         return f"TruncatedXSeries({inner or '0'} + O(X^{self.order + 1}))"
 
 
-def geometric(order: int) -> TruncatedXSeries:
-    """The series 1 + X + X^2 + ... truncated at the given order."""
-    return TruncatedXSeries([RF_ONE] * (order + 1))
+def log_coefficients(
+    a: Sequence[RationalFunctionQ], known: Sequence[RationalFunctionQ] = ()
+) -> tuple[RationalFunctionQ, ...]:
+    """Coefficients h_0..h_N of the formal log of a_0 + a_1 X + ... + a_N X**N,
+    where a_0 = 1.
+
+    Uses the derivative recurrence n*h_n = n*a_n - sum k*h_k*a_{n-k},
+    which agrees with the alternating-sum expansion of log(1 + x) but
+    costs O(N^2) coefficient operations instead of O(N^3).  h_n depends
+    only on a_0..a_n, so a prefix ``known`` of the log of the same series
+    is kept and the recurrence resumes after it.
+    """
+    if a[0] != RF_ONE:
+        raise ValueError("log requires constant term 1")
+    h = list(known) or [RF_ZERO]
+    for m in range(len(h), len(a)):
+        acc = a[m] * m
+        for k in range(1, m):
+            if not (h[k].is_zero or a[m - k].is_zero):
+                acc = acc - h[k] * a[m - k] * k
+        h.append(acc * Fraction(1, m))
+    return tuple(h)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nilorb import cli
+from nilorb import cli, pipeline
 
 GOLDEN_PRETTY = {
     1: "1",
@@ -147,6 +147,22 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("kind", ["A", "I", "M", "H"])
+def test_pretty_cache_hit_matches_uncached(tmp_path, capsys, kind):
+    args = ["compute", "--kind", kind, "--g", "2", "--N", "3", "--format", "pretty"]
+    code, uncached, _ = run(capsys, *args, "--no-cache")
+    assert code == 0
+    expected = ["M_2(0,q) = 1"] if kind == "M" else []
+    expected += [str(pipeline.counting_value(kind, 2, n)) for n in range(1, 4)]
+    assert uncached == "\n".join(expected) + "\n"
+    cached = args + ["--cache-dir", str(tmp_path)]
+    assert run(capsys, *cached)[1] == uncached
+    assert len(list(tmp_path.glob("*.json"))) == 1
+    code, hit, _ = run(capsys, *cached)
+    assert code == 0
+    assert hit == uncached
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -253,19 +269,19 @@ def test_scan_command(capsys):
 # packaging smoke
 
 
-def test_module_invocation():
+def test_module_invocation(nilorb_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nilorb", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=nilorb_env,
     )
     assert proc.returncode == 0
     assert "nilorb" in proc.stdout
 
 
-def test_entry_point_help():
+def test_entry_point_help(nilorb_env):
     proc = subprocess.run(
         [sys.executable, "-m", "nilorb", "compute", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=nilorb_env,
     )
     assert proc.returncode == 0
     assert "--kind" in proc.stdout

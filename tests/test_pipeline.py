@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,3 +207,88 @@ def test_scan_runs_for_triples():
 def test_scan_rejects_single_matrices():
     with pytest.raises(ValueError):
         pipeline.scan_nonnegativity(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the per-g memo, observed in fresh interpreters (empty memos)
+
+
+@pytest.fixture
+def run_fresh(nilorb_env):
+    """Run code in a new interpreter and return the last line it prints."""
+    def run(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=nilorb_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+    return run
+
+
+def test_compute_weighs_each_partition_once(run_fresh):
+    calls = run_fresh("""
+from nilorb import cli, pipeline
+calls = []
+weigh = pipeline.orbit_weight
+pipeline.orbit_weight = lambda lam, g: calls.append(lam) or weigh(lam, g)
+assert cli.main(["compute", "--kind", "A", "--g", "2", "--N", "6", "--no-cache"]) == 0
+print(len(calls))
+""")
+    assert int(calls) == sum(partition_count(n) for n in range(1, 7)) == 29
+
+
+def test_shorter_orbit_count_reuses_the_longer_series(run_fresh):
+    out = run_fresh("""
+from nilorb import pipeline
+series = pipeline.orbit_count_series(2, 6)
+def refuse(g, order):
+    raise AssertionError("an M route was built again")
+pipeline._orbit_series_product_route = refuse
+pipeline._orbit_series_component_route = refuse
+assert pipeline.orbit_count(2, 4) == series[3]
+assert pipeline.orbit_count_series(2, 5) == series[:5]
+print("ok")
+""")
+    assert out == "ok"
+
+
+def test_late_shorter_build_keeps_the_longer_prefix():
+    memo = pipeline._ChainMemo()
+
+    def short(have):
+        # a longer build by another caller lands while this one runs
+        assert memo.prefix("orbits", 3, lambda _: ("m1", "m2", "m3")) == ("m1", "m2", "m3")
+        return ("m1",)
+
+    assert memo.prefix("orbits", 1, short) == ("m1",)
+    assert memo.orbits == ("m1", "m2", "m3")
+
+
+def test_concurrent_requests_match_sequential_ones(run_fresh):
+    out = run_fresh("""
+import json, sys, threading
+from nilorb import pipeline
+results = [None] * 4
+start = threading.Barrier(4)
+def work(k):
+    ns = [1 + (k * 2 + i) % 8 for i in range(8)]
+    start.wait()
+    results[k] = {n: pipeline.absolutely_indecomposable_count(2, n).coefficient_list
+                  for n in ns}
+threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+assert not any(t.is_alive() for t in threads)
+memo = pipeline._MEMOS[2]
+assert len(memo.weights) == len(memo.logs) == 9, "a shorter prefix replaced a longer one"
+print(json.dumps([[r[n] for n in range(1, 9)] for r in results]))
+""")
+    sequential = [list(pipeline.absolutely_indecomposable_count(2, n).coefficient_list)
+                  for n in range(1, 9)]
+    assert json.loads(out) == [sequential] * 4
