@@ -26,6 +26,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -167,15 +168,34 @@ def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
     return root / f"v{ENGINE_VERSION}__{kind}_g{g}_{mode}{value}.json"
 
 
+@lru_cache(maxsize=None)
+def _engine_source_digest() -> str:
+    """SHA-256 over the package's ``.py`` sources, so an engine change that
+    keeps its version number still invalidates every stored entry.  Computed
+    on first use of the cache only."""
+    try:
+        # the interpreter's own SHA-256, as in the stdlib's random module:
+        # hashlib loads OpenSSL, which adds about 3.5 MB to each process
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    digest = sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> Optional[dict]:
-    """Load cached outputs; corruption or a stale engine version means a
-    miss (with a warning), never a wrong answer."""
+    """Load cached outputs; corruption, a stale engine version or changed
+    engine sources mean a miss (with a warning on corruption), never a
+    wrong answer."""
     path = _cache_file(root, kind, g, mode, value)
     if not path.exists():
         return None
     try:
         entry = json.loads(path.read_text())
-        if entry["engine_version"] != ENGINE_VERSION:
+        if (entry["engine_version"] != ENGINE_VERSION
+                or entry.get("engine_source") != _engine_source_digest()):
             return None
         if (entry["kind"], entry["g"], entry["mode"], entry["value"]) != (kind, g, mode, value):
             raise ValueError("cache key mismatch")
@@ -189,6 +209,7 @@ def cache_store(root: Path, kind: str, g: int, mode: str, value: int, outputs: d
     root.mkdir(parents=True, exist_ok=True)
     entry = {
         "engine_version": ENGINE_VERSION,
+        "engine_source": _engine_source_digest(),
         "kind": kind,
         "g": g,
         "mode": mode,

@@ -4,11 +4,11 @@ This module is the numeric tower the rest of the package sits on:
 
 * arbitrary-precision integers and rationals (Python ``int`` and
   ``fractions.Fraction`` -- already exact, so no wrapper types),
-* ``PolyQ``: dense polynomials in q with rational coefficients,
+* ``PolyQ``: dense polynomials in q with rational coefficients, stored as
+  integer numerators over one common denominator,
 * ``RationalFunctionQ``: reduced quotients of two ``PolyQ`` with a monic
   denominator (so equality is structural),
-* ``TruncatedQSeries``: power series in q truncated at a fixed order, with
-  an optional negative "Laurent offset" recording a factor q**e.
+* ``TruncatedQSeries``: power series in q truncated at a fixed order.
 
 Nothing here ever rounds.  All values are immutable after construction and
 safe to share between threads.
@@ -17,7 +17,7 @@ safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -38,11 +38,9 @@ class InternalCheckError(AssertionError):
     """
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x: Scalar) -> Scalar:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
@@ -53,18 +51,21 @@ def _as_fraction(x: Scalar) -> Fraction:
 class PolyQ:
     """Dense polynomial in q over the rationals.
 
-    Coefficients are stored in ascending degree with no trailing zeros; the
-    zero polynomial is the empty sequence and reports ``degree() == -1``
-    (standing in for "minus infinity").
+    Stored as integer ``numerators`` in ascending degree over one positive
+    ``denominator``, in canonical form: no trailing zero numerators and
+    gcd(denominator, numerators) = 1, so equal values have equal
+    representations.  The zero polynomial is ``((), 1)`` and reports
+    ``degree() == -1`` (standing in for "minus infinity").
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [_as_fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        c = [_exact(x) for x in coeffs]
+        den = lcm(*(x.denominator for x in c))
+        self.numerators, self.denominator = _reduced(
+            [x.numerator * (den // x.denominator) for x in c], den
+        )
 
     # -- constructors -------------------------------------------------
 
@@ -79,49 +80,52 @@ class PolyQ:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._c
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     def coefficient(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
+        return Fraction(0)
 
     def degree(self) -> int:
-        return len(self._c) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.numerators
 
     @property
     def is_one(self) -> bool:
-        return self._c == (Fraction(1),)
+        return self.numerators == (1,) and self.denominator == 1
 
     @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._c)
+        return self.denominator == 1
 
     @property
     def leading(self) -> Fraction:
-        if not self._c:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "PolyQ | Scalar") -> "PolyQ":
         other = _coerce_poly(other)
-        a, b = self._c, other._c
+        den = lcm(self.denominator, other.denominator)
+        a = _times(self.numerators, den // self.denominator)
+        b = _times(other.numerators, den // other.denominator)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, x in enumerate(b):
-            out[i] += x
-        return PolyQ(out)
+            a[i] += x
+        return _poly(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ([-x for x in self._c])
+        return _poly([-x for x in self.numerators], self.denominator)
 
     def __sub__(self, other: "PolyQ | Scalar") -> "PolyQ":
         return self + (-_coerce_poly(other))
@@ -131,15 +135,15 @@ class PolyQ:
 
     def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
         other = _coerce_poly(other)
-        a, b = self._c, other._c
+        a, b = self.numerators, other.numerators
         if not a or not b:
             return PolyQ()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return PolyQ(out)
+        return _poly(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -155,52 +159,43 @@ class PolyQ:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
+    def exact_div(self, other: "PolyQ") -> "PolyQ":
+        """The polynomial self / other; a remainder raises.
+
+        Divides over the integers: with other = c * P for P primitive, the
+        numerators of self divided by P have an integer quotient whenever
+        the division is exact (Gauss's lemma).  So every step of the integer
+        long division is exact too, and a step that is not leaves a nonzero
+        remainder behind.
+        """
         other = _coerce_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        db = other.degree()
-        lb = other.leading
-        quot = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            factor = rem[-1] / lb
-            pos = len(rem) - 1 - db
-            quot[pos] = factor
-            for i, y in enumerate(other._c):
-                rem[pos + i] -= factor * y
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return PolyQ(quot), PolyQ(rem)
-
-    def exact_div(self, other: "PolyQ") -> "PolyQ":
-        quot, rem = divmod(self, other)
-        if not rem.is_zero:
+        c = gcd(*other.numerators)
+        p = [x // c for x in other.numerators]
+        rem = list(self.numerators)
+        dp, lp = len(p) - 1, p[-1]
+        quot = [0] * max(len(rem) - dp, 0)
+        for pos in range(len(quot) - 1, -1, -1):
+            factor = quot[pos] = rem[pos + dp] // lp
+            if factor:
+                for i, y in enumerate(p):
+                    rem[pos + i] -= factor * y
+        if any(rem):
             raise InexactDivisionError(f"inexact division: {self} by {other}")
-        return quot
+        return _poly(_times(quot, other.denominator), self.denominator * c)
 
     def gcd(self, other: "PolyQ") -> "PolyQ":
         """Monic greatest common divisor (so leading coefficient is 1)."""
         if self.is_zero and other.is_zero:
             return PolyQ()
-        if self.is_zero:
-            return other * (1 / other.leading)
-        if other.is_zero:
-            return self * (1 / self.leading)
-        g = _int_poly_gcd(_to_int_coeffs(self._c), _to_int_coeffs(other._c))
-        lead = Fraction(g[-1])
-        return PolyQ([Fraction(x) / lead for x in g])
+        g = _int_poly_gcd(_int_primitive(list(self.numerators)),
+                          _int_primitive(list(other.numerators)))
+        return _poly(g, g[-1])
 
     def content(self) -> Fraction:
         """Positive rational c with self/c primitive over the integers."""
-        if self.is_zero:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._c:
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(gcd(*self.numerators), self.denominator)
 
     # -- substitution and evaluation -----------------------------------
 
@@ -210,17 +205,20 @@ class PolyQ:
             raise ValueError("adams substitution requires d >= 1")
         if d == 1 or self.is_zero:
             return self
-        out = [Fraction(0)] * (self.degree() * d + 1)
-        for k, c in enumerate(self._c):
-            out[k * d] = c
-        return PolyQ(out)
+        out = [0] * (self.degree() * d + 1)
+        out[::d] = self.numerators
+        return _poly(out, self.denominator)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        """The value at q = x, by Horner's rule on x's numerator and
+        denominator."""
+        x = _exact(x)
+        p, r = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * p + c * scale
+            scale *= r
+        return Fraction(acc, self.denominator * r ** max(self.degree(), 0))
 
     # -- comparisons and display -----------------------------------------
 
@@ -229,29 +227,29 @@ class PolyQ:
             other = PolyQ([other])
         if not isinstance(other, PolyQ):
             return NotImplemented
-        return self._c == other._c
+        return (self.numerators == other.numerators
+                and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self.numerators, self.denominator))
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self.numerators)
 
     def __str__(self) -> str:
         """Human form in descending powers, e.g. ``q^4 + 3q^2 + 2q``."""
-        if not self._c:
+        nums = self.numerators
+        if not nums:
             return "0"
         terms = []
-        for k in range(len(self._c) - 1, -1, -1):
-            c = self._c[k]
+        for k in range(len(nums) - 1, -1, -1):
+            c = nums[k]
             if c == 0:
                 continue
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = _frac_str(mag)
-            else:
+            body = _ratio_str(abs(c), self.denominator)
+            if k:
                 var = "q" if k == 1 else f"q^{k}"
-                body = var if mag == 1 else f"{_frac_str(mag)}{var}"
+                body = var if body == "1" else f"{body}{var}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:
@@ -262,38 +260,47 @@ class PolyQ:
         return f"PolyQ({self})"
 
 
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical form of the numerators ``nums`` over ``den`` > 0."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if den != 1:
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [x // g for x in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _poly(nums: list[int], den: int = 1) -> PolyQ:
+    """The PolyQ with numerators ``nums`` over ``den`` > 0 (``nums`` is consumed)."""
+    p = object.__new__(PolyQ)
+    p.numerators, p.denominator = _reduced(nums, den)
+    return p
+
+
+def _times(nums: Sequence[int], k: int) -> list[int]:
+    return [x * k for x in nums] if k != 1 else list(nums)
+
+
 def _coerce_poly(x: "PolyQ | Scalar") -> PolyQ:
     if isinstance(x, PolyQ):
         return x
-    return PolyQ([_as_fraction(x)])
+    return PolyQ([x])
 
 
-def _frac_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"({x.numerator}/{x.denominator})"
-
-
-def _to_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    """Clear denominators, returning a primitive integer coefficient list."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    out = [c.numerator * (den // c.denominator) for c in coeffs]
-    return _int_primitive(out)
+def _ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, parenthesised unless it is an integer."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"({num}/{den})"
 
 
 def _int_primitive(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
-    if not c:
-        return c
-    g = 0
-    for x in c:
-        g = _int_gcd(g, x)
-    if g > 1:
-        c = [x // g for x in c]
-    return c
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
 def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
@@ -472,18 +479,14 @@ class RationalFunctionQ:
     def expand(self, order: int) -> "TruncatedQSeries":
         """Truncated expansion in ascending powers of q.
 
-        A denominator divisible by q**k is handled by recording the Laurent
-        offset -k rather than failing.
+        A denominator that vanishes at q = 0 has no power series and raises
+        PoleError.
         """
         if order < 0:
             raise ValueError("expansion order must be >= 0")
-        if self.is_zero:
-            return TruncatedQSeries([], order)
         den = self.den.coefficients
-        shift = 0
-        while den[shift] == 0:
-            shift += 1
-        den = den[shift:]
+        if den[0] == 0:
+            raise PoleError(f"pole at q = 0: {self} has no power series")
         inv = [Fraction(0)] * (order + 1)
         inv[0] = 1 / den[0]
         for k in range(1, order + 1):
@@ -497,7 +500,7 @@ class RationalFunctionQ:
             if c:
                 for j in range(order + 1 - i):
                     out[i + j] += c * inv[j]
-        return TruncatedQSeries(out, order, offset=-shift)
+        return TruncatedQSeries(out, order)
 
     # -- comparisons and display ------------------------------------------
 
@@ -518,17 +521,16 @@ class RationalFunctionQ:
         return f"RationalFunctionQ({self})"
 
     def integerized(self) -> tuple[PolyQ, PolyQ]:
-        """Equivalent (num, den) pair scaled to integer coefficients."""
-        scale = 1
-        for c in (*self.num.coefficients, *self.den.coefficients):
-            scale = scale * c.denominator // _int_gcd(scale, c.denominator)
-        num = self.num * scale
-        den = self.den * scale
-        g = _int_gcd(int(num.content()), int(den.content()))
-        if g > 1:
-            num = num * Fraction(1, g)
-            den = den * Fraction(1, g)
-        return num, den
+        """Equivalent (num, den) pair scaled to coprime integer coefficients.
+
+        Scaling both by the lcm of their denominators is enough: the monic
+        denominator's numerators end in its own denominator and are coprime
+        to it, so they have no common factor, and neither does the scaled pair.
+        """
+        num, den = self.num, self.den
+        scale = lcm(num.denominator, den.denominator)
+        return (_poly(_times(num.numerators, scale // num.denominator)),
+                _poly(_times(den.numerators, scale // den.denominator)))
 
 
 def quotient_str(num: PolyQ, den: PolyQ) -> str:
@@ -543,7 +545,7 @@ def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:
         return x
     if isinstance(x, PolyQ):
         return RationalFunctionQ(x)
-    return RationalFunctionQ(PolyQ([_as_fraction(x)]))
+    return RationalFunctionQ(PolyQ([x]))
 
 
 _RF_ZERO = RationalFunctionQ(PolyQ())
@@ -557,128 +559,75 @@ RF_ONE = RationalFunctionQ(PolyQ([1]))
 
 
 class TruncatedQSeries:
-    """Power series in q known through a fixed order, with Laurent offset.
+    """Power series in q known through a fixed order: the value is
+    ``sum(c[i] * q**i)`` modulo ``q**(order + 1)``.
 
-    The represented value is ``q**offset * sum(c[i] * q**i)`` with
-    ``offset <= 0``; the value is known modulo ``q**(offset + order + 1)``.
-    A series with offset 0 is called *clean* (no negative powers).
-    Normalization keeps either offset == 0 or c[0] != 0, so equal values
-    compare equal structurally.
+    Coefficients are exact scalars kept as given, so a series built from
+    integers stays in integer arithmetic.
     """
 
-    __slots__ = ("_c", "_order", "_offset")
+    __slots__ = ("_c", "_order")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int, offset: int = 0):
+    def __init__(self, coeffs: Iterable[Scalar], order: int):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        if offset > 0:
-            raise ValueError("Laurent offset must be <= 0")
-        c = [_as_fraction(x) for x in coeffs]
+        c = tuple(_exact(x) for x in coeffs)
         if len(c) > order + 1:
             raise ValueError("more coefficients than the order allows")
-        c += [Fraction(0)] * (order + 1 - len(c))
-        while offset < 0 and c and c[0] == 0:
-            c.pop(0)
-            offset += 1
-            order -= 1
-        if order < 0:
-            raise ValueError("series lost all precision during normalization")
-        self._c = tuple(c)
+        self._c = c + (0,) * (order + 1 - len(c))
         self._order = order
-        self._offset = offset
 
     @property
     def order(self) -> int:
         return self._order
 
     @property
-    def offset(self) -> int:
-        return self._offset
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[Scalar, ...]:
         return self._c
 
-    @property
-    def is_clean(self) -> bool:
-        return self._offset == 0
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of q**k (k is the absolute exponent)."""
-        i = k - self._offset
-        if i < 0:
-            return Fraction(0)
-        if i > self._order:
-            raise ValueError(f"q^{k} is beyond the truncation order")
-        return self._c[i]
+    def coefficient(self, k: int) -> Scalar:
+        """Coefficient of q**k."""
+        if not 0 <= k <= self._order:
+            raise ValueError(f"q^{k} is outside the truncation window")
+        return self._c[k]
 
     def __add__(self, other: "TruncatedQSeries") -> "TruncatedQSeries":
         if not isinstance(other, TruncatedQSeries):
             return NotImplemented
-        off = min(self._offset, other._offset)
-        prec = min(self._offset + self._order, other._offset + other._order)
-        order = prec - off
-        out = [Fraction(0)] * (order + 1)
-        for src in (self, other):
-            shift = src._offset - off
-            for i, c in enumerate(src._c):
-                if c and shift + i <= order:
-                    out[shift + i] += c
-        return TruncatedQSeries(out, order, off)
-
-    def __neg__(self) -> "TruncatedQSeries":
-        return TruncatedQSeries([-c for c in self._c], self._order, self._offset)
-
-    def __sub__(self, other: "TruncatedQSeries") -> "TruncatedQSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedQSeries") -> "TruncatedQSeries":
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
         order = min(self._order, other._order)
-        out = [Fraction(0)] * (order + 1)
-        for i, x in enumerate(self._c[: order + 1]):
-            if x:
-                for j in range(order + 1 - i):
-                    y = other._c[j]
-                    if y:
-                        out[i + j] += x * y
-        return TruncatedQSeries(out, order, self._offset + other._offset)
+        return TruncatedQSeries([a + b for a, b in zip(self._c, other._c)], order)
 
     def scale(self, x: Scalar) -> "TruncatedQSeries":
-        x = _as_fraction(x)
-        return TruncatedQSeries([c * x for c in self._c], self._order, self._offset)
+        x = _exact(x)
+        return TruncatedQSeries([c * x for c in self._c], self._order)
 
     def mul_qpower(self, k: int) -> "TruncatedQSeries":
         """Multiply by q**k (k >= 0), keeping the same truncation window."""
         if k < 0:
             raise ValueError("mul_qpower requires k >= 0")
-        if k == 0:
-            return self
-        kept = self._c[: max(self._order + 1 - k, 0)]
-        return TruncatedQSeries([Fraction(0)] * k + list(kept), self._order, self._offset)
+        k = min(k, self._order + 1)
+        return TruncatedQSeries((0,) * k + self._c[: self._order + 1 - k], self._order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedQSeries):
             return NotImplemented
-        return (self._c, self._order, self._offset) == (other._c, other._order, other._offset)
+        return (self._c, self._order) == (other._c, other._order)
 
     def __hash__(self) -> int:
-        return hash((self._c, self._order, self._offset))
+        return hash((self._c, self._order))
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self._c):
+        for k, c in enumerate(self._c):
             if c == 0:
                 continue
-            k = i + self._offset
-            if k == 0:
-                terms.append(_frac_str(c))
-            else:
+            body = _ratio_str(c.numerator, c.denominator)
+            if k:
                 var = "q" if k == 1 else f"q^{k}"
-                terms.append(var if c == 1 else f"{_frac_str(c)}{var}")
+                body = var if c == 1 else f"{body}{var}"
+            terms.append(body)
         body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(q^{self._offset + self._order + 1})"
+        return f"{body} + O(q^{self._order + 1})"
 
     def __repr__(self) -> str:
         return f"TruncatedQSeries({self})"

@@ -133,6 +133,19 @@ def test_cache_version_bump_is_miss(tmp_path):
     assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
 
 
+def test_cache_engine_source_change_is_miss(tmp_path, monkeypatch):
+    cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
+    assert cli.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
+    monkeypatch.setattr(cli, "_engine_source_digest", lambda: "0" * 64)
+    assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+
+
+def test_version_does_not_digest_the_sources(capsys):
+    cli._engine_source_digest.cache_clear()
+    assert run(capsys, "--version")[0] == 0
+    assert cli._engine_source_digest.cache_info().misses == 0
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NILORB_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "2")
@@ -175,6 +188,15 @@ def test_verify_pass_and_fail_exit_codes(capsys):
                        "--Q", "12", "--perturb", "2,1,1")
     assert code == 1
     assert "FAIL" in out and "X^2" in out
+
+
+def test_verify_kwi_at_n8_and_its_negative_controls(capsys):
+    code, out, _ = run(capsys, "verify", "kwi", "--g", "2", "--N", "8", "--Q", "30")
+    assert code == 0 and "PASS" in out
+    for perturb in ("2,1,1", "2,1,-5"):
+        code, out, _ = run(capsys, "verify", "kwi", "--g", "2", "--N", "8", "--Q", "30",
+                           "--perturb", perturb)
+        assert code == 1 and "FAIL" in out
 
 
 def test_verify_json_mismatch_payload(capsys):

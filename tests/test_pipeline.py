@@ -149,6 +149,13 @@ def test_counting_value_dispatch():
         pipeline.counting_value("Z", 2, 2)
 
 
+def test_coefficient_list_rejects_rational_coefficients():
+    assert pipeline.absolutely_indecomposable_count(2, 3).coefficient_list == (0, 2, 3, 0, 1)
+    rational = pipeline.indecomposable_count(2, 6)  # has 1/3, 15/2, 77/3 and 81/2
+    with pytest.raises(ValueError, match="non-integral"):
+        rational.coefficient_list
+
+
 def test_counting_polynomial_str():
     assert str(pipeline.absolutely_indecomposable_count(2, 3)) == "A_2(3,q) = q^4 + 3q^2 + 2q"
 
@@ -181,6 +188,25 @@ def test_triple_product_negative_control():
 def test_triple_product_at_g1_equals_plain_product():
     assert pipeline.verify_triple_product(1, 4, 10).passed
     assert pipeline.verify_g1_product(4, 10).passed
+
+
+@pytest.mark.parametrize("a", [-3, -2, -1, 0, 1, 2, 3])
+@pytest.mark.parametrize("n, c", [(2, 1), (3, 0), (1, 3)])
+def test_bi_mul_power_equals_repeated_factor(a, n, c):
+    rows = pipeline._expand_weight_series(2, 7, 9)
+    # reference on plain coefficient lists: |a| steps of multiplying by
+    # (1 - q^c X^n), or of dividing by it for a < 0
+    expected = [list(row.coefficients) for row in rows]
+    for _ in range(abs(a)):
+        prev = [list(r) for r in expected]
+        for m in range(n, len(expected)):
+            for k in range(c, len(expected[m])):
+                if a > 0:
+                    expected[m][k] = prev[m][k] - prev[m - n][k - c]
+                else:
+                    expected[m][k] = prev[m][k] + expected[m - n][k - c]
+    got = pipeline._bi_mul_power(rows, n, c, a)
+    assert [list(row.coefficients) for row in got] == expected
 
 
 def test_failed_report_requires_mismatch():
