@@ -173,12 +173,15 @@ def _engine_source_digest() -> str:
     """SHA-256 over the package's ``.py`` sources, so an engine change that
     keeps its version number still invalidates every stored entry.  Computed
     on first use of the cache only."""
+    # the interpreter's own SHA-256, as in the stdlib's random module:
+    # hashlib loads OpenSSL, which adds about 3.5 MB to each process
     try:
-        # the interpreter's own SHA-256, as in the stdlib's random module:
-        # hashlib loads OpenSSL, which adds about 3.5 MB to each process
-        from _sha256 import sha256
+        from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
-        from hashlib import sha256
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
     digest = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")

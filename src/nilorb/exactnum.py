@@ -193,10 +193,6 @@ class PolyQ:
                           _int_primitive(list(other.numerators)))
         return _poly(g, g[-1])
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c primitive over the integers."""
-        return Fraction(gcd(*self.numerators), self.denominator)
-
     # -- substitution and evaluation -----------------------------------
 
     def adams(self, d: int) -> "PolyQ":

@@ -146,6 +146,22 @@ def test_version_does_not_digest_the_sources(capsys):
     assert cli._engine_source_digest.cache_info().misses == 0
 
 
+def test_source_digest_falls_back_through_each_sha256(monkeypatch):
+    import hashlib
+    import types
+
+    expected = cli._engine_source_digest.__wrapped__()
+    used = []
+    sha2 = types.ModuleType("_sha2")
+    sha2.sha256 = lambda: used.append("_sha2") or hashlib.sha256()
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # as on Python 3.12+
+    monkeypatch.setitem(sys.modules, "_sha2", sha2)
+    assert cli._engine_source_digest.__wrapped__() == expected
+    assert used == ["_sha2"]
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # neither: hashlib
+    assert cli._engine_source_digest.__wrapped__() == expected
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NILORB_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "2")
