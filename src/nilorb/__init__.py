@@ -20,7 +20,6 @@ from .partitions import (
     partition_count,
     partitions_of,
 )
-from .series import TruncatedXSeries
 from .pipeline import (
     CountingPolynomial,
     ScanReport,
@@ -45,7 +44,6 @@ __all__ = [
     "PolyQ",
     "RationalFunctionQ",
     "TruncatedQSeries",
-    "TruncatedXSeries",
     "Partition",
     "inner_product",
     "mobius",

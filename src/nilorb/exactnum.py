@@ -130,9 +130,6 @@ class PolyQ:
     def __sub__(self, other: "PolyQ | Scalar") -> "PolyQ":
         return self + (-_coerce_poly(other))
 
-    def __rsub__(self, other: Scalar) -> "PolyQ":
-        return _coerce_poly(other) - self
-
     def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
         other = _coerce_poly(other)
         a, b = self.numerators, other.numerators
@@ -146,18 +143,6 @@ class PolyQ:
         return _poly(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "PolyQ":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = PolyQ([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, other: "PolyQ") -> "PolyQ":
         """The polynomial self / other; a remainder raises.
@@ -418,13 +403,10 @@ class RationalFunctionQ:
     def __sub__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
         return self + (-_coerce_rf(other))
 
-    def __rsub__(self, other: "PolyQ | Scalar") -> "RationalFunctionQ":
-        return _coerce_rf(other) - self
-
     def __mul__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
         other = _coerce_rf(other)
         if self.is_zero or other.is_zero:
-            return _RF_ZERO
+            return RF_ZERO
         # cross-cancel so the final product is already reduced
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
@@ -442,17 +424,6 @@ class RationalFunctionQ:
         return RationalFunctionQ._raw(num, den)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunctionQ":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunctionQ(self.den, self.num)
-
-    def __truediv__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
-        return self * _coerce_rf(other).inverse()
-
-    def __rtruediv__(self, other: "PolyQ | Scalar") -> "RationalFunctionQ":
-        return _coerce_rf(other) * self.inverse()
 
     # -- substitution, evaluation, expansion ------------------------------
 
@@ -544,9 +515,7 @@ def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:
     return RationalFunctionQ(PolyQ([x]))
 
 
-_RF_ZERO = RationalFunctionQ(PolyQ())
-
-RF_ZERO = _RF_ZERO
+RF_ZERO = RationalFunctionQ(PolyQ())
 RF_ONE = RationalFunctionQ(PolyQ([1]))
 
 

@@ -4,12 +4,15 @@ The chain runs: per-partition weights -> weight series in X -> formal log ->
 Moebius sums giving the absolutely-indecomposable counts A -> divisor sums
 giving the indecomposable counts I -> the full orbit counts M.
 
-M is always computed by two independent routes (an infinite product over
-irreducible-polynomial degrees, and the exp of the I-weighted divisor sum)
-and cross-asserted, so every run re-verifies the algebra that connects the
-chain.  Facts guaranteed by the mathematics (polynomiality, integrality,
-degree bounds) are hard assertions; the open nonnegativity question is only
-ever a report.
+log M is always computed by two independent routes and cross-asserted
+coefficientwise, so every run re-verifies the algebra that connects the
+chain: the product route takes the log of the infinite product over
+irreducible-polynomial degrees d of the weight series at (q**d, X**d),
+straight from the log of the weight series; the component route takes the
+I-weighted divisor sum.  exp is injective on series with constant term 0, so
+one exp of the agreed log gives M.  Facts guaranteed by the mathematics
+(polynomiality, integrality, degree bounds) are hard assertions; the open
+nonnegativity question is only ever a report.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .partitions import (
     orbit_weight,
     partitions_of,
 )
-from .series import TruncatedXSeries, log_coefficients
+from .series import exp_coefficients, log_coefficients
 
 KINDS = ("A", "I", "M", "H")
 
@@ -163,14 +166,14 @@ def _weight_coefficients(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
     return _memo(g).prefix("weights", order + 1, extend)[: order + 1]
 
 
-def weight_series(g: int, order: int) -> TruncatedXSeries:
-    """Generating series whose X**n coefficient sums orbit_weight over all
-    partitions of n (constant term 1)."""
+def weight_series(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
+    """Coefficients of X**0..X**order of the generating series whose X**n
+    coefficient sums orbit_weight over all partitions of n (constant term 1)."""
     if g < 1:
         raise ValueError("tuple length g must be >= 1")
     if order < 0:
         raise ValueError("series order must be >= 0")
-    return TruncatedXSeries(_weight_coefficients(g, order))
+    return _weight_coefficients(g, order)
 
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
@@ -255,36 +258,53 @@ def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> Non
 # -- the two routes to the full orbit counts --------------------------------
 
 
-def _orbit_series_product_route(g: int, order: int) -> TruncatedXSeries:
-    """Product over degrees d of the Adams-transported weight series raised
-    to the monic-irreducible count of degree d.
+def _log_orbit_product_route(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
+    """Coefficients of log M from the product over degrees d of the weight
+    series at (q**d, X**d) raised to the monic-irreducible count N_d: the
+    log of that product is the sum over d of N_d * H(q**d, X**d), so the
+    coefficient of X**n is the sum over d | n of N_d * H_(n/d)(q**d).
 
     Factors with d > order start at X**d and cannot affect coefficients up
-    to the truncation, so the product stops at d = order.
+    to the truncation, so the sum stops at d = order.
     """
-    acc = TruncatedXSeries.one(order)
-    base = weight_series(g, order)
-    for d in range(1, order + 1):
-        acc = acc * base.adams(d).pow_with_exponent(monic_irreducible_count(d))
-    return acc
-
-
-def _orbit_series_component_route(g: int, order: int) -> TruncatedXSeries:
-    """exp of sum over n of I(g, n) * sum over k of X**(nk) / k, i.e. the
-    log of the product of (1 - X**n) ** (-I(g, n))."""
     coeffs = [RF_ZERO] * (order + 1)
+    for d in range(1, order + 1):
+        count = RationalFunctionQ(monic_irreducible_count(d))
+        for k in range(1, order // d + 1):
+            coeffs[k * d] = coeffs[k * d] + log_weight_coefficient(g, k).adams(d) * count
+    return tuple(coeffs)
+
+
+def _log_orbit_component_route(g: int, order: int) -> tuple[PolyQ, ...]:
+    """Coefficients of log M from the sum over n of I(g, n) * sum over k of
+    X**(nk) / k, i.e. the log of the product of (1 - X**n) ** (-I(g, n))."""
+    coeffs = [PolyQ()] * (order + 1)
     for n in range(1, order + 1):
-        count = RationalFunctionQ(indecomposable_count(g, n).value)
-        k = 1
-        while n * k <= order:
+        count = indecomposable_count(g, n).value
+        for k in range(1, order // n + 1):
             coeffs[n * k] = coeffs[n * k] + count * Fraction(1, k)
-            k += 1
-    return TruncatedXSeries(coeffs).exp()
+    return tuple(coeffs)
+
+
+def _log_orbit_routes(g: int, order: int) -> tuple[tuple[PolyQ, ...], Optional[Mismatch]]:
+    """The coefficients of log M up to X**order by the component route, and
+    the first X**n at which the product route disagrees (None if nowhere).
+
+    exp is injective on series with constant term 0, so that is also the
+    first X**n at which the two routes' orbit counts would differ.
+    """
+    via_product = _log_orbit_product_route(g, order)
+    via_components = _log_orbit_component_route(g, order)
+    for n in range(1, order + 1):
+        a, b = via_product[n], via_components[n]
+        if not (a.is_polynomial and a.as_poly() == b):
+            return via_components, Mismatch(n, None, str(a), str(b))
+    return via_components, None
 
 
 def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
-    """Full orbit counts for n = 1..order, computed by both routes and
-    cross-asserted coefficientwise before conversion to polynomials."""
+    """Full orbit counts for n = 1..order: the exp of log M, once both
+    routes to log M agree coefficientwise."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
     counts = _memo(g).prefix("orbits", order, lambda _: _cross_asserted_orbit_counts(g, order))
@@ -292,19 +312,14 @@ def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
 
 
 def _cross_asserted_orbit_counts(g: int, order: int) -> tuple[CountingPolynomial, ...]:
-    via_product = _orbit_series_product_route(g, order)
-    via_components = _orbit_series_component_route(g, order)
+    logs, mismatch = _log_orbit_routes(g, order)
+    if mismatch is not None:
+        raise InternalCheckError(
+            f"orbit-count routes disagree at g={g}, X^{mismatch.x_degree}: "
+            f"{mismatch.lhs} vs {mismatch.rhs}"
+        )
     out = []
-    for n in range(1, order + 1):
-        a = via_product.coefficient(n)
-        b = via_components.coefficient(n)
-        if a != b:
-            raise InternalCheckError(
-                f"orbit-count routes disagree at g={g}, X^{n}: {a} vs {b}"
-            )
-        if not a.is_polynomial:
-            raise InternalCheckError(f"non-polynomial orbit count at g={g}, n={n}")
-        poly = a.as_poly()
+    for n, poly in enumerate(exp_coefficients(logs)[1:], 1):
         _check_prime_power_positivity("M", g, n, poly)
         out.append(CountingPolynomial("M", g, n, poly))
     return tuple(out)
@@ -338,19 +353,12 @@ def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:
 
 
 def verify_product_routes(g: int, order: int) -> VerificationReport:
-    """Compare the two independent constructions of the orbit-count series
-    coefficientwise, reporting rather than raising on mismatch."""
-    via_product = _orbit_series_product_route(g, order)
-    via_components = _orbit_series_component_route(g, order)
-    for n in range(order + 1):
-        a = via_product.coefficient(n)
-        b = via_components.coefficient(n)
-        if a != b:
-            return VerificationReport(
-                "thm5-routes", g, order, None, False,
-                Mismatch(n, None, str(a), str(b)),
-            )
-    return VerificationReport("thm5-routes", g, order, None, True, None)
+    """Compare the two independent constructions of log M coefficientwise,
+    reporting rather than raising on mismatch."""
+    if g < 1 or order < 1:
+        raise ValueError("g and order must be >= 1")
+    _, mismatch = _log_orbit_routes(g, order)
+    return VerificationReport("thm5-routes", g, order, None, mismatch is None, mismatch)
 
 
 def _bi_one(x_order: int, q_order: int) -> list[TruncatedQSeries]:
@@ -384,7 +392,7 @@ def _bi_mul_power(
 
 def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[TruncatedQSeries]:
     rows = []
-    for n, coeff in enumerate(weight_series(g, x_order).coefficients):
+    for n, coeff in enumerate(weight_series(g, x_order)):
         try:
             rows.append(coeff.expand(q_order))
         except PoleError:
@@ -431,7 +439,8 @@ def verify_triple_product(
     Each factor is applied in one pass through its binomial series, so the
     right side stays inside integer q-series arithmetic.  ``perturb = (n, s, d)``
     adds d to the exponent a(n, s) -- a deliberate-corruption hook for
-    negative-control testing.
+    negative-control testing; it must lie inside the window (n <= x_order,
+    s <= q_order) and have d != 0.
     """
     if x_order < 1 or q_order < 1:
         raise ValueError("truncation orders must be >= 1")
@@ -440,7 +449,9 @@ def verify_triple_product(
     }
     if perturb is not None:
         pn, ps, delta = perturb
-        if not 1 <= pn <= x_order or ps < 0:
+        # a zero delta, or a coefficient past q**q_order, changes nothing
+        # inside the window, so the control could not fail
+        if not (1 <= pn <= x_order and 0 <= ps <= q_order) or delta == 0:
             raise ValueError("perturbation outside the verified window")
         table = tables[pn]
         table.extend([0] * (ps + 1 - len(table)))

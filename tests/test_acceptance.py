@@ -25,7 +25,7 @@ from nilorb.partitions import (
     partition_count,
     partitions_of,
 )
-from nilorb.series import TruncatedXSeries
+from nilorb.series import exp_coefficients, log_coefficients
 
 RF = RationalFunctionQ
 QM1 = PolyQ([-1, 1])
@@ -169,8 +169,7 @@ def test_criterion_8_property_suites(capsys):
                PolyQ([1, Fraction(rng.randint(-1, 1))]))
             for _ in range(5)
         ]
-        series = TruncatedXSeries(coeffs)
-        ok = ok and series.log().exp() == series
+        ok = ok and exp_coefficients(log_coefficients(coeffs)) == tuple(coeffs)
 
     # Adams composition and morphism laws
     f = RF(PolyQ([1, 3]), PolyQ([-1, 0, 1]))
@@ -178,7 +177,12 @@ def test_criterion_8_property_suites(capsys):
     ok = ok and f.adams(2).adams(3) == f.adams(6)
     ok = ok and (f * g_).adams(2) == f.adams(2) * g_.adams(2)
     s = pipeline.weight_series(2, 4)
-    ok = ok and s.adams(2).adams(2) == s.adams(4)
+
+    def adams(series, d):  # (X, q) -> (X**d, q**d) on a coefficient tuple
+        return tuple(series[k // d].adams(d) if k % d == 0 else RF_ZERO
+                     for k in range(len(series)))
+
+    ok = ok and adams(adams(s, 2), 2) == adams(s, 4)
 
     # dual-route inner product agreement, exhaustively to weight 8
     parts = [p for w in range(9) for p in partitions_of(w)]

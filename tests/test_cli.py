@@ -215,6 +215,16 @@ def test_verify_kwi_at_n8_and_its_negative_controls(capsys):
         assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("perturb", ["2,9,1", "2,1,0"])
+def test_verify_kwi_rejects_perturbations_that_change_nothing(capsys, perturb):
+    # s > Q lies past the q-window and delta = 0 changes no exponent: either
+    # control would pass, so both are usage errors
+    code, out, err = run(capsys, "verify", "kwi", "--g", "2", "--N", "3", "--Q", "6",
+                         "--perturb", perturb)
+    assert code == 2 and "PASS" not in out
+    assert "outside the verified window" in err
+
+
 def test_verify_json_mismatch_payload(capsys):
     code, out, _ = run(capsys, "verify", "kwi", "--g", "2", "--N", "3",
                        "--Q", "12", "--perturb", "2,1,1", "--format", "json")

@@ -113,12 +113,6 @@ def test_rf_reduction_example():
     assert RF(Q, PolyQ([0, -1, 1])) == RF(ONE, PolyQ([-1, 1]))
 
 
-def test_rf_inverse():
-    assert RF(PolyQ([0, 0, 1])).inverse() == RF(ONE, PolyQ([0, 0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        RF(PolyQ()).inverse()
-
-
 def test_rf_canonical_form_is_structural():
     a = RF(PolyQ([0, 2]), PolyQ([0, 0, 2]))
     b = RF(ONE, Q)
@@ -169,7 +163,7 @@ def test_expand_rejects_pole_at_zero():
 
 def test_qseries_mul_and_qpower():
     geo = RF(ONE, PolyQ([1, -1])).expand(4)
-    sq = RF(ONE, PolyQ([1, -1]) ** 2).expand(4)
+    sq = RF(ONE, PolyQ([1, -1]) * PolyQ([1, -1])).expand(4)
     assert sq.coefficients == (1, 2, 3, 4, 5)
     shifted = geo.mul_qpower(2)
     assert shifted.coefficients == (0, 0, 1, 1, 1)

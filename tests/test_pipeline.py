@@ -8,6 +8,7 @@ import pytest
 from nilorb import pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ, RF_ZERO
 from nilorb.partitions import divisors, mobius, partition_count
+from nilorb.series import exp_coefficients, log_coefficients
 
 RF = RationalFunctionQ
 ONE = PolyQ([1])
@@ -43,13 +44,13 @@ def inverted_log_coefficient(g, n):
 def test_weight_series_constant_and_linear_terms():
     for g in (1, 2, 3):
         series = pipeline.weight_series(g, 3)
-        assert series.coefficient(0) == RF(ONE)
-        assert series.coefficient(1) == RF(ONE, QM1)
+        assert len(series) == 4
+        assert series[0] == RF(ONE)
+        assert series[1] == RF(ONE, QM1)
 
 
 def test_weight_series_order_zero():
-    series = pipeline.weight_series(2, 0)
-    assert series.coefficients == (RF(ONE),)
+    assert pipeline.weight_series(2, 0) == (RF(ONE),)
 
 
 def test_weight_series_quadratic_term_at_g1():
@@ -58,7 +59,7 @@ def test_weight_series_quadratic_term_at_g1():
     term_11 = RF(PolyQ([0, 1]), QM1 * QM1 * PolyQ([1, 1]))
     expected = RF(PolyQ([-1, 1, 1]), QM1 * QM1 * PolyQ([1, 1]))
     assert term_2 + term_11 == expected
-    assert pipeline.weight_series(1, 2).coefficient(2) == expected
+    assert pipeline.weight_series(1, 2)[2] == expected
 
 
 def test_log_coefficient_linear_term():
@@ -75,7 +76,7 @@ def test_log_coefficient_quadratic_term_pairs():
 def test_exp_of_log_reproduces_weight_series():
     for g in (1, 2):
         series = pipeline.weight_series(g, 5)
-        assert series.log().exp() == series
+        assert exp_coefficients(log_coefficients(series)) == series
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +186,20 @@ def test_triple_product_negative_control():
     assert report.mismatch.q_degree is not None
 
 
+def test_triple_product_perturbation_at_the_window_edge_fails():
+    report = pipeline.verify_triple_product(2, 3, 6, perturb=(2, 6, 1))
+    assert not report.passed
+    assert (report.mismatch.x_degree, report.mismatch.q_degree) == (2, 6)
+
+
+@pytest.mark.parametrize("perturb", [(2, 7, 1), (2, 1, 0), (4, 1, 1), (0, 1, 1), (2, -1, 1)])
+def test_triple_product_rejects_perturbations_outside_the_window(perturb):
+    # (2, 7, 1) lies past q^6 and (2, 1, 0) changes no exponent, so neither
+    # could make the control fail
+    with pytest.raises(ValueError, match="outside the verified window"):
+        pipeline.verify_triple_product(2, 3, 6, perturb=perturb)
+
+
 def test_triple_product_at_g1_equals_plain_product():
     assert pipeline.verify_triple_product(1, 4, 10).passed
     assert pipeline.verify_g1_product(4, 10).passed
@@ -268,13 +283,38 @@ from nilorb import pipeline
 series = pipeline.orbit_count_series(2, 6)
 def refuse(g, order):
     raise AssertionError("an M route was built again")
-pipeline._orbit_series_product_route = refuse
-pipeline._orbit_series_component_route = refuse
+pipeline._log_orbit_product_route = refuse
+pipeline._log_orbit_component_route = refuse
 assert pipeline.orbit_count(2, 4) == series[3]
 assert pipeline.orbit_count_series(2, 5) == series[:5]
 print("ok")
 """)
     assert out == "ok"
+
+
+def test_orbit_count_routes_negative_control(run_fresh):
+    # a wrong I(2, 3) reaches only the component route, first at X^3
+    out = run_fresh("""
+from nilorb import pipeline
+from nilorb.exactnum import InternalCheckError, PolyQ
+count = pipeline.indecomposable_count
+def corrupted(g, n):
+    cp = count(g, n)
+    if n != 3:
+        return cp
+    return pipeline.CountingPolynomial("I", g, n, cp.value + PolyQ([0, 1]))
+pipeline.indecomposable_count = corrupted
+report = pipeline.verify_product_routes(2, 5)
+assert not report.passed and report.mismatch.q_degree is None
+try:
+    pipeline.orbit_count_series(2, 5)
+except InternalCheckError as exc:
+    assert "X^3" in str(exc), exc
+else:
+    raise AssertionError("the M cross-check let a wrong I through")
+print(report.mismatch.x_degree)
+""")
+    assert out == "3"
 
 
 def test_late_shorter_build_keeps_the_longer_prefix():
