@@ -396,6 +396,9 @@ def cmd_verify(args) -> int:
         if args.perturb:
             print("nilorb: --perturb applies only to the kwi identity", file=sys.stderr)
             return EXIT_USAGE
+        if args.Q is not None:
+            print("nilorb: thm5-routes has no q truncation; omit --Q", file=sys.stderr)
+            return EXIT_USAGE
         report = pipeline.verify_product_routes(args.g, args.N)
     elif args.identity == "kwi":
         if args.Q is None:

@@ -3,8 +3,9 @@
 Covers partition enumeration (reverse-lexicographic, for deterministic
 series assembly), conjugation, the inner product computed by two independent
 routes, centralizer orders of nilpotent Jordan types, per-partition weights
-of the orbit generating series, the Moebius function and the count of monic
-irreducible polynomials of a given degree.
+of the orbit generating series as integer numerators over the closed-form
+denominator D_n = (q - 1)(q**2 - 1)...(q**n - 1), the Moebius function and
+the count of monic irreducible polynomials of a given degree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from .exactnum import InternalCheckError, PolyQ
 
 
 class Partition:
@@ -134,15 +135,17 @@ def inner_product(lam: Partition, mu: Partition) -> int:
     return via_conjugates
 
 
-def centralizer_order(lam: Partition) -> PolyQ:
+def centralizer_order(lam: Partition, ip: int | None = None) -> PolyQ:
     """Order of the centralizer of a nilpotent matrix of Jordan type lam,
     as a polynomial in the field size.
 
     Equals q**<lam,lam> times the product over part multiplicities m of
     (1 - q**-1)...(1 - q**-m), with the negative powers cleared symbolically
-    so the result stays a plain polynomial.
+    so the result stays a plain polynomial.  ``ip`` is <lam,lam> when the
+    caller already has it.
     """
-    ip = inner_product(lam, lam)
+    if ip is None:
+        ip = inner_product(lam, lam)
     cleared = sum(m * (m + 1) // 2 for m in lam.exponential_form().values())
     out = PolyQ.q_power(ip - cleared)
     for m in lam.exponential_form().values():
@@ -151,8 +154,20 @@ def centralizer_order(lam: Partition) -> PolyQ:
     return out
 
 
-def orbit_weight(lam: Partition, g: int) -> RationalFunctionQ:
-    """Weight of a partition in the orbit generating series.
+@lru_cache(maxsize=None)
+def weight_denominator(n: int) -> PolyQ:
+    """D_n = (q - 1)(q**2 - 1)...(q**n - 1), D_0 = 1: a multiple of the
+    denominator of every partition weight of n, because a q-multinomial
+    coefficient is a polynomial."""
+    out = PolyQ([1])
+    for j in range(1, n + 1):
+        out = out * (PolyQ.q_power(j) - 1)
+    return out
+
+
+def orbit_weight(lam: Partition, g: int) -> PolyQ:
+    """Weight of a partition of n in the orbit generating series, as its
+    integer numerator over D_n = weight_denominator(n).
 
     The count of g-tuples of nilpotent matrices commuting with a fixed
     regular block of Jordan type lam, divided by the order of its
@@ -163,8 +178,8 @@ def orbit_weight(lam: Partition, g: int) -> RationalFunctionQ:
     if g < 1:
         raise ValueError("tuple length g must be >= 1")
     ip = inner_product(lam, lam)
-    num = PolyQ.q_power(g * (ip - lam.length))
-    return RationalFunctionQ(num, centralizer_order(lam))
+    num = PolyQ.q_power(g * (ip - lam.length)) * weight_denominator(lam.weight)
+    return num.exact_div(centralizer_order(lam, ip))
 
 
 def mobius(n: int) -> int:

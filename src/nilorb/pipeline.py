@@ -4,6 +4,11 @@ The chain runs: per-partition weights -> weight series in X -> formal log ->
 Moebius sums giving the absolutely-indecomposable counts A -> divisor sums
 giving the indecomposable counts I -> the full orbit counts M.
 
+Each coefficient is a ``PolyQ`` over a denominator known in closed form (the
+weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1), its log's
+over q**n - 1, 1 from A on), so the chain needs no rational-function
+arithmetic and no gcd; a ``RationalFunctionQ`` is built only for kind H.
+
 log M is always computed by two independent routes and cross-asserted
 coefficientwise, so every run re-verifies the algebra that connects the
 chain: the product route takes the log of the infinite product over
@@ -24,12 +29,10 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .exactnum import (
+    InexactDivisionError,
     InternalCheckError,
-    PoleError,
     PolyQ,
     RationalFunctionQ,
-    RF_ONE,
-    RF_ZERO,
     TruncatedQSeries,
 )
 from .partitions import (
@@ -38,6 +41,7 @@ from .partitions import (
     monic_irreducible_count,
     orbit_weight,
     partitions_of,
+    weight_denominator,
 )
 from .series import exp_coefficients, log_coefficients
 
@@ -123,8 +127,9 @@ class ScanReport:
 class _ChainMemo:
     """What the chain has built for one tuple length g, kept as prefixes.
 
-    Coefficient n of the weight series and of its log, and the orbit count
-    M(g, n), do not depend on the truncation order, so the longest prefix
+    Coefficient n of the weight series and of its log (held as their
+    numerators over D_n and over q**n - 1), and the orbit count M(g, n), do
+    not depend on the truncation order, so the longest prefix
     built so far serves every order.  A prefix is an immutable tuple that is
     only ever replaced by a longer one built aside, so a concurrent reader
     always sees a whole prefix; the lock keeps a late, shorter build from
@@ -134,7 +139,7 @@ class _ChainMemo:
     __slots__ = ("weights", "logs", "orbits", "_lock")
 
     def __init__(self):
-        self.weights, self.logs, self.orbits = (RF_ONE,), (RF_ZERO,), ()
+        self.weights, self.logs, self.orbits = (PolyQ([1]),), (PolyQ(),), ()
         self._lock = threading.Lock()
 
     def prefix(self, field: str, length: int, extend) -> tuple:
@@ -156,19 +161,20 @@ def _memo(g: int) -> _ChainMemo:
     return _MEMOS.get(g) or _MEMOS.setdefault(g, _ChainMemo())
 
 
-def _weight_coefficients(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
+def _weight_coefficients(g: int, order: int) -> tuple[PolyQ, ...]:
     def extend(have):
         return have + tuple(
-            sum((orbit_weight(lam, g) for lam in partitions_of(n)), RF_ZERO)
+            sum((orbit_weight(lam, g) for lam in partitions_of(n)), PolyQ())
             for n in range(len(have), order + 1)
         )
 
     return _memo(g).prefix("weights", order + 1, extend)[: order + 1]
 
 
-def weight_series(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
-    """Coefficients of X**0..X**order of the generating series whose X**n
-    coefficient sums orbit_weight over all partitions of n (constant term 1)."""
+def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
+    """Numerators over D_n = weight_denominator(n) of the coefficients of
+    X**0..X**order of the generating series whose X**n coefficient sums the
+    partition weights of n (constant term 1)."""
     if g < 1:
         raise ValueError("tuple length g must be >= 1")
     if order < 0:
@@ -176,14 +182,19 @@ def weight_series(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
     return _weight_coefficients(g, order)
 
 
+def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
+    """Numerators over q**n - 1 of the coefficients of X**0..X**order of the
+    formal log of the weight series."""
+    return _memo(g).prefix(
+        "logs", order + 1, lambda have: log_coefficients(_weight_coefficients(g, order), have)
+    )[: order + 1]
+
+
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    logs = _memo(g).prefix(
-        "logs", n + 1, lambda have: log_coefficients(_weight_coefficients(g, n), have)
-    )
-    return logs[n]
+    return RationalFunctionQ(_log_numerators(g, n)[n], PolyQ.q_power(n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +206,25 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of absolutely indecomposable orbits, as a polynomial in q.
 
     Built as (q - 1) times the Moebius-weighted divisor sum of transported
-    log coefficients.  Polynomiality, integrality and the degree bound
-    (g-1)*n*n are mathematically guaranteed, so violations raise.
+    log coefficients.  The log coefficient H_(n/d)(q**d) is its numerator
+    over q**n - 1, so A is the sum of the transported numerators divided by
+    (q**n - 1) / (q - 1) = 1 + q + ... + q**(n-1).  Polynomiality,
+    integrality and the degree bound (g-1)*n*n are mathematically
+    guaranteed, so violations raise.
     """
     if g < 1 or n < 1:
         raise ValueError("g and n must be >= 1")
-    total = RF_ZERO
+    logs = _log_numerators(g, n)
+    total = PolyQ()
     for d in divisors(n):
         mu = mobius(d)
         if mu == 0:
             continue
-        total = total + log_weight_coefficient(g, n // d).adams(d) * Fraction(mu, d)
-    value = total * PolyQ([-1, 1])
-    if not value.is_polynomial:
-        raise InternalCheckError(f"non-polynomial result for A at g={g}, n={n}")
-    poly = value.as_poly()
+        total = total + logs[n // d].adams(d) * Fraction(mu, d)
+    try:
+        poly = total.exact_div(PolyQ([1] * n))
+    except InexactDivisionError:
+        raise InternalCheckError(f"non-polynomial result for A at g={g}, n={n}") from None
     if not poly.is_integral:
         raise InternalCheckError(f"non-integral coefficients for A at g={g}, n={n}")
     if poly.degree() > (g - 1) * n * n:
@@ -258,20 +273,23 @@ def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> Non
 # -- the two routes to the full orbit counts --------------------------------
 
 
-def _log_orbit_product_route(g: int, order: int) -> tuple[RationalFunctionQ, ...]:
+def _log_orbit_product_route(g: int, order: int) -> tuple[PolyQ, ...]:
     """Coefficients of log M from the product over degrees d of the weight
     series at (q**d, X**d) raised to the monic-irreducible count N_d: the
     log of that product is the sum over d of N_d * H(q**d, X**d), so the
-    coefficient of X**n is the sum over d | n of N_d * H_(n/d)(q**d).
+    coefficient of X**n is the sum over d | n of N_d * H_(n/d)(q**d).  Each
+    H_(n/d)(q**d) is its numerator over q**n - 1, so coefficient n is
+    returned as its numerator over q**n - 1.
 
     Factors with d > order start at X**d and cannot affect coefficients up
     to the truncation, so the sum stops at d = order.
     """
-    coeffs = [RF_ZERO] * (order + 1)
+    logs = _log_numerators(g, order)
+    coeffs = [PolyQ()] * (order + 1)
     for d in range(1, order + 1):
-        count = RationalFunctionQ(monic_irreducible_count(d))
+        count = monic_irreducible_count(d)
         for k in range(1, order // d + 1):
-            coeffs[k * d] = coeffs[k * d] + log_weight_coefficient(g, k).adams(d) * count
+            coeffs[k * d] = coeffs[k * d] + logs[k].adams(d) * count
     return tuple(coeffs)
 
 
@@ -296,9 +314,9 @@ def _log_orbit_routes(g: int, order: int) -> tuple[tuple[PolyQ, ...], Optional[M
     via_product = _log_orbit_product_route(g, order)
     via_components = _log_orbit_component_route(g, order)
     for n in range(1, order + 1):
-        a, b = via_product[n], via_components[n]
-        if not (a.is_polynomial and a.as_poly() == b):
-            return via_components, Mismatch(n, None, str(a), str(b))
+        a, b, den = via_product[n], via_components[n], PolyQ.q_power(n) - 1
+        if a != b * den:
+            return via_components, Mismatch(n, None, str(RationalFunctionQ(a, den)), str(b))
     return via_components, None
 
 
@@ -391,14 +409,19 @@ def _bi_mul_power(
 
 
 def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[TruncatedQSeries]:
+    """The weight series' coefficients of X**0..X**x_order as power series
+    in q through q**q_order: each numerator p_n divided by D_n over the
+    integers, exact at every step because D_n(0) = (-1)**n."""
     rows = []
-    for n, coeff in enumerate(weight_series(g, x_order)):
-        try:
-            rows.append(coeff.expand(q_order))
-        except PoleError:
-            raise InternalCheckError(
-                f"weight-series coefficient at X^{n} is not a clean q-series"
-            ) from None
+    for n, p in enumerate(weight_series(g, x_order)):
+        den = weight_denominator(n).numerators
+        out = []
+        for k in range(q_order + 1):
+            acc = p.numerators[k] if k < len(p.numerators) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            out.append(acc * den[0])
+        rows.append(TruncatedQSeries(out, q_order))
     return rows
 
 

@@ -242,6 +242,15 @@ def test_verify_routes_and_g1(capsys):
     assert code == 0
 
 
+def test_verify_routes_rejects_q(capsys):
+    # thm5-routes compares exact log-M coefficients; a --Q would be recorded
+    # in the envelope but truncate nothing
+    code, out, err = run(capsys, "verify", "thm5-routes", "--g", "2", "--N", "3",
+                         "--Q", "9", "--format", "json")
+    assert code == 2 and out == ""
+    assert "--Q" in err
+
+
 def test_verify_usage_errors(capsys):
     code, _, _ = run(capsys, "verify", "kwi", "--g", "2", "--N", "3")
     assert code == 2  # missing --Q

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilorb import pipeline
 from nilorb.exactnum import (
     InexactDivisionError,
     PoleError,
@@ -11,6 +12,7 @@ from nilorb.exactnum import (
     RationalFunctionQ,
     TruncatedQSeries,
 )
+from nilorb.partitions import centralizer_order, inner_product, partitions_of
 
 RF = RationalFunctionQ
 Q = PolyQ([0, 1])
@@ -20,7 +22,7 @@ ONE = PolyQ([1])
 def longdiv(num, den, order):
     """Independent schoolbook series division (ascending coefficients).
 
-    Deliberately not sharing any code with RationalFunctionQ.expand.
+    Deliberately not sharing any code with pipeline._expand_weight_series.
     """
     num = [Fraction(c) for c in num] + [Fraction(0)] * (order + 1)
     den = [Fraction(c) for c in den]
@@ -134,27 +136,34 @@ def test_rf_evaluate():
         RF(ONE, PolyQ([-1, 1])).evaluate(1)
 
 
-def test_expand_geometric():
-    s = RF(ONE, PolyQ([1, -1])).expand(3)
-    assert s.coefficients == (1, 1, 1, 1)
+# ---------------------------------------------------------------------------
+# the weight series expanded in q (the left side of the product identities)
 
 
 def test_expand_negated_geometric():
-    s = RF(ONE, PolyQ([-1, 1])).expand(2)
-    assert s.coefficients == (-1, -1, -1)
+    # the X^1 coefficient is 1 / (q - 1) for every g
+    for g in (1, 2, 3):
+        row = pipeline._expand_weight_series(g, 1, 2)[1]
+        assert row.coefficients == (-1, -1, -1)
+        assert all(type(c) is int for c in row.coefficients)
 
 
 def test_expand_against_schoolbook_division():
-    # q / ((q-1)^2 (q+1)): denominator expands to q^3 - q^2 - q + 1
-    f = RF(Q, PolyQ([-1, 1]) * PolyQ([-1, 1]) * PolyQ([1, 1]))
-    expected = longdiv([0, 1], [1, -1, -1, 1], 3)
-    assert list(f.expand(3).coefficients) == expected
-    assert expected == [0, 1, 1, 2]  # q + q^2 + 2q^3
-
-
-def test_expand_rejects_pole_at_zero():
-    with pytest.raises(PoleError):
-        RF(ONE, PolyQ([0, 0, 1, -1])).expand(2)
+    # each X^n coefficient rebuilt from the defining quotients
+    # q^(g(<lam,lam> - length)) / centralizer_order(lam), reduced by
+    # rational-function arithmetic, then divided out by longdiv
+    order = 12
+    for g in (1, 2, 3):
+        rows = pipeline._expand_weight_series(g, 5, order)
+        for n in range(1, 6):
+            total = RF(PolyQ())
+            for lam in partitions_of(n):
+                ip = inner_product(lam, lam)
+                total = total + RF(PolyQ.q_power(g * (ip - lam.length)), centralizer_order(lam))
+            expected = longdiv(total.num.coefficients, total.den.coefficients, order)
+            assert list(rows[n].coefficients) == expected, (g, n)
+    # (q^2 + q - 1) / ((q-1)^2 (q+1)) at g = 1, n = 2
+    assert pipeline._expand_weight_series(1, 2, 3)[2].coefficients == (-1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +171,14 @@ def test_expand_rejects_pole_at_zero():
 
 
 def test_qseries_mul_and_qpower():
-    geo = RF(ONE, PolyQ([1, -1])).expand(4)
-    sq = RF(ONE, PolyQ([1, -1]) * PolyQ([1, -1])).expand(4)
-    assert sq.coefficients == (1, 2, 3, 4, 5)
+    geo = TruncatedQSeries([1] * 5, 4)
+    assert geo.scale(3).coefficients == (3, 3, 3, 3, 3)
     shifted = geo.mul_qpower(2)
     assert shifted.coefficients == (0, 0, 1, 1, 1)
 
 
 def test_qseries_qpower_beyond_the_window_is_zero():
-    geo = RF(ONE, PolyQ([1, -1])).expand(4)
+    geo = TruncatedQSeries([1] * 5, 4)
     for k in (5, 6, 20):
         assert geo.mul_qpower(k) == TruncatedQSeries([], 4)
 
@@ -223,16 +231,3 @@ def test_adams_evaluation_compatibility(num, den, d):
     except PoleError:
         return
     assert f.adams(d).evaluate(q0) == expected
-
-
-def _unit_constant(p):
-    return PolyQ([1] + [c for c in p.coefficients[1:]])
-
-
-@settings(max_examples=40, deadline=None)
-@given(polys, polys, polys, polys)
-def test_expand_multiplicative_unit_denominators(na, nb, da, db):
-    da, db = _unit_constant(da), _unit_constant(db)
-    order = 6
-    expected = longdiv((na * nb).coefficients, (da * db).coefficients, order)
-    assert list((RF(na, da) * RF(nb, db)).expand(order).coefficients) == expected

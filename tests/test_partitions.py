@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilorb import partitions
 from nilorb.exactnum import PolyQ, RationalFunctionQ
 from nilorb.fforacle import FieldSpec, monic_irreducibles
 from nilorb.partitions import (
@@ -14,6 +15,7 @@ from nilorb.partitions import (
     orbit_weight,
     partition_count,
     partitions_of,
+    weight_denominator,
 )
 
 RF = RationalFunctionQ
@@ -135,14 +137,46 @@ def test_centralizer_order_of_scalar_types_is_gl_order():
             assert poly.evaluate(q) == expected
 
 
+def weight(lam, g):
+    """The partition weight as a rational function, from its numerator over D_n."""
+    return RF(orbit_weight(lam, g), weight_denominator(lam.weight))
+
+
+def test_weight_denominator_examples():
+    qm1 = PolyQ([-1, 1])
+    assert weight_denominator(0) == PolyQ([1])
+    assert weight_denominator(1) == qm1
+    assert weight_denominator(3) == qm1 * PolyQ([-1, 0, 1]) * PolyQ([-1, 0, 0, 1])
+
+
 def test_orbit_weight_examples():
     one = PolyQ([1])
     qm1 = PolyQ([-1, 1])
-    assert orbit_weight(Partition((1,)), 1) == RF(one, qm1)
-    assert orbit_weight(Partition((1,)), 3) == RF(one, qm1)
-    assert orbit_weight(Partition((2,)), 1) == RF(one, qm1)
+    assert weight(Partition((1,)), 1) == RF(one, qm1)
+    assert weight(Partition((1,)), 3) == RF(one, qm1)
+    assert weight(Partition((2,)), 1) == RF(one, qm1)
     expected = RF(PolyQ([0, 1]), qm1 * qm1 * PolyQ([1, 1]))
-    assert orbit_weight(Partition((1, 1)), 1) == expected
+    assert weight(Partition((1, 1)), 1) == expected
+    assert orbit_weight(Partition((1, 1)), 1) == PolyQ([0, 1])
+
+
+def test_orbit_weight_numerators_match_the_defining_quotient():
+    for lam in all_partitions_up_to(7)[1:]:
+        for g in (1, 2, 3):
+            ip = inner_product(lam, lam)
+            numerator = orbit_weight(lam, g)
+            assert numerator.is_integral
+            assert weight(lam, g) == RF(PolyQ.q_power(g * (ip - lam.length)),
+                                        centralizer_order(lam))
+
+
+def test_orbit_weight_computes_the_inner_product_once(monkeypatch):
+    calls = []
+    real = partitions.inner_product
+    monkeypatch.setattr(partitions, "inner_product",
+                        lambda lam, mu: calls.append(lam) or real(lam, mu))
+    orbit_weight(Partition((2, 1, 1)), 2)
+    assert calls == [Partition((2, 1, 1))]
 
 
 def test_orbit_weight_rejects_bad_input():

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from nilorb import pipeline
-from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ, RF_ZERO
-from nilorb.partitions import divisors, mobius, partition_count
+from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from nilorb.partitions import divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
 
 RF = RationalFunctionQ
+RF_ZERO = RF(PolyQ())
 ONE = PolyQ([1])
 QM1 = PolyQ([-1, 1])
 
@@ -37,20 +38,27 @@ def inverted_log_coefficient(g, n):
     return total
 
 
+def weight_series(g, order):
+    """The weight series as rational functions, from its numerators over D_n."""
+    return tuple(RF(p, weight_denominator(n))
+                 for n, p in enumerate(pipeline.weight_series(g, order)))
+
+
 # ---------------------------------------------------------------------------
 # the weight series and its log
 
 
 def test_weight_series_constant_and_linear_terms():
     for g in (1, 2, 3):
-        series = pipeline.weight_series(g, 3)
+        series = weight_series(g, 3)
         assert len(series) == 4
         assert series[0] == RF(ONE)
         assert series[1] == RF(ONE, QM1)
+        assert pipeline.weight_series(g, 1) == (ONE, ONE)
 
 
 def test_weight_series_order_zero():
-    assert pipeline.weight_series(2, 0) == (RF(ONE),)
+    assert pipeline.weight_series(2, 0) == (ONE,)
 
 
 def test_weight_series_quadratic_term_at_g1():
@@ -59,7 +67,7 @@ def test_weight_series_quadratic_term_at_g1():
     term_11 = RF(PolyQ([0, 1]), QM1 * QM1 * PolyQ([1, 1]))
     expected = RF(PolyQ([-1, 1, 1]), QM1 * QM1 * PolyQ([1, 1]))
     assert term_2 + term_11 == expected
-    assert pipeline.weight_series(1, 2)[2] == expected
+    assert weight_series(1, 2)[2] == expected
 
 
 def test_log_coefficient_linear_term():
@@ -75,8 +83,10 @@ def test_log_coefficient_quadratic_term_pairs():
 
 def test_exp_of_log_reproduces_weight_series():
     for g in (1, 2):
-        series = pipeline.weight_series(g, 5)
-        assert exp_coefficients(log_coefficients(series)) == series
+        logs = log_coefficients(pipeline.weight_series(g, 5))
+        h = (RF_ZERO,) + tuple(RF(c, PolyQ.q_power(n) - 1) for n, c in enumerate(logs) if n)
+        assert h[1:] == tuple(pipeline.log_weight_coefficient(g, n) for n in range(1, 6))
+        assert exp_coefficients(h) == weight_series(g, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +323,30 @@ except InternalCheckError as exc:
 else:
     raise AssertionError("the M cross-check let a wrong I through")
 print(report.mismatch.x_degree)
+""")
+    assert out == "3"
+
+
+def test_log_denominator_negative_control(run_fresh):
+    # one more 1 / D_3 in the X^3 coefficient of the weight series gives its
+    # log a denominator that does not divide q^3 - 1
+    out = run_fresh("""
+import contextlib, io
+from nilorb import cli, pipeline
+from nilorb.exactnum import InternalCheckError
+weigh = pipeline.orbit_weight
+def corrupted(lam, g):
+    w = weigh(lam, g)
+    return w + 1 if lam.parts == (2, 1) else w
+pipeline.orbit_weight = corrupted
+try:
+    pipeline.log_weight_coefficient(2, 3)
+except InternalCheckError as exc:
+    assert "X^3" in str(exc), exc
+else:
+    raise AssertionError("the log accepted a denominator beyond q^3 - 1")
+with contextlib.redirect_stderr(io.StringIO()):
+    print(cli.main(["verify", "kwi", "--g", "2", "--N", "3", "--Q", "12"]))
 """)
     assert out == "3"
 

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb.exactnum import PolyQ, RationalFunctionQ, RF_ONE, RF_ZERO
+from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from nilorb.partitions import weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
 
 RF = RationalFunctionQ
+RF_ZERO = RF(PolyQ())
+RF_ONE = RF(PolyQ([1]))
 
 
-def random_rf(rng, max_deg=2):
-    num = PolyQ([Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(0, max_deg + 1))])
-    den = PolyQ([1] + [Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, max_deg))])
-    return RF(num, den)
+def q_minus_one(n):
+    return PolyQ.q_power(n) - 1
 
 
 def random_poly(rng, max_deg=3):
@@ -20,12 +21,28 @@ def random_poly(rng, max_deg=3):
                   for _ in range(rng.randint(0, max_deg + 1))])
 
 
-def random_unit_series(rng, order):
-    return (RF_ONE,) + tuple(random_rf(rng) for _ in range(order))
-
-
 def random_zero_series(rng, order):
-    return (RF_ZERO,) + tuple(random_rf(rng) for _ in range(order))
+    """A random log: its X**n denominator divides q**n - 1, as the weight
+    series' log does."""
+    return (RF_ZERO,) + tuple(RF(random_poly(rng), q_minus_one(n))
+                              for n in range(1, order + 1))
+
+
+def random_unit_series(rng, order):
+    """The exp of a random log, so its X**n denominator divides D_n."""
+    return exp_coefficients(random_zero_series(rng, order))
+
+
+def numerators(series):
+    """Numerators over D_n of a series whose X**n denominator divides D_n."""
+    return tuple((c * weight_denominator(n)).as_poly() for n, c in enumerate(series))
+
+
+def log(series):
+    """The log of a series of rational functions, by log_coefficients on its
+    numerators over D_n, read back over q**n - 1."""
+    logs = log_coefficients(numerators(series))
+    return (RF_ZERO,) + tuple(RF(c, q_minus_one(n)) for n, c in enumerate(logs) if n)
 
 
 def one(order):
@@ -47,7 +64,7 @@ def scaled(a, x):
 
 def power(series, e):
     """series ** e as exp(e * log(series)), the form the product route uses."""
-    return exp_coefficients(scaled(log_coefficients(series), e))
+    return exp_coefficients(scaled(log(series), e))
 
 
 def adams(series, d):
@@ -71,13 +88,15 @@ def alternating_log(series):
 
 
 def test_log_of_geometric():
-    got = log_coefficients([RF_ONE] * 5)
+    got = log_coefficients([weight_denominator(n) for n in range(5)])
+    assert got == (PolyQ(),) + tuple(q_minus_one(n) * Fraction(1, n) for n in range(1, 5))
     expected = (RF_ZERO,) + tuple(RF(PolyQ([Fraction(1, n)])) for n in range(1, 5))
-    assert got == expected
+    assert log((RF_ONE,) * 5) == expected
 
 
 def test_log_of_one_is_zero():
-    assert log_coefficients(one(5)) == (RF_ZERO,) * 6
+    assert log_coefficients((PolyQ([1]),) + (PolyQ(),) * 5) == (PolyQ(),) * 6
+    assert log(one(5)) == (RF_ZERO,) * 6
 
 
 def test_exp_of_zero_is_one():
@@ -87,7 +106,7 @@ def test_exp_of_zero_is_one():
 
 def test_exp_log_inverse_pair_on_binomial():
     plus = (RF_ONE, RF_ONE) + (RF_ZERO,) * 4
-    assert exp_coefficients(log_coefficients(plus)) == plus
+    assert exp_coefficients(log(plus)) == plus
 
 
 def test_exp_of_x():
@@ -111,24 +130,24 @@ def test_log_matches_alternating_sum_definition():
     rng = random.Random(20240)
     for _ in range(5):
         series = random_unit_series(rng, 6)
-        assert log_coefficients(series) == alternating_log(series)
+        assert log(series) == alternating_log(series)
 
 
 def test_exp_log_round_trips_randomized():
     rng = random.Random(777)
     for _ in range(5):
-        unit = random_unit_series(rng, 5)
-        assert exp_coefficients(log_coefficients(unit)) == unit
+        unit = convolve(random_unit_series(rng, 5), random_unit_series(rng, 5))
+        assert exp_coefficients(log(unit)) == unit
         vanishing = random_zero_series(rng, 5)
-        assert log_coefficients(exp_coefficients(vanishing)) == vanishing
+        assert log(exp_coefficients(vanishing)) == vanishing
 
 
 def test_log_turns_products_into_sums():
     rng = random.Random(99)
     a = random_unit_series(rng, 5)
     b = random_unit_series(rng, 5)
-    summed = tuple(x + y for x, y in zip(log_coefficients(a), log_coefficients(b)))
-    assert log_coefficients(convolve(a, b)) == summed
+    summed = tuple(x + y for x, y in zip(log(a), log(b)))
+    assert log(convolve(a, b)) == summed
 
 
 def test_pow_minus_one_matches_inverse():
@@ -163,13 +182,19 @@ def test_adams_is_ring_morphism():
     # so the log of a transported series is the transported log, which is
     # what lets the product route read H(q**d, X**d) off the log coefficients
     for d in (1, 2, 3):
-        assert log_coefficients(adams(a, d)) == adams(log_coefficients(a), d)
+        assert log(adams(a, d)) == adams(log(a), d)
+
+
+def test_log_rejects_a_denominator_beyond_q_n_minus_1():
+    # 1 + X**2 / D_2 has log coefficient 1 / D_2 at X**2, and D_2 = (q - 1)(q**2 - 1)
+    # does not divide q**2 - 1
+    with pytest.raises(InternalCheckError, match="X\\^2"):
+        log_coefficients((PolyQ([1]), PolyQ(), PolyQ([1])))
 
 
 def test_constant_term_preconditions():
-    x = (RF_ZERO, RF_ONE, RF_ZERO)
     with pytest.raises(ValueError):
-        log_coefficients(x)
+        log_coefficients((PolyQ(), PolyQ([1]), PolyQ()))
     with pytest.raises(ValueError):
         exp_coefficients(one(2))
     with pytest.raises(ValueError):
