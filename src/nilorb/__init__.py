@@ -1,68 +1,41 @@
 """nilorb: exact counting of GL-conjugation orbits of nilpotent matrix tuples
 over finite fields, with built-in identity verification and a brute-force
-finite-field cross-check."""
+finite-field cross-check.
+
+``import nilorb`` loads no engine module: each name below is imported from
+its submodule on first access, so a command that needs only part of the
+engine (a cache hit needs none of it) pays only for that part.
+"""
 
 __version__ = "0.1.0"
 
-from .exactnum import (
-    InexactDivisionError,
-    InternalCheckError,
-    PoleError,
-    PolyQ,
-    RationalFunctionQ,
-    TruncatedQSeries,
-)
-from .partitions import (
-    Partition,
-    inner_product,
-    mobius,
-    monic_irreducible_count,
-    partition_count,
-    partitions_of,
-)
-from .pipeline import (
-    CountingPolynomial,
-    ScanReport,
-    VerificationReport,
-    absolutely_indecomposable_count,
-    counting_value,
-    indecomposable_count,
-    orbit_count,
-    orbit_count_series,
-    scan_nonnegativity,
-    verify_g1_product,
-    verify_product_routes,
-    verify_triple_product,
-)
-from .fforacle import FieldSpec, OrbitRecord, SizeGuardError
+#: the counting-value kinds: absolutely indecomposable, indecomposable,
+#: all orbits, and the log-series coefficient
+KINDS = ("A", "I", "M", "H")
 
-__all__ = [
-    "__version__",
-    "InexactDivisionError",
-    "InternalCheckError",
-    "PoleError",
-    "PolyQ",
-    "RationalFunctionQ",
-    "TruncatedQSeries",
-    "Partition",
-    "inner_product",
-    "mobius",
-    "monic_irreducible_count",
-    "partition_count",
-    "partitions_of",
-    "CountingPolynomial",
-    "ScanReport",
-    "VerificationReport",
-    "absolutely_indecomposable_count",
-    "counting_value",
-    "indecomposable_count",
-    "orbit_count",
-    "orbit_count_series",
-    "scan_nonnegativity",
-    "verify_g1_product",
-    "verify_product_routes",
-    "verify_triple_product",
-    "FieldSpec",
-    "OrbitRecord",
-    "SizeGuardError",
-]
+_EXPORTS = {
+    "exactnum": ("InexactDivisionError", "InternalCheckError", "PoleError", "PolyQ",
+                 "RationalFunctionQ", "TruncatedQSeries"),
+    "partitions": ("Partition", "inner_product", "mobius", "monic_irreducible_count",
+                   "partition_count", "partitions_of"),
+    "pipeline": ("CountingPolynomial", "ScanReport", "VerificationReport",
+                 "absolutely_indecomposable_count", "counting_value",
+                 "indecomposable_count", "orbit_count", "orbit_count_series",
+                 "scan_nonnegativity", "verify_g1_product", "verify_product_routes",
+                 "verify_triple_product"),
+    "fforacle": ("FieldSpec", "OrbitRecord", "SizeGuardError"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_SOURCE]
+
+
+def __getattr__(name: str):
+    """Import an exported name from its submodule on first access."""
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value

@@ -72,11 +72,18 @@ class PolyQ:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def q_power(k: int, coeff: Scalar = 1) -> "PolyQ":
-        """The monomial coeff * q**k."""
+    def q_power(k: int) -> "PolyQ":
+        """The monomial q**k."""
         if k < 0:
             raise ValueError("q_power requires k >= 0")
-        return PolyQ([0] * k + [coeff])
+        return _poly([0] * k + [1])
+
+    @staticmethod
+    def q_power_minus_one(k: int) -> "PolyQ":
+        """The binomial q**k - 1, for k >= 1."""
+        if k < 1:
+            raise ValueError("q_power_minus_one requires k >= 1")
+        return _poly([-1] + [0] * (k - 1) + [1])
 
     # -- inspection ----------------------------------------------------
 

@@ -150,7 +150,7 @@ def centralizer_order(lam: Partition, ip: int | None = None) -> PolyQ:
     out = PolyQ.q_power(ip - cleared)
     for m in lam.exponential_form().values():
         for j in range(1, m + 1):
-            out = out * PolyQ([-1] + [0] * (j - 1) + [1])  # q^j - 1
+            out = out * PolyQ.q_power_minus_one(j)
     return out
 
 
@@ -161,7 +161,7 @@ def weight_denominator(n: int) -> PolyQ:
     coefficient is a polynomial."""
     out = PolyQ([1])
     for j in range(1, n + 1):
-        out = out * (PolyQ.q_power(j) - 1)
+        out = out * PolyQ.q_power_minus_one(j)
     return out
 
 
@@ -227,5 +227,5 @@ def monic_irreducible_count(d: int) -> PolyQ:
         raise ValueError("degree must be >= 1")
     total = PolyQ()
     for e in divisors(d):
-        total = total + mobius(e) * (PolyQ.q_power(d // e) - PolyQ([1]))
+        total = total + mobius(e) * PolyQ.q_power_minus_one(d // e)
     return total * Fraction(1, d)

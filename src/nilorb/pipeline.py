@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
+from . import KINDS
 from .exactnum import (
     InexactDivisionError,
     InternalCheckError,
@@ -44,8 +45,6 @@ from .partitions import (
     weight_denominator,
 )
 from .series import exp_coefficients, log_coefficients
-
-KINDS = ("A", "I", "M", "H")
 
 #: prime powers where positivity of the counts is spot-checked at construction
 _CHECK_POINTS = (2, 3, 4, 5)
@@ -194,7 +193,7 @@ def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return RationalFunctionQ(_log_numerators(g, n)[n], PolyQ.q_power(n) - 1)
+    return RationalFunctionQ(_log_numerators(g, n)[n], PolyQ.q_power_minus_one(n))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def _log_orbit_routes(g: int, order: int) -> tuple[tuple[PolyQ, ...], Optional[M
     via_product = _log_orbit_product_route(g, order)
     via_components = _log_orbit_component_route(g, order)
     for n in range(1, order + 1):
-        a, b, den = via_product[n], via_components[n], PolyQ.q_power(n) - 1
+        a, b, den = via_product[n], via_components[n], PolyQ.q_power_minus_one(n)
         if a != b * den:
             return via_components, Mismatch(n, None, str(RationalFunctionQ(a, den)), str(b))
     return via_components, None

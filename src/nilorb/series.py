@@ -41,7 +41,7 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
         for k in range(1, n):
             if not (out[k].is_zero or p[n - k].is_zero):
                 cofactor = weight_denominator(n).exact_div(
-                    weight_denominator(n - k) * (PolyQ.q_power(k) - 1))
+                    weight_denominator(n - k) * PolyQ.q_power_minus_one(k))
                 acc = acc - out[k] * p[n - k] * (cofactor * k)
         try:
             out.append(acc.exact_div(weight_denominator(n - 1) * n))

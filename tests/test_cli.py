@@ -1,10 +1,13 @@
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from nilorb import cli, pipeline
+import nilorb
+from nilorb import cli, fforacle, pipeline
+from nilorb.exactnum import InternalCheckError
 
 GOLDEN_PRETTY = {
     1: "1",
@@ -75,6 +78,17 @@ def test_compute_h_csv_is_usage_error(capsys):
                        "--n", "1", "--format", "csv", "--no-cache")
     assert code == 2
     assert "csv" in err
+
+
+def test_internal_check_failure_exits_3(capsys, monkeypatch):
+    def broken(kind, g, n):
+        raise InternalCheckError("routes disagree")
+
+    monkeypatch.setattr(pipeline, "counting_value", broken)
+    code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2",
+                         "--n", "3", "--no-cache")
+    assert code == 3 and out == ""
+    assert err == "nilorb: internal assertion failed: routes disagree\n"
 
 
 def test_compute_rejects_invalid_g(capsys):
@@ -295,10 +309,13 @@ def test_oracle_total_count(capsys):
 
 
 def test_oracle_guard_is_usage_error(capsys):
+    with pytest.raises(fforacle.SizeGuardError) as guard:
+        fforacle.burnside_orbit_count(fforacle.FieldSpec.of(3), 3, 2)
     code, _, err = run(capsys, "oracle", "--check", "M", "--g", "2",
                        "--n", "3", "--q", "3")
     assert code == 2
     assert "guard" in err
+    assert err == f"nilorb: {guard.value}\n"
 
 
 def test_oracle_missing_arguments(capsys):
@@ -342,3 +359,53 @@ def test_entry_point_help(nilorb_env):
     )
     assert proc.returncode == 0
     assert "--kind" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+ENGINE_MODULES = {"nilorb.exactnum", "nilorb.partitions", "nilorb.series",
+                  "nilorb.pipeline", "nilorb.fforacle"}
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# nilorb modules it loaded
+_LOADED = """
+import contextlib, io, sys
+from nilorb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("nilorb.")))
+"""
+
+
+def engine_modules_loaded(env, *argv) -> set:
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return set(modules) & ENGINE_MODULES
+
+
+def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
+    compute = ["compute", "--kind", "M", "--g", "2", "--N", "3",
+               "--cache-dir", str(tmp_path), "--format"]
+    miss = engine_modules_loaded(nilorb_env, *compute, "json")
+    assert "nilorb.pipeline" in miss and "nilorb.fforacle" not in miss
+    assert engine_modules_loaded(nilorb_env, *compute, "json") == set()
+    assert engine_modules_loaded(nilorb_env, *compute, "csv") == set()
+    assert engine_modules_loaded(nilorb_env, "--version") == set()
+    assert engine_modules_loaded(nilorb_env, *compute, "pretty") == {"nilorb.exactnum"}
+
+
+def test_package_exports_resolve_to_their_submodules():
+    star = {}
+    exec("from nilorb import *", star)
+    for name in nilorb.__all__:
+        value = getattr(nilorb, name)
+        assert star[name] is value
+        if name != "__version__":
+            assert value.__module__.startswith("nilorb.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
+    assert pipeline.KINDS is nilorb.KINDS
+    with pytest.raises(AttributeError):
+        nilorb.no_such_name

@@ -70,6 +70,16 @@ def test_degree_and_zero_conventions():
     assert PolyQ([2, 3]).is_integral
 
 
+def test_monomials_have_the_canonical_representation():
+    for k in range(4):
+        assert PolyQ.q_power(k) == PolyQ([0] * k + [1])
+        assert PolyQ.q_power_minus_one(k + 1) == PolyQ([0] * (k + 1) + [1]) - ONE
+    with pytest.raises(ValueError):
+        PolyQ.q_power(-1)
+    with pytest.raises(ValueError):
+        PolyQ.q_power_minus_one(0)
+
+
 def test_poly_str_matches_display_style():
     assert str(PolyQ([0, 2, 3, 0, 1])) == "q^4 + 3q^2 + 2q"
     assert str(PolyQ([1])) == "1"
