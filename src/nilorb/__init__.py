@@ -13,9 +13,44 @@ __version__ = "0.1.0"
 #: all orbits, and the log-series coefficient
 KINDS = ("A", "I", "M", "H")
 
+
+def poly_text(coeffs) -> str:
+    """Display form of the polynomial with ascending coefficients ``coeffs``,
+    each the ``str`` of an exact rational ("3", "-1/2"), in descending powers,
+    e.g. ``q^4 + 3q^2 - (1/2)q``.
+
+    It works on the strings alone, so printing a cached result needs no
+    arithmetic module."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == "0":
+            continue
+        negative = c.startswith("-")
+        body = c.lstrip("-")
+        if "/" in body:
+            body = f"({body})"
+        if k:
+            var = "q" if k == 1 else f"q^{k}"
+            body = var if body == "1" else f"{body}{var}"
+        if terms:
+            terms.append(f"- {body}" if negative else f"+ {body}")
+        else:
+            terms.append(f"-{body}" if negative else body)
+    return " ".join(terms) or "0"
+
+
+def quotient_text(num_coeffs, den_coeffs) -> str:
+    """Display form of num / den from their coefficient strings, taken as
+    given (no reduction)."""
+    if list(den_coeffs) == ["1"]:
+        return poly_text(num_coeffs)
+    return f"({poly_text(num_coeffs)}) / ({poly_text(den_coeffs)})"
+
+
 _EXPORTS = {
     "exactnum": ("InexactDivisionError", "InternalCheckError", "PoleError", "PolyQ",
-                 "RationalFunctionQ", "TruncatedQSeries"),
+                 "RationalFunctionQ"),
     "partitions": ("Partition", "inner_product", "mobius", "monic_irreducible_count",
                    "partition_count", "partitions_of"),
     "pipeline": ("CountingPolynomial", "ScanReport", "VerificationReport",

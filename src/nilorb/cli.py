@@ -29,8 +29,8 @@ from functools import lru_cache
 from pathlib import Path
 
 # engine modules are imported where they are used, so that a command loads
-# only what it needs: a json or csv cache hit loads none of them
-from . import KINDS
+# only what it needs: a cache hit loads none of them
+from . import KINDS, poly_text, quotient_text
 from . import __version__ as ENGINE_VERSION
 
 EXIT_OK = 0
@@ -119,33 +119,24 @@ def _compute_outputs(kind: str, g: int, mode: str, value: int) -> dict:
     return {"polynomials": polys}
 
 
-def _payload_poly(coeffs: list[str]):
-    from fractions import Fraction
-
-    from .exactnum import PolyQ
-
-    return PolyQ(map(Fraction, coeffs))
-
-
 def _payload_to_pretty(kind: str, outputs: dict, single: bool) -> str:
-    """Format the payload as is: each H value is stored in the integer form
-    that ``RationalFunctionQ.__str__`` prints, so it needs no reduction."""
+    """Format the stored coefficient strings as they are, with the formatter
+    that ``PolyQ`` and ``RationalFunctionQ`` print with; each H value is
+    stored in the integer form that ``RationalFunctionQ.__str__`` prints, so
+    it needs no reduction."""
     lines = []
     if kind == "H":
-        from .exactnum import quotient_str
-
         for item in outputs["rational_functions"]:
-            text = quotient_str(_payload_poly(item["num_coeffs"]),
-                                _payload_poly(item["den_coeffs"]))
+            text = quotient_text(item["num_coeffs"], item["den_coeffs"])
             if single:
                 return text
             lines.append(f"H_{item['g']}({item['n']},q) = {text}")
         return "\n".join(lines)
     for item in outputs["polynomials"]:
-        poly = _payload_poly(item["coeffs"])
+        text = poly_text(item["coeffs"])
         if single:
-            return str(poly)
-        lines.append(f"{item['kind']}_{item['g']}({item['n']},q) = {poly}")
+            return text
+        lines.append(f"{item['kind']}_{item['g']}({item['n']},q) = {text}")
     return "\n".join(lines)
 
 

@@ -8,9 +8,7 @@ This module is the numeric tower the rest of the package sits on:
   integer numerators over one common denominator,
 * ``RationalFunctionQ``: reduced quotients of two ``PolyQ`` with a monic
   denominator (so equality is structural); the counting chain builds one
-  only for its kind-H output, and the tests use its field operations as
-  reference arithmetic,
-* ``TruncatedQSeries``: power series in q truncated at a fixed order.
+  only for its kind-H output, so it has no field operations.
 
 Nothing here ever rounds.  All values are immutable after construction and
 safe to share between threads.
@@ -21,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
+
+from . import poly_text, quotient_text
 
 Scalar = Union[int, Fraction]
 
@@ -229,23 +229,7 @@ class PolyQ:
 
     def __str__(self) -> str:
         """Human form in descending powers, e.g. ``q^4 + 3q^2 + 2q``."""
-        nums = self.numerators
-        if not nums:
-            return "0"
-        terms = []
-        for k in range(len(nums) - 1, -1, -1):
-            c = nums[k]
-            if c == 0:
-                continue
-            body = _ratio_str(abs(c), self.denominator)
-            if k:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if body == "1" else f"{body}{var}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
+        return poly_text([str(c) for c in self.coefficients])
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"
@@ -278,13 +262,6 @@ def _coerce_poly(x: "PolyQ | Scalar") -> PolyQ:
     if isinstance(x, PolyQ):
         return x
     return PolyQ([x])
-
-
-def _ratio_str(num: int, den: int) -> str:
-    """num/den in lowest terms, parenthesised unless it is an integer."""
-    g = gcd(num, den)
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"({num}/{den})"
 
 
 def _int_primitive(c: list[int]) -> list[int]:
@@ -359,16 +336,6 @@ class RationalFunctionQ:
         self.num = num
         self.den = den
 
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def _raw(num: PolyQ, den: PolyQ) -> "RationalFunctionQ":
-        """Build without re-canonicalizing (caller guarantees the form)."""
-        rf = object.__new__(RationalFunctionQ)
-        rf.num = num
-        rf.den = den
-        return rf
-
     # -- inspection -------------------------------------------------------
 
     @property
@@ -380,27 +347,6 @@ class RationalFunctionQ:
             raise InexactDivisionError(f"not a polynomial: {self}")
         return self.num
 
-    # -- field operations ----------------------------------------------
-
-    def __add__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        return RationalFunctionQ(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunctionQ":
-        return RationalFunctionQ._raw(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
-        return self + (-_coerce_rf(other))
-
-    def __mul__(self, other: "RationalFunctionQ | PolyQ | Scalar") -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     # -- substitution and evaluation ---------------------------------------
 
     def adams(self, d: int) -> "RationalFunctionQ":
@@ -411,7 +357,9 @@ class RationalFunctionQ:
         """
         if d == 1:
             return self
-        return RationalFunctionQ._raw(self.num.adams(d), self.den.adams(d))
+        rf = object.__new__(type(self))
+        rf.num, rf.den = self.num.adams(d), self.den.adams(d)
+        return rf
 
     def evaluate(self, x: Scalar) -> Fraction:
         bottom = self.den.evaluate(x)
@@ -432,7 +380,9 @@ class RationalFunctionQ:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        return quotient_str(*self.integerized())
+        num, den = self.integerized()
+        return quotient_text([str(c) for c in num.numerators],
+                             [str(c) for c in den.numerators])
 
     def __repr__(self) -> str:
         return f"RationalFunctionQ({self})"
@@ -450,91 +400,6 @@ class RationalFunctionQ:
                 _poly(_times(den.numerators, scale // den.denominator)))
 
 
-def quotient_str(num: PolyQ, den: PolyQ) -> str:
-    """Display form of num / den, taken as given (no reduction)."""
-    if den.is_one:
-        return str(num)
-    return f"({num}) / ({den})"
-
-
 def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:
     return x if isinstance(x, RationalFunctionQ) else RationalFunctionQ(x)
 
-
-# ---------------------------------------------------------------------------
-# truncated q-series
-
-
-class TruncatedQSeries:
-    """Power series in q known through a fixed order: the value is
-    ``sum(c[i] * q**i)`` modulo ``q**(order + 1)``.
-
-    Coefficients are exact scalars kept as given, so a series built from
-    integers stays in integer arithmetic.
-    """
-
-    __slots__ = ("_c", "_order")
-
-    def __init__(self, coeffs: Iterable[Scalar], order: int):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        c = tuple(_exact(x) for x in coeffs)
-        if len(c) > order + 1:
-            raise ValueError("more coefficients than the order allows")
-        self._c = c + (0,) * (order + 1 - len(c))
-        self._order = order
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coefficients(self) -> tuple[Scalar, ...]:
-        return self._c
-
-    def coefficient(self, k: int) -> Scalar:
-        """Coefficient of q**k."""
-        if not 0 <= k <= self._order:
-            raise ValueError(f"q^{k} is outside the truncation window")
-        return self._c[k]
-
-    def __add__(self, other: "TruncatedQSeries") -> "TruncatedQSeries":
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        return TruncatedQSeries([a + b for a, b in zip(self._c, other._c)], order)
-
-    def scale(self, x: Scalar) -> "TruncatedQSeries":
-        x = _exact(x)
-        return TruncatedQSeries([c * x for c in self._c], self._order)
-
-    def mul_qpower(self, k: int) -> "TruncatedQSeries":
-        """Multiply by q**k (k >= 0), keeping the same truncation window."""
-        if k < 0:
-            raise ValueError("mul_qpower requires k >= 0")
-        k = min(k, self._order + 1)
-        return TruncatedQSeries((0,) * k + self._c[: self._order + 1 - k], self._order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedQSeries):
-            return NotImplemented
-        return (self._c, self._order) == (other._c, other._order)
-
-    def __hash__(self) -> int:
-        return hash((self._c, self._order))
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self._c):
-            if c == 0:
-                continue
-            body = _ratio_str(c.numerator, c.denominator)
-            if k:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if c == 1 else f"{body}{var}"
-            terms.append(body)
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(q^{self._order + 1})"
-
-    def __repr__(self) -> str:
-        return f"TruncatedQSeries({self})"

@@ -239,55 +239,14 @@ def is_nilpotent(field: FieldSpec, m: Matrix) -> bool:
     return power == zero_matrix(n)
 
 
-def mat_rank(field: FieldSpec, m: Matrix) -> int:
-    rows = [list(r) for r in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(rows[r], rows[rank])
-                ]
-        rank += 1
-    return rank
-
-
-def mat_inverse(field: FieldSpec, m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
-        aug[col] = [field.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(aug[r], aug[col])
-                ]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tuple[int, ...]]:
-    """Basis of the solution space of the homogeneous system rows * x = 0."""
+def _row_reduce(field: FieldSpec, rows, n_cols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination on the first ``n_cols`` columns: the reduced
+    row echelon form of ``rows`` (pivot entries 1, zero elsewhere in their
+    column) and the pivot columns in order."""
     m = [list(r) for r in rows]
     pivots: list[int] = []
-    rank = 0
     for col in range(n_cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
@@ -299,10 +258,29 @@ def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tup
                 factor = m[r][col]
                 m[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(m[r], m[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    return m, pivots
+
+
+def mat_rank(field: FieldSpec, m: Matrix) -> int:
+    return len(_row_reduce(field, m, len(m[0]) if m else 0)[1])
+
+
+def mat_inverse(field: FieldSpec, m: Matrix) -> Matrix:
+    n = len(m)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]
+    reduced, pivots = _row_reduce(field, aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tuple[int, ...]]:
+    """Basis of the solution space of the homogeneous system rows * x = 0."""
+    m, pivots = _row_reduce(field, rows, n_cols)
     basis = []
-    for f in free:
+    for f in range(n_cols):
+        if f in pivots:
+            continue
         vec = [0] * n_cols
         vec[f] = 1
         for r, pc in enumerate(pivots):
@@ -477,6 +455,18 @@ def commutant_basis(field: FieldSpec, matrices: MatrixTuple) -> list[Matrix]:
     return [tuple(vec[i * n : (i + 1) * n] for i in range(n)) for vec in basis]
 
 
+def _span(field: FieldSpec, basis: list[Matrix], n: int):
+    """Every linear combination of the n x n matrices in ``basis``, one for
+    each coefficient vector over the field."""
+    for combo in itertools.product(field.elements, repeat=len(basis)):
+        acc = zero_matrix(n)
+        for coeff, bmat in zip(combo, basis):
+            if coeff:
+                acc = mat_add(field, acc, tuple(
+                    tuple(field.mul(coeff, x) for x in row) for row in bmat))
+        yield acc
+
+
 def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, bool, Optional[int]]:
     """Dimension of the endomorphism algebra, whether it is local (non-units
     closed under addition, hence forming the unique maximal ideal), and the
@@ -488,17 +478,7 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
             f"endomorphism algebra with {field.q}^{k} elements exceeds the guard"
         )
     n = len(matrices[0])
-    elements = []
-    for combo in itertools.product(field.elements, repeat=k):
-        acc = zero_matrix(n)
-        for coeff, bmat in zip(combo, basis):
-            if coeff:
-                scaled = tuple(
-                    tuple(field.mul(coeff, x) for x in row) for row in bmat
-                )
-                acc = mat_add(field, acc, scaled)
-        elements.append(acc)
-    nonunits = [m for m in elements if mat_rank(field, m) < n]
+    nonunits = [m for m in _span(field, basis, n) if mat_rank(field, m) < n]
     nonunit_set = set(nonunits)
     local = True
     for i, a in enumerate(nonunits):
@@ -698,15 +678,7 @@ def nilpotent_commutant_count(field: FieldSpec, f: Sequence[int], lam: Partition
         )
     j = jordan_type_matrix(field, f, lam)
     basis = commutant_basis(field, (j,))
-    count = 0
-    for combo in itertools.product(field.elements, repeat=len(basis)):
-        acc = zero_matrix(v)
-        for coeff, bmat in zip(combo, basis):
-            if coeff:
-                scaled = tuple(tuple(field.mul(coeff, x) for x in row) for row in bmat)
-                acc = mat_add(field, acc, scaled)
-        if is_nilpotent(field, acc):
-            count += 1
+    count = sum(1 for m in _span(field, basis, v) if is_nilpotent(field, m))
     expected = field.q ** (d * (inner_product(lam, lam) - lam.length))
     if count != expected:
         raise InternalCheckError(

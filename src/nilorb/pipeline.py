@@ -34,7 +34,6 @@ from .exactnum import (
     InternalCheckError,
     PolyQ,
     RationalFunctionQ,
-    TruncatedQSeries,
 )
 from .partitions import (
     divisors,
@@ -378,39 +377,41 @@ def verify_product_routes(g: int, order: int) -> VerificationReport:
     return VerificationReport("thm5-routes", g, order, None, mismatch is None, mismatch)
 
 
-def _bi_one(x_order: int, q_order: int) -> list[TruncatedQSeries]:
-    rows = [TruncatedQSeries([1], q_order)]
-    rows += [TruncatedQSeries([], q_order) for _ in range(x_order)]
+def _bi_one(x_order: int, q_order: int) -> list[list[int]]:
+    """The series 1 as rows: row m holds the coefficients of q**0..q**q_order
+    in the X**m coefficient."""
+    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
+    rows[0][0] = 1
     return rows
 
 
-def _bi_mul_power(
-    rows: list[TruncatedQSeries], n: int, c: int, a: int
-) -> list[TruncatedQSeries]:
-    """Multiply by (1 - q**c X**n) ** a in the doubly truncated ring, in one
-    pass over the generalised binomial series sum_j (-1)**j C(a, j) q**(cj)
-    X**(nj).  Its integer coefficients follow b_j = b_(j-1) (j-1-a) / j;
-    terms past either truncation are dropped."""
-    q_order = rows[0].order
+def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
+    """Multiply ``rows`` in place by (1 - q**c X**n) ** a in the doubly
+    truncated ring, in one pass over the generalised binomial series
+    sum_j (-1)**j C(a, j) q**(cj) X**(nj).  Its integer coefficients follow
+    b_j = b_(j-1) (j-1-a) / j; terms past either truncation are dropped.
+    Row m gains multiples of rows m - nj below it, so m runs downwards and
+    every row read is still the one before the multiplication."""
+    q_order = len(rows[0]) - 1
     terms, b = [], 1
     for j in range(1, (len(rows) - 1) // n + 1):
         b = b * (j - 1 - a) // j
         if b == 0 or c * j > q_order:
             break
         terms.append((n * j, c * j, b))
-    out = list(rows)
-    for m in range(n, len(rows)):
+    for m in range(len(rows) - 1, n - 1, -1):
+        row = rows[m]
         for shift, power, b in terms:
             if shift > m:
                 break
-            out[m] = out[m] + rows[m - shift].mul_qpower(power).scale(b)
-    return out
+            row[power:] = [x + b * y for x, y in zip(row[power:], rows[m - shift])]
 
 
-def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[TruncatedQSeries]:
-    """The weight series' coefficients of X**0..X**x_order as power series
-    in q through q**q_order: each numerator p_n divided by D_n over the
-    integers, exact at every step because D_n(0) = (-1)**n."""
+def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]:
+    """The weight series' coefficients of X**0..X**x_order as rows of the
+    coefficients of q**0..q**q_order: each numerator p_n divided by D_n as a
+    power series over the integers, exact at every step because
+    D_n(0) = (-1)**n."""
     rows = []
     for n, p in enumerate(weight_series(g, x_order)):
         den = weight_denominator(n).numerators
@@ -420,7 +421,7 @@ def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[TruncatedQ
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
             out.append(acc * den[0])
-        rows.append(TruncatedQSeries(out, q_order))
+        rows.append(out)
     return rows
 
 
@@ -429,20 +430,17 @@ def _compare_rows(
     g: int,
     x_order: int,
     q_order: int,
-    lhs: list[TruncatedQSeries],
-    rhs: list[TruncatedQSeries],
+    lhs: list[list[int]],
+    rhs: list[list[int]],
 ) -> VerificationReport:
     for n in range(x_order + 1):
         if lhs[n] == rhs[n]:
             continue
-        for k in range(q_order + 1):
-            a = lhs[n].coefficient(k)
-            b = rhs[n].coefficient(k)
-            if a != b:
-                return VerificationReport(
-                    identity, g, x_order, q_order, False,
-                    Mismatch(n, k, str(a), str(b)),
-                )
+        k = next(k for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
+        return VerificationReport(
+            identity, g, x_order, q_order, False,
+            Mismatch(n, k, str(lhs[n][k]), str(rhs[n][k])),
+        )
     return VerificationReport(identity, g, x_order, q_order, True, None)
 
 
@@ -459,10 +457,10 @@ def verify_triple_product(
     Both sides are expanded in X up to x_order and q up to q_order; factors
     with s + i > q_order are 1 modulo the q-truncation and are skipped.
     Each factor is applied in one pass through its binomial series, so the
-    right side stays inside integer q-series arithmetic.  ``perturb = (n, s, d)``
-    adds d to the exponent a(n, s) -- a deliberate-corruption hook for
-    negative-control testing; it must lie inside the window (n <= x_order,
-    s <= q_order) and have d != 0.
+    right side stays in integer arithmetic on rows of q-coefficients.
+    ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
+    deliberate-corruption hook for negative-control testing; it must lie
+    inside the window (n <= x_order, s <= q_order) and have d != 0.
     """
     if x_order < 1 or q_order < 1:
         raise ValueError("truncation orders must be >= 1")
@@ -485,7 +483,7 @@ def verify_triple_product(
             if a == 0 or s > q_order:
                 continue
             for i in range(q_order - s + 1):
-                rhs = _bi_mul_power(rhs, n, s + i, a)
+                _bi_mul_power(rhs, n, s + i, a)
 
     lhs = _expand_weight_series(g, x_order, q_order)
     return _compare_rows("kwi", g, x_order, q_order, lhs, rhs)
@@ -500,7 +498,7 @@ def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
     rhs = _bi_one(x_order, q_order)
     for n in range(1, x_order + 1):
         for i in range(q_order + 1):
-            rhs = _bi_mul_power(rhs, n, i, 1)
+            _bi_mul_power(rhs, n, i, 1)
     lhs = _expand_weight_series(1, x_order, q_order)
     return _compare_rows("g1-product", 1, x_order, q_order, lhs, rhs)
 

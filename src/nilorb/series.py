@@ -6,7 +6,7 @@ every result has the length of its input.  ``log_coefficients`` runs on
 integer numerators over closed-form denominators (the weight series over
 D_n, its log over q**n - 1), so it needs no rational-function arithmetic;
 ``exp_coefficients`` runs over any coefficient ring with exact ``+`` and
-``*``, such as ``PolyQ`` (the orbit counts) and ``RationalFunctionQ``.
+``*``, such as ``PolyQ`` (the orbit counts).
 """
 
 from __future__ import annotations

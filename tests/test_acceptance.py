@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from nilorb import cli, pipeline
-from nilorb.exactnum import PolyQ, RationalFunctionQ
+from nilorb.exactnum import PolyQ
 from nilorb.fforacle import (
     FieldSpec,
     burnside_orbit_count,
@@ -27,8 +27,8 @@ from nilorb.partitions import (
     weight_denominator,
 )
 from nilorb.series import exp_coefficients, log_coefficients
+from rf_arithmetic import RF
 
-RF = RationalFunctionQ
 RF_ZERO = RF(PolyQ())
 QM1 = PolyQ([-1, 1])
 

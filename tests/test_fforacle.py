@@ -22,6 +22,7 @@ from nilorb.fforacle import (
     jordan_type_matrix,
     mat_inverse,
     mat_mul,
+    mat_rank,
     monic_irreducibles,
     nilpotent_commutant_count,
     nilpotent_matrices,
@@ -120,6 +121,17 @@ def test_mat_inverse():
     for _ in range(10):
         t = rng.choice(group)
         assert mat_mul(F3, t, mat_inverse(F3, t)) == identity_matrix(2)
+
+
+def test_rank_and_singular_inverse():
+    # over F_3, (1 2; 2 1) has determinant -3 = 0
+    singular = ((1, 2), (2, 1))
+    assert mat_rank(F3, singular) == 1
+    with pytest.raises(ValueError, match="singular"):
+        mat_inverse(F3, singular)
+    assert mat_rank(F2, ((0, 1, 1), (0, 1, 1))) == 1
+    assert mat_rank(F2, zero_matrix(3)) == 0
+    assert mat_rank(F3, identity_matrix(3)) == 3
 
 
 # ---------------------------------------------------------------------------

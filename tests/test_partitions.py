@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilorb import partitions
-from nilorb.exactnum import PolyQ, RationalFunctionQ
+from nilorb.exactnum import PolyQ
 from nilorb.fforacle import FieldSpec, monic_irreducibles
 from nilorb.partitions import (
     Partition,
@@ -17,8 +17,8 @@ from nilorb.partitions import (
     partitions_of,
     weight_denominator,
 )
+from rf_arithmetic import RF
 
-RF = RationalFunctionQ
 
 
 def conjugate_inner(lam, mu):

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import pipeline
-from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from nilorb import cli, pipeline
+from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.partitions import divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
+from rf_arithmetic import RF
 
-RF = RationalFunctionQ
 RF_ZERO = RF(PolyQ())
 ONE = PolyQ([1])
 QM1 = PolyQ([-1, 1])
@@ -219,9 +219,9 @@ def test_triple_product_at_g1_equals_plain_product():
 @pytest.mark.parametrize("n, c", [(2, 1), (3, 0), (1, 3)])
 def test_bi_mul_power_equals_repeated_factor(a, n, c):
     rows = pipeline._expand_weight_series(2, 7, 9)
-    # reference on plain coefficient lists: |a| steps of multiplying by
+    # reference on separate coefficient lists: |a| steps of multiplying by
     # (1 - q^c X^n), or of dividing by it for a < 0
-    expected = [list(row.coefficients) for row in rows]
+    expected = [list(row) for row in rows]
     for _ in range(abs(a)):
         prev = [list(r) for r in expected]
         for m in range(n, len(expected)):
@@ -230,8 +230,40 @@ def test_bi_mul_power_equals_repeated_factor(a, n, c):
                     expected[m][k] = prev[m][k] - prev[m - n][k - c]
                 else:
                     expected[m][k] = prev[m][k] + expected[m - n][k - c]
-    got = pipeline._bi_mul_power(rows, n, c, a)
-    assert [list(row.coefficients) for row in got] == expected
+    assert pipeline._bi_mul_power(rows, n, c, a) is None
+    assert rows == expected
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_bi_mul_power_reads_each_row_before_it_changes():
+    # (1 - X)^2 = 1 - 2X + X^2: row m gains rows m-1 and m-2 as they were
+    # before the multiplication; read after their own update, rows 2 and 3
+    # would come out as 5 and -12
+    rows = pipeline._bi_one(3, 1)
+    pipeline._bi_mul_power(rows, 1, 0, 2)
+    assert rows == [[1, 0], [-2, 0], [1, 0], [0, 0]]
+    # (1 - q X)^-1 = sum of q^m X^m, truncated at q^2
+    rows = pipeline._bi_one(3, 2)
+    pipeline._bi_mul_power(rows, 1, 1, -1)
+    assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def test_g1_product_control_fails_on_a_corrupted_weight_series(monkeypatch, capsys):
+    # a fresh memo for g = 1 (restored after the test) whose X^3 numerator
+    # gains q^5: over D_3, with D_3(0) = -1, the expanded row changes by -1
+    # at q^5 first, so both verifiers must name (X^3, q^5)
+    monkeypatch.setattr(pipeline, "_MEMOS", {})
+    weights = list(pipeline.weight_series(1, 6))
+    weights[3] = weights[3] + PolyQ.q_power(5)
+    pipeline._memo(1).weights = tuple(weights)
+    report = pipeline.verify_g1_product(6, 12)
+    assert not report.passed
+    m = report.mismatch
+    assert (m.x_degree, m.q_degree) == (3, 5)
+    assert int(m.lhs) - int(m.rhs) == -1
+    assert cli.main(["verify", "g1-product", "--N", "6", "--Q", "12"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("g1-product (g=1, N=6, Q=12): FAIL  first mismatch at X^3, q^5: ")
 
 
 def test_failed_report_requires_mismatch():

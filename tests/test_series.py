@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
+from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.partitions import weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
+from rf_arithmetic import RF
 
-RF = RationalFunctionQ
 RF_ZERO = RF(PolyQ())
 RF_ONE = RF(PolyQ([1]))
 
