@@ -57,7 +57,7 @@ _EXPORTS = {
                  "absolutely_indecomposable_count", "counting_value",
                  "indecomposable_count", "orbit_count", "orbit_count_series",
                  "scan_nonnegativity", "verify_g1_product", "verify_product_routes",
-                 "verify_triple_product"),
+                 "verify_triple_product", "verify_weight_routes"),
     "fforacle": ("FieldSpec", "OrbitRecord", "SizeGuardError"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

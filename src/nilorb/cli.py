@@ -4,9 +4,11 @@ Subcommands:
 
 * ``compute``          -- counting polynomials (kinds A, I, M, H)
 * ``verify``           -- identity checks: thm5-routes (the two orbit-count
-                          constructions agree), kwi (triple-product
-                          factorization of the weight series), g1-product
-                          (closed product form at tuple length 1)
+                          constructions agree), weight-routes (the two
+                          weight-series constructions agree), kwi
+                          (triple-product factorization of the weight
+                          series), g1-product (closed product form at tuple
+                          length 1)
 * ``oracle``           -- brute-force finite-field cross-checks
 * ``conjecture-scan``  -- coefficient nonnegativity scan
 * ``cache``            -- on-disk result cache maintenance
@@ -54,7 +56,7 @@ def _poly_payload(kind: str, g: int, n: int, poly) -> dict:
         "kind": kind,
         "g": g,
         "n": n,
-        "coeffs": [str(c) for c in poly.coefficients],
+        "coeffs": list(poly.coefficient_texts),
         "degree": poly.degree(),
     }
 
@@ -65,8 +67,8 @@ def _rf_payload(kind: str, g: int, n: int, rf) -> dict:
         "kind": kind,
         "g": g,
         "n": n,
-        "num_coeffs": [str(c) for c in num.coefficients],
-        "den_coeffs": [str(c) for c in den.coefficients],
+        "num_coeffs": [str(c) for c in num.numerators],
+        "den_coeffs": [str(c) for c in den.numerators],
     }
 
 
@@ -186,9 +188,9 @@ def _engine_source_digest() -> str:
 
 
 def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> dict | None:
-    """Load cached outputs; corruption, a stale engine version or changed
-    engine sources mean a miss (with a warning on corruption), never a
-    wrong answer."""
+    """Load cached outputs; corruption, an unreadable entry, a stale engine
+    version or changed engine sources mean a miss (with a warning on
+    corruption or a read error), never a wrong answer."""
     path = _cache_file(root, kind, g, mode, value)
     if not path.exists():
         return None
@@ -200,7 +202,7 @@ def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> dict | N
         if (entry["kind"], entry["g"], entry["mode"], entry["value"]) != (kind, g, mode, value):
             raise ValueError("cache key mismatch")
         return entry["outputs"]
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"nilorb: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
         return None
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
 
     p_verify = sub.add_parser("verify", help="verify a series identity at truncation")
-    p_verify.add_argument("identity", choices=("thm5-routes", "kwi", "g1-product"))
+    p_verify.add_argument("identity", choices=("thm5-routes", "weight-routes", "kwi", "g1-product"))
     p_verify.add_argument("--g", type=_positive_int, default=1)
     p_verify.add_argument("--N", required=True, type=_positive_int, help="X truncation order")
     p_verify.add_argument("--Q", type=_positive_int, help="q truncation order")
@@ -379,7 +381,10 @@ def cmd_compute(args) -> int:
     if outputs is None:
         outputs = _compute_outputs(args.kind, args.g, mode, value)
         if not args.no_cache:
-            cache_store(root, args.kind, args.g, mode, value, outputs)
+            try:
+                cache_store(root, args.kind, args.g, mode, value, outputs)
+            except OSError as exc:
+                print(f"nilorb: result not cached in {root}: {exc}", file=sys.stderr)
 
     if args.format == "pretty":
         print(_payload_to_pretty(args.kind, outputs, single=(mode == "n")))
@@ -395,14 +400,17 @@ def cmd_verify(args) -> int:
     from . import pipeline
 
     t0 = time.perf_counter()
-    if args.identity == "thm5-routes":
+    if args.identity in ("thm5-routes", "weight-routes"):
         if args.perturb:
             print("nilorb: --perturb applies only to the kwi identity", file=sys.stderr)
             return EXIT_USAGE
         if args.Q is not None:
-            print("nilorb: thm5-routes has no q truncation; omit --Q", file=sys.stderr)
+            print(f"nilorb: {args.identity} has no q truncation; omit --Q", file=sys.stderr)
             return EXIT_USAGE
-        report = pipeline.verify_product_routes(args.g, args.N)
+        if args.identity == "thm5-routes":
+            report = pipeline.verify_product_routes(args.g, args.N)
+        else:
+            report = pipeline.verify_weight_routes(args.g, args.N)
     elif args.identity == "kwi":
         if args.Q is None:
             print("nilorb: kwi needs --Q (q truncation order)", file=sys.stderr)

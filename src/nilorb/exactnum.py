@@ -5,7 +5,9 @@ This module is the numeric tower the rest of the package sits on:
 * arbitrary-precision integers and rationals (Python ``int`` and
   ``fractions.Fraction`` -- already exact, so no wrapper types),
 * ``PolyQ``: dense polynomials in q with rational coefficients, stored as
-  integer numerators over one common denominator,
+  integer numerators over one common denominator; its arithmetic runs on
+  the integers, and ``fractions`` is imported only where a coefficient or a
+  value is read out as a ``Fraction``,
 * ``RationalFunctionQ``: reduced quotients of two ``PolyQ`` with a monic
   denominator (so equality is structural); the counting chain builds one
   only for its kind-H output, so it has no field operations.
@@ -16,13 +18,15 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from . import poly_text, quotient_text
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = Union[int, Fraction]
 
 
 class InexactDivisionError(ArithmeticError):
@@ -40,10 +44,27 @@ class InternalCheckError(AssertionError):
     """
 
 
+def _is_scalar(x: object) -> bool:
+    """True for an exact scalar: an ``int`` or a ``Fraction``."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
+
+
 def _exact(x: Scalar) -> Scalar:
-    if isinstance(x, (int, Fraction)):
+    if _is_scalar(x):
         return x
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+
+
+def ratio_text(a: int, b: int) -> str:
+    """``str(Fraction(a, b))`` for integers a and b > 0, without building it:
+    ``"a"`` or ``"a/b"`` in lowest terms, the sign on the numerator."""
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +110,18 @@ class PolyQ:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
+    @property
+    def coefficient_texts(self) -> tuple[str, ...]:
+        """The ``str`` of each coefficient, as ``coefficients`` would give it."""
+        return tuple(ratio_text(c, self.denominator) for c in self.numerators)
+
     def coefficient(self, k: int) -> Fraction:
+        from fractions import Fraction
+
         if 0 <= k < len(self.numerators):
             return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
@@ -114,6 +144,8 @@ class PolyQ:
 
     @property
     def leading(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.numerators:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.numerators[-1], self.denominator)
@@ -140,6 +172,8 @@ class PolyQ:
         return self + (-_coerce_poly(other))
 
     def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
+        if isinstance(other, int):
+            return _poly(_times(self.numerators, other), self.denominator)
         other = _coerce_poly(other)
         a, b = self.numerators, other.numerators
         if not a or not b:
@@ -152,6 +186,27 @@ class PolyQ:
         return _poly(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, d: int) -> "PolyQ":
+        """The quotient by a nonzero integer d (``exact_div`` divides by a
+        polynomial)."""
+        if not isinstance(d, int):
+            return NotImplemented
+        if d == 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        if d < 0:
+            return -self / -d
+        return _poly(list(self.numerators), self.denominator * d)
+
+    def shift(self, k: int) -> "PolyQ":
+        """The product with q**k: the numerators move up k places.  For k < 0
+        they move down, which divides by q**-k and must be exact."""
+        nums = self.numerators
+        if k >= 0:
+            return _poly([0] * k + list(nums), self.denominator) if nums else self
+        if any(nums[:-k]):
+            raise InexactDivisionError(f"inexact division: {self} by q^{-k}")
+        return _poly(list(nums[-k:]), self.denominator)
 
     def exact_div(self, other: "PolyQ") -> "PolyQ":
         """The polynomial self / other; a remainder raises.
@@ -203,6 +258,8 @@ class PolyQ:
     def evaluate(self, x: Scalar) -> Fraction:
         """The value at q = x, by Horner's rule on x's numerator and
         denominator."""
+        from fractions import Fraction
+
         x = _exact(x)
         p, r = x.numerator, x.denominator
         acc, scale = 0, 1
@@ -214,10 +271,10 @@ class PolyQ:
     # -- comparisons and display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ([other])
         if not isinstance(other, PolyQ):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = PolyQ([other])
         return (self.numerators == other.numerators
                 and self.denominator == other.denominator)
 
@@ -229,7 +286,7 @@ class PolyQ:
 
     def __str__(self) -> str:
         """Human form in descending powers, e.g. ``q^4 + 3q^2 + 2q``."""
-        return poly_text([str(c) for c in self.coefficients])
+        return poly_text(self.coefficient_texts)
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"
@@ -328,11 +385,11 @@ class RationalFunctionQ:
             if g.degree() > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            # divide both by the leading coefficient lead / scale of den
+            lead, scale = den.numerators[-1], den.denominator
+            if (lead, scale) != (1, 1):
+                num = num * scale / lead
+                den = den * scale / lead
         self.num = num
         self.den = den
 
@@ -370,7 +427,7 @@ class RationalFunctionQ:
     # -- comparisons and display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, PolyQ)):
+        if isinstance(other, PolyQ) or _is_scalar(other):
             other = _coerce_rf(other)
         if not isinstance(other, RationalFunctionQ):
             return NotImplemented

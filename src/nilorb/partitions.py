@@ -2,15 +2,21 @@
 
 Covers partition enumeration (reverse-lexicographic, for deterministic
 series assembly), conjugation, the inner product computed by two independent
-routes, centralizer orders of nilpotent Jordan types, per-partition weights
-of the orbit generating series as integer numerators over the closed-form
-denominator D_n = (q - 1)(q**2 - 1)...(q**n - 1), the Moebius function and
-the count of monic irreducible polynomials of a given degree.
+routes, centralizer orders of nilpotent Jordan types, the Moebius function
+and the count of monic irreducible polynomials of a given degree.
+
+The X**n coefficient of the orbit generating series is held as its integer
+numerator over the closed-form denominator D_n = (q - 1)(q**2 - 1)...(q**n - 1),
+and there are two routes to it that share no formula.  The partition route
+sums one weight per partition of n, a centralizer quotient
+(``orbit_weight``, ``centralizer_order``, ``inner_product``).  The column
+route (``column_sum``, ``column_weight``) sums over the column heights of the
+partitions with q-binomials, and needs no division (J. Hua, *Counting
+representations of quivers over finite fields*, J. Algebra 226, 2000).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import InternalCheckError, PolyQ
@@ -182,6 +188,61 @@ def orbit_weight(lam: Partition, g: int) -> PolyQ:
     return num.exact_div(centralizer_order(lam, ip))
 
 
+# -- the column route: no division ---------------------------------------
+#
+# Write a partition of n by its column heights c_1 >= c_2 >= ... > 0, with
+# m_j = c_j - c_(j+1) (c_(r+1) = 0).  Then <lam,lam> is the sum of the c_j**2,
+# the length is c_1, and the product of the D_(m_j) in the centralizer order
+# divides D_(c_1) with quotient the product of the q-binomials
+# [c_j; c_(j+1)]_q.  So the numerator over D_n of the X**n coefficient is
+#     P_n = sum over l of q**(-g l) (q**(l+1) - 1)...(q**n - 1) G(n, l),
+# where G(s, c) sums over the column heights of the partitions of s with
+# c_1 = c.
+
+
+@lru_cache(maxsize=None)
+def q_binomial(n: int, k: int) -> PolyQ:
+    """The Gaussian binomial [n; k]_q, 0 <= k <= n, by the q-Pascal rule
+    [n; k] = [n-1; k-1] + q**k [n-1; k]."""
+    if not 0 <= k <= n:
+        raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
+    if k in (0, n):
+        return PolyQ.q_power(0)
+    return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
+
+
+def column_sum(g: int, rows, s: int, c: int) -> PolyQ:
+    """G(s, c) for 1 <= c <= s: the sum over the column heights
+    c = c_1 >= c_2 >= ... > 0 of the partitions of s of
+    q**((g-1) sum c_j**2) times the product over j of
+    [c_j; c_(j+1)]_q q**(m_j (m_j + 1) / 2).
+
+    ``rows[t][c']`` is G(t, c') for t < s, with G(0, 0) = 1.  Peeling off the
+    first column gives G(s, c) = q**((g-1) c**2) times the sum over c' of
+    [c; c']_q q**((c-c')(c-c'+1)/2) G(s - c, c'), where c' = 0 only ends
+    the partition (s = c)."""
+    total = PolyQ()
+    for c2 in range(0 if c == s else 1, min(c, s - c) + 1):
+        m = c - c2
+        total = total + (q_binomial(c, c2) * rows[s - c][c2]).shift(m * (m + 1) // 2)
+    return total.shift((g - 1) * c * c)
+
+
+def column_weight(g: int, row, n: int) -> PolyQ:
+    """P_n from ``row[l]`` = G(n, l), l = 1..n, by Horner's rule in the
+    factors q**l - 1: each step is a shift, a subtraction and an addition.
+    The shift by -g l is exact: each term of G(n, l) has q-exponent at least
+    (g-1) c_1**2 + (m_1 + m_2 + ...) >= (g-1) l + l."""
+    acc = PolyQ()
+    for l in range(1, n + 1):
+        acc = acc.shift(l) - acc + row[l].shift(-g * l)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# number theory
+
+
 def mobius(n: int) -> int:
     """Standard Moebius function via trial factorization."""
     if n < 1:
@@ -228,4 +289,4 @@ def monic_irreducible_count(d: int) -> PolyQ:
     total = PolyQ()
     for e in divisors(d):
         total = total + mobius(e) * PolyQ.q_power_minus_one(d // e)
-    return total * Fraction(1, d)
+    return total / d

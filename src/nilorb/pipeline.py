@@ -1,8 +1,13 @@
 """Assembly of the orbit-counting polynomials and the identity verifiers.
 
-The chain runs: per-partition weights -> weight series in X -> formal log ->
-Moebius sums giving the absolutely-indecomposable counts A -> divisor sums
-giving the indecomposable counts I -> the full orbit counts M.
+The chain runs: weight series in X -> formal log -> Moebius sums giving the
+absolutely-indecomposable counts A -> divisor sums giving the indecomposable
+counts I -> the full orbit counts M.
+
+The weight series is built by the column route, which needs no division,
+and every run recomputes its coefficients up to X**_WEIGHT_CHECK_ORDER by
+the partition route and asserts that the two agree; ``verify_weight_routes``
+compares them up to any order.
 
 Each coefficient is a ``PolyQ`` over a denominator known in closed form (the
 weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1), its log's
@@ -23,10 +28,9 @@ nonnegativity question is only ever a report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from itertools import zip_longest
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import KINDS
 from .exactnum import (
@@ -34,8 +38,11 @@ from .exactnum import (
     InternalCheckError,
     PolyQ,
     RationalFunctionQ,
+    ratio_text,
 )
 from .partitions import (
+    column_sum,
+    column_weight,
     divisors,
     mobius,
     monic_irreducible_count,
@@ -45,24 +52,62 @@ from .partitions import (
 )
 from .series import exp_coefficients, log_coefficients
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 #: prime powers where positivity of the counts is spot-checked at construction
 _CHECK_POINTS = (2, 3, 4, 5)
+#: every run cross-asserts the two weight routes up to this X-degree
+_WEIGHT_CHECK_ORDER = 6
 
 
-@dataclass(frozen=True)
-class CountingPolynomial:
+class _Record:
+    """An immutable value record.  Its fields are its class's ``__slots__``,
+    set once by ``__init__``; records of one class compare and hash by their
+    field values, and assigning to a field raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CountingPolynomial(_Record):
     """A counting polynomial (or rational function, for kind H) with its
     provenance: which count it is, the tuple length g and the matrix order n.
     """
 
-    kind: str
-    g: int
-    n: int
-    value: Union[PolyQ, RationalFunctionQ]
+    __slots__ = ("kind", "g", "n", "value")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+    def __init__(self, kind: str, g: int, n: int, value: Union[PolyQ, RationalFunctionQ]):
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        super().__init__(kind, g, n, value)
 
     @property
     def coefficient_list(self) -> tuple[int, ...]:
@@ -84,34 +129,29 @@ class CountingPolynomial:
         return f"{self.kind}_{self.g}({self.n},q) = {self.value}"
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    x_degree: int
-    q_degree: Optional[int]
-    lhs: str
-    rhs: str
+class Mismatch(_Record):
+    __slots__ = ("x_degree", "q_degree", "lhs", "rhs")
+
+    def __init__(self, x_degree: int, q_degree: Optional[int], lhs: str, rhs: str):
+        super().__init__(x_degree, q_degree, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    g: int
-    x_order: int
-    q_order: Optional[int]
-    passed: bool
-    mismatch: Optional[Mismatch]
+class VerificationReport(_Record):
+    __slots__ = ("identity", "g", "x_order", "q_order", "passed", "mismatch")
 
-    def __post_init__(self):
-        if not self.passed and self.mismatch is None:
+    def __init__(self, identity: str, g: int, x_order: int, q_order: Optional[int],
+                 passed: bool, mismatch: Optional[Mismatch]):
+        if not passed and mismatch is None:
             raise InternalCheckError("failed report without a mismatch location")
+        super().__init__(identity, g, x_order, q_order, passed, mismatch)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    g: int
-    n_max: int
-    negative_terms: tuple[tuple[int, int, int], ...]
-    polynomials: tuple[CountingPolynomial, ...]
+class ScanReport(_Record):
+    __slots__ = ("g", "n_max", "negative_terms", "polynomials")
+
+    def __init__(self, g: int, n_max: int, negative_terms: tuple[tuple[int, int, int], ...],
+                 polynomials: tuple[CountingPolynomial, ...]):
+        super().__init__(g, n_max, negative_terms, polynomials)
 
     @property
     def all_nonnegative(self) -> bool:
@@ -125,19 +165,20 @@ class ScanReport:
 class _ChainMemo:
     """What the chain has built for one tuple length g, kept as prefixes.
 
-    Coefficient n of the weight series and of its log (held as their
-    numerators over D_n and over q**n - 1), and the orbit count M(g, n), do
-    not depend on the truncation order, so the longest prefix
-    built so far serves every order.  A prefix is an immutable tuple that is
+    Row s of the column route's table (G(s, c) for c = 0..s), coefficient n
+    of the weight series and of its log (held as their numerators over D_n
+    and over q**n - 1), and the orbit count M(g, n), do not depend on the
+    truncation order, so the longest prefix built so far serves every order.  A prefix is an immutable tuple that is
     only ever replaced by a longer one built aside, so a concurrent reader
     always sees a whole prefix; the lock keeps a late, shorter build from
     replacing a longer one.
     """
 
-    __slots__ = ("weights", "logs", "orbits", "_lock")
+    __slots__ = ("columns", "weights", "logs", "orbits", "_lock")
 
     def __init__(self):
-        self.weights, self.logs, self.orbits = (PolyQ([1]),), (PolyQ(),), ()
+        one = PolyQ([1])
+        self.columns, self.weights, self.logs, self.orbits = ((one,),), (one,), (PolyQ(),), ()
         self._lock = threading.Lock()
 
     def prefix(self, field: str, length: int, extend) -> tuple:
@@ -159,12 +200,47 @@ def _memo(g: int) -> _ChainMemo:
     return _MEMOS.get(g) or _MEMOS.setdefault(g, _ChainMemo())
 
 
+def _column_rows(g: int, order: int) -> tuple[tuple[PolyQ, ...], ...]:
+    """Rows 0..order of the column route's table: row s holds G(s, c) for
+    c = 0..s, where G(s, 0) = 0 for s >= 1."""
+    def extend(have):
+        rows = list(have)
+        for s in range(len(rows), order + 1):
+            rows.append((PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1)))
+        return tuple(rows)
+
+    return _memo(g).prefix("columns", order + 1, extend)
+
+
+def _partition_weight(g: int, n: int) -> PolyQ:
+    """The numerator over D_n of the X**n coefficient by the partition route."""
+    return sum((orbit_weight(lam, g) for lam in partitions_of(n)), PolyQ())
+
+
+def _weight_mismatch(g: int, n: int, via_columns: PolyQ) -> Optional[Mismatch]:
+    """The first q-degree at which the column route's X**n numerator differs
+    from the partition route's, or None."""
+    a, b = via_columns.numerators, _partition_weight(g, n).numerators
+    if a != b:
+        for s, (x, y) in enumerate(zip_longest(a, b, fillvalue=0)):
+            if x != y:
+                return Mismatch(n, s, str(x), str(y))
+    return None
+
+
 def _weight_coefficients(g: int, order: int) -> tuple[PolyQ, ...]:
     def extend(have):
-        return have + tuple(
-            sum((orbit_weight(lam, g) for lam in partitions_of(n)), PolyQ())
-            for n in range(len(have), order + 1)
-        )
+        rows = _column_rows(g, order)
+        out = list(have)
+        for n in range(len(have), order + 1):
+            out.append(column_weight(g, rows[n], n))
+            mismatch = _weight_mismatch(g, n, out[n]) if n <= _WEIGHT_CHECK_ORDER else None
+            if mismatch is not None:
+                raise InternalCheckError(
+                    f"weight routes disagree at g={g}, X^{n}, q^{mismatch.q_degree}: "
+                    f"{mismatch.lhs} vs {mismatch.rhs}"
+                )
+        return tuple(out)
 
     return _memo(g).prefix("weights", order + 1, extend)[: order + 1]
 
@@ -218,7 +294,7 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
         mu = mobius(d)
         if mu == 0:
             continue
-        total = total + logs[n // d].adams(d) * Fraction(mu, d)
+        total = total + logs[n // d].adams(d) * mu / d
     try:
         poly = total.exact_div(PolyQ([1] * n))
     except InexactDivisionError:
@@ -253,18 +329,23 @@ def indecomposable_count(g: int, n: int) -> CountingPolynomial:
                 continue
             a = absolutely_indecomposable_count(g, n // d).value
             inner = inner + mu * a.adams(r)
-        total = total + inner * Fraction(1, d)
+        total = total + inner / d
     _check_prime_power_positivity("I", g, n, total)
     return CountingPolynomial("I", g, n, total)
 
 
 def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> None:
+    """Assert that poly takes positive integer values at the check points:
+    the numerators' value at q0, by Horner's rule, is a positive multiple of
+    the denominator."""
     for q0 in _CHECK_POINTS:
-        v = poly.evaluate(q0)
-        if v.denominator != 1 or v <= 0:
+        v = 0
+        for c in reversed(poly.numerators):
+            v = v * q0 + c
+        if v <= 0 or v % poly.denominator:
             raise InternalCheckError(
-                f"{kind} at g={g}, n={n} evaluates to {v} at q={q0}; "
-                "expected a positive integer"
+                f"{kind} at g={g}, n={n} evaluates to {ratio_text(v, poly.denominator)} "
+                f"at q={q0}; expected a positive integer"
             )
 
 
@@ -298,7 +379,7 @@ def _log_orbit_component_route(g: int, order: int) -> tuple[PolyQ, ...]:
     for n in range(1, order + 1):
         count = indecomposable_count(g, n).value
         for k in range(1, order // n + 1):
-            coeffs[n * k] = coeffs[n * k] + count * Fraction(1, k)
+            coeffs[n * k] = coeffs[n * k] + count / k
     return tuple(coeffs)
 
 
@@ -366,6 +447,20 @@ def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:
 
 # ---------------------------------------------------------------------------
 # identity verifiers
+
+
+def verify_weight_routes(g: int, order: int) -> VerificationReport:
+    """Compare the column route's weight-series numerators with the partition
+    route's for X**1..X**order, reporting the first (X**n, q**s) at which
+    they differ rather than raising."""
+    if g < 1 or order < 1:
+        raise ValueError("g and order must be >= 1")
+    rows = _column_rows(g, order)
+    for n in range(1, order + 1):
+        mismatch = _weight_mismatch(g, n, column_weight(g, rows[n], n))
+        if mismatch is not None:
+            return VerificationReport("weight-routes", g, order, None, False, mismatch)
+    return VerificationReport("weight-routes", g, order, None, True, None)
 
 
 def verify_product_routes(g: int, order: int) -> VerificationReport:

@@ -6,16 +6,24 @@ every result has the length of its input.  ``log_coefficients`` runs on
 integer numerators over closed-form denominators (the weight series over
 D_n, its log over q**n - 1), so it needs no rational-function arithmetic;
 ``exp_coefficients`` runs over any coefficient ring with exact ``+`` and
-``*``, such as ``PolyQ`` (the orbit counts).
+``*`` and division by a nonzero integer, such as ``PolyQ`` (the orbit
+counts).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .exactnum import InexactDivisionError, InternalCheckError, PolyQ
-from .partitions import weight_denominator
+from .partitions import q_binomial, weight_denominator
+
+
+@lru_cache(maxsize=None)
+def _log_cofactor(n: int, k: int) -> PolyQ:
+    """k D_n / ((q**k - 1) D_(n-k)) = k [n; k]_q D_(k-1), as a product: it does
+    not depend on the series, so every g shares it."""
+    return q_binomial(n, k) * weight_denominator(k - 1) * k
 
 
 def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[PolyQ, ...]:
@@ -25,12 +33,11 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
     Uses the derivative recurrence n*h_n = n*a_n - sum k*h_k*a_{n-k}
     (O(N^2) coefficient operations, against O(N^3) for the alternating sum
     of log(1 + x)).  Term k goes over D_n with the cofactor
-    D_n / ((q**k - 1) D_{n-k}), a polynomial because one of n-k+1..n is a
-    multiple of k, so T_n = n*h_n*D_n is a polynomial and N_n =
-    T_n / (n D_{n-1}).  That division is exact exactly when the denominator
-    of h_n divides q**n - 1, as it must for the weight series (H_n = sum
-    over d | n of A_{n/d}(q**d) / (d(q**d - 1))), so an inexact one raises
-    InternalCheckError.  h_n depends only on a_0..a_n, so the recurrence
+    D_n / ((q**k - 1) D_{n-k}) = [n; k]_q D_{k-1}, so T_n = n*h_n*D_n is a
+    polynomial and N_n = T_n / (n D_{n-1}).  That division is exact exactly
+    when the denominator of h_n divides q**n - 1, as it must for the weight
+    series (H_n = sum over d | n of A_{n/d}(q**d) / (d(q**d - 1))), so an
+    inexact one raises InternalCheckError.  h_n depends only on a_0..a_n, so the recurrence
     resumes after a prefix ``known`` of the same log's numerators.
     """
     if p[0] != 1:
@@ -40,9 +47,7 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
         acc = p[n] * n
         for k in range(1, n):
             if not (out[k].is_zero or p[n - k].is_zero):
-                cofactor = weight_denominator(n).exact_div(
-                    weight_denominator(n - k) * PolyQ.q_power_minus_one(k))
-                acc = acc - out[k] * p[n - k] * (cofactor * k)
+                acc = acc - out[k] * p[n - k] * _log_cofactor(n, k)
         try:
             out.append(acc.exact_div(weight_denominator(n - 1) * n))
         except InexactDivisionError:
@@ -69,5 +74,5 @@ def exp_coefficients(h: Sequence) -> tuple:
         for k in range(1, m + 1):
             if not (h[k].is_zero or e[m - k].is_zero):
                 acc = acc + h[k] * e[m - k] * k
-        e.append(acc * Fraction(1, m))
+        e.append(acc / m)
     return tuple(e)

@@ -4,8 +4,8 @@ The engine builds a ``RationalFunctionQ`` only to hold and print kind-H
 values, so the class has no arithmetic.  The tests rebuild the chain's
 quantities from their defining formulas in the field of rational functions,
 which is an independent route to the same values; ``RF`` adds that field's
-``+``, ``-`` and ``*`` (with reduction to canonical form after each) and
-keeps ``exp_coefficients`` running over it.  Nothing here uses the chain.
+``+``, ``-``, ``*`` and division by an integer (with reduction to canonical
+form after each) and keeps ``exp_coefficients`` running over it.  Nothing here uses the chain.
 """
 
 from nilorb.exactnum import PolyQ, RationalFunctionQ
@@ -31,6 +31,9 @@ class RF(RationalFunctionQ):
         return RF(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, d: int) -> "RF":
+        return RF(self.num / d, self.den)
 
 
 def _rf(x) -> RF:

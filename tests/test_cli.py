@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nilorb
-from nilorb import cli, fforacle, pipeline
+from nilorb import KINDS, cli, fforacle, pipeline
 from nilorb.exactnum import InternalCheckError
 
 GOLDEN_PRETTY = {
@@ -138,6 +138,30 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "ignoring unreadable cache entry" in err
 
 
+def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "3",
+                         "--cache-dir", str(not_a_dir))
+    assert code == 0
+    assert out.strip() == GOLDEN_PRETTY[3]
+    assert err.startswith(f"nilorb: result not cached in {not_a_dir}: ")
+
+
+def test_directory_at_an_entry_path_is_a_miss(tmp_path, capsys):
+    entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    entry.mkdir()
+    code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "3",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.strip() == GOLDEN_PRETTY[3]
+    warnings = err.splitlines()
+    assert warnings[0].startswith(f"nilorb: ignoring unreadable cache entry {entry}: ")
+    assert warnings[1].startswith(f"nilorb: result not cached in {tmp_path}: ")
+    assert len(warnings) == 2 and entry.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
+
+
 def test_cache_version_bump_is_miss(tmp_path):
     cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
     entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
@@ -257,12 +281,31 @@ def test_verify_routes_and_g1(capsys):
 
 
 def test_verify_routes_rejects_q(capsys):
-    # thm5-routes compares exact log-M coefficients; a --Q would be recorded
+    # both route checks compare exact coefficients; a --Q would be recorded
     # in the envelope but truncate nothing
-    code, out, err = run(capsys, "verify", "thm5-routes", "--g", "2", "--N", "3",
-                         "--Q", "9", "--format", "json")
-    assert code == 2 and out == ""
-    assert "--Q" in err
+    for identity in ("thm5-routes", "weight-routes"):
+        code, out, err = run(capsys, "verify", identity, "--g", "2", "--N", "3",
+                             "--Q", "9", "--format", "json")
+        assert code == 2 and out == ""
+        assert err == f"nilorb: {identity} has no q truncation; omit --Q\n"
+        code, out, err = run(capsys, "verify", identity, "--g", "2", "--N", "3",
+                             "--perturb", "2,1,1")
+        assert code == 2 and out == ""
+        assert "--perturb" in err
+
+
+def test_verify_weight_routes(capsys):
+    code, out, _ = run(capsys, "verify", "weight-routes", "--g", "3", "--N", "7")
+    assert code == 0
+    assert out == "weight-routes (g=3, N=7): PASS\n"
+    code, out, _ = run(capsys, "verify", "weight-routes", "--g", "2", "--N", "4",
+                       "--format", "json")
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["parameters"] == {"identity": "weight-routes", "g": 2, "N": 4, "Q": None}
+    assert envelope["outputs"]["report"] == {
+        "identity": "weight-routes", "g": 2, "x_order": 4, "q_order": None,
+        "passed": True, "mismatch": None}
 
 
 def test_verify_usage_errors(capsys):
@@ -364,9 +407,10 @@ def test_entry_point_help(nilorb_env):
 # ---------------------------------------------------------------------------
 # import cost
 
-# the engine's modules, and the stdlib's rational arithmetic that it uses
+# the engine's modules, and the stdlib modules that only a Fraction or a
+# dataclass would load
 ENGINE_MODULES = {"nilorb.exactnum", "nilorb.partitions", "nilorb.series",
-                  "nilorb.pipeline", "nilorb.fforacle", "fractions"}
+                  "nilorb.pipeline", "nilorb.fforacle", "fractions", "dataclasses"}
 
 # runs one command in a fresh interpreter, then prints its exit code and the
 # modules it loaded
@@ -392,6 +436,12 @@ def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
                "--cache-dir", str(tmp_path), "--format"]
     miss = engine_modules_loaded(nilorb_env, *compute, "json")
     assert "nilorb.pipeline" in miss and "nilorb.fforacle" not in miss
+    # a miss of any kind runs the chain on integers and records without
+    # dataclasses; Fraction is only a view for library callers
+    for kind in KINDS:
+        miss = engine_modules_loaded(nilorb_env, "compute", "--kind", kind, "--g", "2",
+                                     "--N", "3", "--no-cache", "--format", "json")
+        assert miss == ENGINE_MODULES - {"nilorb.fforacle", "fractions", "dataclasses"}, kind
     for fmt in ("json", "csv", "pretty"):
         assert engine_modules_loaded(nilorb_env, *compute, fmt) == set(), fmt
     h_pretty = ["compute", "--kind", "H", "--g", "2", "--N", "3", "--cache-dir", str(tmp_path)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorb import pipeline, poly_text, quotient_text
-from nilorb.exactnum import InexactDivisionError, PoleError, PolyQ
+from nilorb.exactnum import InexactDivisionError, PoleError, PolyQ, ratio_text
 from nilorb.partitions import centralizer_order, inner_product, partitions_of
 from rf_arithmetic import RF
 
@@ -101,6 +101,23 @@ def test_equal_values_have_one_representation():
     assert (half + half).is_one
     third = PolyQ([0, Fraction(1, 3)])
     assert ((third - third).numerators, (third - third).denominator) == ((), 1)
+
+
+def test_integer_scalings_and_shifts():
+    p = PolyQ([Fraction(2, 3), 0, -4])
+    assert p * 3 == 3 * p == PolyQ([2, 0, -12]) == p * PolyQ([3])
+    assert p / 4 == p * PolyQ([Fraction(1, 4)]) == PolyQ([Fraction(1, 6), 0, -1])
+    assert p / -2 == PolyQ([Fraction(-1, 3), 0, 2])
+    assert (p * 0).is_zero and (PolyQ() / 5).is_zero
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    with pytest.raises(TypeError):
+        p / Q  # a polynomial divisor goes through exact_div
+    assert p.shift(2) == p * PolyQ.q_power(2) and p.shift(0) == p
+    assert PolyQ([0, 0, 5, 1]).shift(-2) == PolyQ([5, 1])
+    assert PolyQ().shift(3).is_zero and PolyQ().shift(-3).is_zero
+    with pytest.raises(InexactDivisionError):
+        PolyQ([0, 1, 1]).shift(-2)
 
 
 def test_content_and_primitive_part():
@@ -227,3 +244,11 @@ def test_adams_evaluation_compatibility(num, den, d):
     except PoleError:
         return
     assert f.adams(d).evaluate(q0) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_fracs, min_size=0, max_size=5))
+def test_coefficient_texts_match_the_fractions(coeffs):
+    p = PolyQ(coeffs)
+    assert p.coefficient_texts == tuple(str(c) for c in p.coefficients)
+    assert all(ratio_text(c.numerator, c.denominator) == str(c) for c in coeffs)

@@ -8,6 +8,8 @@ from nilorb.fforacle import FieldSpec, monic_irreducibles
 from nilorb.partitions import (
     Partition,
     centralizer_order,
+    column_sum,
+    column_weight,
     divisors,
     inner_product,
     mobius,
@@ -15,6 +17,7 @@ from nilorb.partitions import (
     orbit_weight,
     partition_count,
     partitions_of,
+    q_binomial,
     weight_denominator,
 )
 from rf_arithmetic import RF
@@ -184,6 +187,48 @@ def test_orbit_weight_rejects_bad_input():
         orbit_weight(Partition(), 1)
     with pytest.raises(ValueError):
         orbit_weight(Partition((1,)), 0)
+
+
+def column_route(g, order):
+    """The column route's numerators P_0..P_order, from its table of G(s, c)."""
+    rows = [(PolyQ([1]),)]
+    for s in range(1, order + 1):
+        rows.append((PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1)))
+    return [PolyQ([1])] + [column_weight(g, rows[n], n) for n in range(1, order + 1)]
+
+
+def test_column_route_equals_the_partition_sum():
+    for g in range(1, 6):
+        via_columns = column_route(g, 10)
+        for n in range(1, 11):
+            via_partitions = sum((orbit_weight(lam, g) for lam in partitions_of(n)), PolyQ())
+            assert via_columns[n] == via_partitions, (g, n)
+
+
+def test_column_sums_by_hand():
+    # G(1, 1) = [1; 0] q^1 q^((g-1) 1), G(2, 2) = [2; 0] q^3 q^((g-1) 4) and
+    # G(2, 1) = [1; 1] q^0 G(1, 1) q^(g-1); then P_2 = G(2, 1) q^-g (q^2 - 1)
+    # + G(2, 2) q^-2g, which is the sum of the weights of (2) and (1, 1)
+    for g, (g11, g21, g22, p2) in {1: ([0, 1], [0, 1], [0, 0, 0, 1], [-1, 1, 1]),
+                                   2: ([0, 0, 1], [0, 0, 0, 1], [0] * 7 + [1], [0, -1, 0, 2])}.items():
+        rows = [(PolyQ([1]),)]
+        for s in range(1, 3):
+            rows.append((PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1)))
+        assert rows[1][1:] == (PolyQ(g11),) and rows[2][1:] == (PolyQ(g21), PolyQ(g22))
+        assert column_weight(g, rows[2], 2) == PolyQ(p2)
+
+
+def test_q_binomials():
+    assert q_binomial(4, 2) == PolyQ([1, 1, 2, 1, 1])
+    for n in range(9):
+        for k in range(n + 1):
+            b = q_binomial(n, k)
+            assert b == q_binomial(n, n - k)
+            assert b.evaluate(1) == len([s for s in range(2 ** n) if bin(s).count("1") == k])
+            quotient = weight_denominator(n).exact_div(weight_denominator(k) * weight_denominator(n - k))
+            assert b == quotient
+    with pytest.raises(ValueError):
+        q_binomial(3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -271,6 +272,48 @@ def test_failed_report_requires_mismatch():
         pipeline.VerificationReport("kwi", 2, 3, 12, False, None)
 
 
+def test_records_are_immutable_values():
+    mismatch = pipeline.Mismatch(2, 1, "3", "4")
+    report = pipeline.VerificationReport("kwi", 2, 3, 12, False, mismatch)
+    same = pipeline.VerificationReport(identity="kwi", g=2, x_order=3, q_order=12,
+                                       passed=False, mismatch=pipeline.Mismatch(2, 1, "3", "4"))
+    assert report == same and hash(report) == hash(same)
+    assert report != pipeline.VerificationReport("kwi", 2, 3, 13, False, mismatch)
+    assert mismatch != (2, 1, "3", "4")
+    assert repr(mismatch) == "Mismatch(x_degree=2, q_degree=1, lhs='3', rhs='4')"
+    cp = pipeline.CountingPolynomial("A", 2, 3, PolyQ([0, 2, 3, 0, 1]))
+    assert cp == pipeline.absolutely_indecomposable_count(2, 3)
+    scan = pipeline.ScanReport(2, 1, (), (cp,))
+    for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(ValueError, match="unknown kind"):
+        pipeline.CountingPolynomial("Z", 2, 3, ONE)
+    with pytest.raises(TypeError):
+        pipeline.Mismatch(2, 1, "3")
+
+
+def test_positivity_check_on_integer_values():
+    check = pipeline._check_prime_power_positivity
+    check("M", 2, 2, PolyQ([1, 2]))
+    check("I", 2, 6, pipeline.indecomposable_count(2, 6).value)  # rational coefficients
+    # (q^2 + q) / 2 is an integer at every q, q / 2 is not at q = 3
+    check("I", 2, 1, PolyQ([0, Fraction(1, 2), Fraction(1, 2)]))
+    with pytest.raises(InternalCheckError, match=r"evaluates to 3/2 at q=3; expected a positive"):
+        check("I", 2, 1, PolyQ([0, Fraction(1, 2)]))
+    with pytest.raises(InternalCheckError, match="M at g=2, n=2 evaluates to 0 at q=2"):
+        check("M", 2, 2, PolyQ([-2, 1]))
+    with pytest.raises(InternalCheckError, match="evaluates to -1 at q=2"):
+        check("M", 2, 2, PolyQ([1, -1]))
+    with pytest.raises(InternalCheckError, match="evaluates to 0 at q=2"):
+        check("M", 2, 2, PolyQ())
+
+
 # ---------------------------------------------------------------------------
 # nonnegativity scan
 
@@ -308,15 +351,79 @@ def run_fresh(nilorb_env):
 
 
 def test_compute_weighs_each_partition_once(run_fresh):
-    calls = run_fresh("""
+    # the partition route is the per-run check: it weighs each partition of
+    # n once, and only for n up to the cutoff
+    out = run_fresh("""
+import json
 from nilorb import cli, pipeline
 calls = []
 weigh = pipeline.orbit_weight
-pipeline.orbit_weight = lambda lam, g: calls.append(lam) or weigh(lam, g)
-assert cli.main(["compute", "--kind", "A", "--g", "2", "--N", "6", "--no-cache"]) == 0
-print(len(calls))
+pipeline.orbit_weight = lambda lam, g: calls.append(lam.parts) or weigh(lam, g)
+assert cli.main(["compute", "--kind", "A", "--g", "2", "--N", "9", "--no-cache"]) == 0
+print(json.dumps([pipeline._WEIGHT_CHECK_ORDER, calls]))
 """)
-    assert int(calls) == sum(partition_count(n) for n in range(1, 7)) == 29
+    cutoff, calls = json.loads(out)
+    assert cutoff == 6
+    assert len(calls) == len({tuple(c) for c in calls})
+    assert len(calls) == sum(partition_count(n) for n in range(1, cutoff + 1)) == 29
+    assert max(sum(c) for c in calls) == cutoff
+
+
+def test_compute_builds_each_column_cell_once(run_fresh):
+    # A for n = 1..9 extends the weight series one order at a time, and each
+    # extension adds rows to the memoised table instead of rebuilding it
+    out = run_fresh("""
+import json
+from nilorb import cli, pipeline
+cells = []
+cell = pipeline.column_sum
+pipeline.column_sum = lambda g, rows, s, c: cells.append((g, s, c)) or cell(g, rows, s, c)
+assert cli.main(["compute", "--kind", "A", "--g", "2", "--N", "9", "--no-cache"]) == 0
+print(json.dumps(cells))
+""")
+    cells = [tuple(c) for c in json.loads(out)]
+    assert sorted(cells) == [(2, s, c) for s in range(1, 10) for c in range(1, s + 1)]
+
+
+def test_weight_routes_agree():
+    for g in (1, 2, 3):
+        report = pipeline.verify_weight_routes(g, 8)
+        assert report.passed and report.mismatch is None
+        assert (report.identity, report.g, report.x_order, report.q_order) == (
+            "weight-routes", g, 8, None)
+    with pytest.raises(ValueError):
+        pipeline.verify_weight_routes(2, 0)
+
+
+@pytest.mark.parametrize("parts, s, within_cutoff", [((2, 1), 5, True), ((3, 2, 2, 1), 11, False)])
+def test_weight_routes_negative_control(run_fresh, parts, s, within_cutoff):
+    # q^s more in one partition's weight numerator reaches only the partition
+    # route: verify weight-routes names (X^n, q^s), and compute exits 3 when
+    # n is within the per-run cutoff and is not checked beyond it
+    n = sum(parts)
+    out = run_fresh(f"""
+import contextlib, io, json
+from nilorb import cli, pipeline
+from nilorb.exactnum import PolyQ
+weigh = pipeline.orbit_weight
+def corrupted(lam, g):
+    w = weigh(lam, g)
+    return w + PolyQ.q_power({s}) if lam.parts == {parts!r} else w
+pipeline.orbit_weight = corrupted
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    verify = cli.main(["verify", "weight-routes", "--g", "2", "--N", "{n + 1}"])
+    compute = cli.main(["compute", "--kind", "A", "--g", "2", "--n", "{n}", "--no-cache"])
+print(json.dumps([verify, compute, stdout.getvalue(), stderr.getvalue()]))
+""")
+    verify, compute, stdout, stderr = json.loads(out)
+    assert verify == 1
+    assert stdout.startswith(f"weight-routes (g=2, N={n + 1}): FAIL  first mismatch at X^{n}, q^{s}: ")
+    if within_cutoff:
+        assert compute == 3
+        assert f"weight routes disagree at g=2, X^{n}, q^{s}" in stderr
+    else:
+        assert compute == 0 and stderr == ""
 
 
 def test_shorter_orbit_count_reuses_the_longer_series(run_fresh):
@@ -361,16 +468,15 @@ print(report.mismatch.x_degree)
 
 def test_log_denominator_negative_control(run_fresh):
     # one more 1 / D_3 in the X^3 coefficient of the weight series gives its
-    # log a denominator that does not divide q^3 - 1
+    # log a denominator that does not divide q^3 - 1; it is put into the memo,
+    # behind the per-run check of the two weight routes
     out = run_fresh("""
 import contextlib, io
 from nilorb import cli, pipeline
 from nilorb.exactnum import InternalCheckError
-weigh = pipeline.orbit_weight
-def corrupted(lam, g):
-    w = weigh(lam, g)
-    return w + 1 if lam.parts == (2, 1) else w
-pipeline.orbit_weight = corrupted
+weights = list(pipeline.weight_series(2, 3))
+weights[3] = weights[3] + 1
+pipeline._memo(2).weights = tuple(weights)
 try:
     pipeline.log_weight_coefficient(2, 3)
 except InternalCheckError as exc:
@@ -418,7 +524,8 @@ finally:
     sys.setswitchinterval(interval)
 assert not any(t.is_alive() for t in threads)
 memo = pipeline._MEMOS[2]
-assert len(memo.weights) == len(memo.logs) == 9, "a shorter prefix replaced a longer one"
+assert len(memo.columns) == len(memo.weights) == len(memo.logs) == 9, (
+    "a shorter prefix replaced a longer one")
 print(json.dumps([[r[n] for n in range(1, 9)] for r in results]))
 """)
     sequential = [list(pipeline.absolutely_indecomposable_count(2, n).coefficient_list)
