@@ -62,13 +62,12 @@ def _poly_payload(kind: str, g: int, n: int, poly) -> dict:
 
 
 def _rf_payload(kind: str, g: int, n: int, rf) -> dict:
-    num, den = rf.integerized()
     return {
         "kind": kind,
         "g": g,
         "n": n,
-        "num_coeffs": [str(c) for c in num.numerators],
-        "den_coeffs": [str(c) for c in den.numerators],
+        "num_coeffs": [str(c) for c in rf.num.numerators],
+        "den_coeffs": [str(c) for c in rf.den.numerators],
     }
 
 
@@ -165,6 +164,11 @@ def _cache_root(explicit: str | None) -> Path:
 
 def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
     return root / f"v{ENGINE_VERSION}__{kind}_g{g}_{mode}{value}.json"
+
+
+# the names ``_cache_file`` gives, for every engine version: ``cache list``
+# and ``cache clear`` touch no other file in the directory
+_CACHE_ENTRY_GLOB = "v*__*.json"
 
 
 @lru_cache(maxsize=None)
@@ -400,32 +404,28 @@ def cmd_verify(args) -> int:
     from . import pipeline
 
     t0 = time.perf_counter()
-    if args.identity in ("thm5-routes", "weight-routes"):
-        if args.perturb:
-            print("nilorb: --perturb applies only to the kwi identity", file=sys.stderr)
-            return EXIT_USAGE
-        if args.Q is not None:
-            print(f"nilorb: {args.identity} has no q truncation; omit --Q", file=sys.stderr)
-            return EXIT_USAGE
-        if args.identity == "thm5-routes":
-            report = pipeline.verify_product_routes(args.g, args.N)
-        else:
-            report = pipeline.verify_weight_routes(args.g, args.N)
-    elif args.identity == "kwi":
-        if args.Q is None:
-            print("nilorb: kwi needs --Q (q truncation order)", file=sys.stderr)
-            return EXIT_USAGE
+    # the usage rules: --Q is required by the truncated identities and
+    # refused by the others, --perturb is for kwi, g1-product is at g = 1
+    identity, truncated = args.identity, args.identity in ("kwi", "g1-product")
+    error = None
+    if identity == "g1-product" and args.g != 1:
+        error = "g1-product is the tuple-length-1 identity; omit --g"
+    elif truncated and args.Q is None:
+        error = f"{identity} needs --Q (q truncation order)"
+    elif args.perturb and identity != "kwi":
+        error = "--perturb applies only to the kwi identity"
+    elif not truncated and args.Q is not None:
+        error = f"{identity} has no q truncation; omit --Q"
+    if error:
+        print(f"nilorb: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    if identity == "thm5-routes":
+        report = pipeline.verify_product_routes(args.g, args.N)
+    elif identity == "weight-routes":
+        report = pipeline.verify_weight_routes(args.g, args.N)
+    elif identity == "kwi":
         report = pipeline.verify_triple_product(args.g, args.N, args.Q, perturb=args.perturb)
-    else:  # g1-product
-        if args.g != 1:
-            print("nilorb: g1-product is the tuple-length-1 identity; omit --g", file=sys.stderr)
-            return EXIT_USAGE
-        if args.Q is None:
-            print("nilorb: g1-product needs --Q (q truncation order)", file=sys.stderr)
-            return EXIT_USAGE
-        if args.perturb:
-            print("nilorb: --perturb applies only to the kwi identity", file=sys.stderr)
-            return EXIT_USAGE
+    else:
         report = pipeline.verify_g1_product(args.N, args.Q)
 
     payload = _report_payload(report)
@@ -549,12 +549,12 @@ def cmd_cache(args) -> int:
         return EXIT_OK
     if args.action == "list":
         if root.is_dir():
-            for path in sorted(root.glob("*.json")):
+            for path in sorted(root.glob(_CACHE_ENTRY_GLOB)):
                 print(path.name)
         return EXIT_OK
     removed = 0
     if root.is_dir():
-        for path in root.glob("*.json"):
+        for path in root.glob(_CACHE_ENTRY_GLOB):
             path.unlink()
             removed += 1
     print(f"removed {removed} cache entries", file=sys.stderr)

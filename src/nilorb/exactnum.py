@@ -6,11 +6,12 @@ This module is the numeric tower the rest of the package sits on:
   ``fractions.Fraction`` -- already exact, so no wrapper types),
 * ``PolyQ``: dense polynomials in q with rational coefficients, stored as
   integer numerators over one common denominator; its arithmetic runs on
-  the integers, and ``fractions`` is imported only where a coefficient or a
-  value is read out as a ``Fraction``,
-* ``RationalFunctionQ``: reduced quotients of two ``PolyQ`` with a monic
-  denominator (so equality is structural); the counting chain builds one
-  only for its kind-H output, so it has no field operations.
+  the integers, and ``fractions`` is imported only to check an exact scalar
+  and to return the value of ``evaluate``,
+* ``RationalFunctionQ``: reduced quotients of two integer polynomials, kept
+  in the form they print: coprime, with joint content 1 and a positive
+  leading denominator coefficient (so equality is structural); the counting
+  chain builds one only for its kind-H output, so it has no field operations.
 
 Nothing here ever rounds.  All values are immutable after construction and
 safe to share between threads.
@@ -109,22 +110,9 @@ class PolyQ:
     # -- inspection ----------------------------------------------------
 
     @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-
-        return tuple(Fraction(c, self.denominator) for c in self.numerators)
-
-    @property
     def coefficient_texts(self) -> tuple[str, ...]:
-        """The ``str`` of each coefficient, as ``coefficients`` would give it."""
+        """The ``str`` of each coefficient as a ``Fraction``."""
         return tuple(ratio_text(c, self.denominator) for c in self.numerators)
-
-    def coefficient(self, k: int) -> Fraction:
-        from fractions import Fraction
-
-        if 0 <= k < len(self.numerators):
-            return Fraction(self.numerators[k], self.denominator)
-        return Fraction(0)
 
     def degree(self) -> int:
         return len(self.numerators) - 1
@@ -134,21 +122,9 @@ class PolyQ:
         return not self.numerators
 
     @property
-    def is_one(self) -> bool:
-        return self.numerators == (1,) and self.denominator == 1
-
-    @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self.denominator == 1
-
-    @property
-    def leading(self) -> Fraction:
-        from fractions import Fraction
-
-        if not self.numerators:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
 
     # -- ring operations -------------------------------------------------
 
@@ -236,12 +212,12 @@ class PolyQ:
         return _poly(_times(quot, other.denominator), self.denominator * c)
 
     def gcd(self, other: "PolyQ") -> "PolyQ":
-        """Monic greatest common divisor (so leading coefficient is 1)."""
+        """Greatest common divisor: an integer polynomial with content 1 and
+        a positive leading coefficient."""
         if self.is_zero and other.is_zero:
             return PolyQ()
-        g = _int_poly_gcd(_int_primitive(list(self.numerators)),
-                          _int_primitive(list(other.numerators)))
-        return _poly(g, g[-1])
+        return _poly(_int_poly_gcd(_int_primitive(list(self.numerators)),
+                                   _int_primitive(list(other.numerators))))
 
     # -- substitution and evaluation -----------------------------------
 
@@ -367,8 +343,10 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
 class RationalFunctionQ:
     """Reduced quotient of two polynomials in q.
 
-    Canonical form: gcd(num, den) = 1 and the denominator is monic, so two
-    equal values always have componentwise-equal representations.
+    Canonical form, which is also the printed one: ``num`` and ``den`` have
+    integer coefficients, their gcd has degree 0, their joint content is 1
+    and the leading coefficient of ``den`` is positive, so two equal values
+    always have componentwise-equal representations.
     """
 
     __slots__ = ("num", "den")
@@ -379,19 +357,21 @@ class RationalFunctionQ:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            num, den = PolyQ(), PolyQ([1])
-        else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            # divide both by the leading coefficient lead / scale of den
-            lead, scale = den.numerators[-1], den.denominator
-            if (lead, scale) != (1, 1):
-                num = num * scale / lead
-                den = den * scale / lead
-        self.num = num
-        self.den = den
+            self.num, self.den = num, _poly([1])
+            return
+        g = num.gcd(den)
+        if g.degree() > 0:
+            num = num.exact_div(g)
+            den = den.exact_div(g)
+        # clear both denominators, then divide out the joint content,
+        # signed so that the leading coefficient of den comes out positive
+        a = _times(num.numerators, den.denominator)
+        b = _times(den.numerators, num.denominator)
+        c = gcd(*a, *b)
+        if b[-1] < 0:
+            c = -c
+        self.num = _poly([x // c for x in a])
+        self.den = _poly([x // c for x in b])
 
     # -- inspection -------------------------------------------------------
 
@@ -400,17 +380,17 @@ class RationalFunctionQ:
         return self.num.is_zero
 
     def as_poly(self) -> PolyQ:
-        if not self.den.is_one:
+        if self.den.degree() > 0:
             raise InexactDivisionError(f"not a polynomial: {self}")
-        return self.num
+        return self.num / self.den.numerators[0]
 
     # -- substitution and evaluation ---------------------------------------
 
     def adams(self, d: int) -> "RationalFunctionQ":
         """Substitute q -> q**d.
 
-        Coprimality and the monic denominator survive the substitution, so
-        no re-reduction is needed.
+        The substitution keeps the coefficients, so it keeps the canonical
+        form, coprimality included, and no re-reduction is needed.
         """
         if d == 1:
             return self
@@ -437,24 +417,11 @@ class RationalFunctionQ:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        num, den = self.integerized()
-        return quotient_text([str(c) for c in num.numerators],
-                             [str(c) for c in den.numerators])
+        return quotient_text([str(c) for c in self.num.numerators],
+                             [str(c) for c in self.den.numerators])
 
     def __repr__(self) -> str:
         return f"RationalFunctionQ({self})"
-
-    def integerized(self) -> tuple[PolyQ, PolyQ]:
-        """Equivalent (num, den) pair scaled to coprime integer coefficients.
-
-        Scaling both by the lcm of their denominators is enough: the monic
-        denominator's numerators end in its own denominator and are coprime
-        to it, so they have no common factor, and neither does the scaled pair.
-        """
-        num, den = self.num, self.den
-        scale = lcm(num.denominator, den.denominator)
-        return (_poly(_times(num.numerators, scale // num.denominator)),
-                _poly(_times(den.numerators, scale // den.denominator)))
 
 
 def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:

@@ -266,8 +266,8 @@ def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if g < 1 or n < 1:
+        raise ValueError("g and n must be >= 1")
     return RationalFunctionQ(_log_numerators(g, n)[n], PolyQ.q_power_minus_one(n))
 
 

@@ -214,6 +214,22 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_cache_list_and_clear_touch_only_cache_entries(tmp_path, capsys):
+    # files nilorb never wrote share the directory with one entry
+    foreign = [tmp_path / "notes.json", tmp_path / "settings.json", tmp_path / "v1.json"]
+    for path in foreign:
+        path.write_text("{}")
+    code, _, _ = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "2",
+                     "--cache-dir", str(tmp_path))
+    assert code == 0
+    entry = cli._cache_file(tmp_path, "A", 2, "n", 2)
+    code, out, _ = run(capsys, "cache", "list", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == f"{entry.name}\n"
+    code, _, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert code == 0 and err == "removed 1 cache entries\n"
+    assert sorted(tmp_path.iterdir()) == sorted(foreign)
+
+
 @pytest.mark.parametrize("kind", ["A", "I", "M", "H"])
 def test_pretty_cache_hit_matches_uncached(tmp_path, capsys, kind):
     args = ["compute", "--kind", kind, "--g", "2", "--N", "3", "--format", "pretty"]
@@ -306,6 +322,23 @@ def test_verify_weight_routes(capsys):
     assert envelope["outputs"]["report"] == {
         "identity": "weight-routes", "g": 2, "x_order": 4, "q_order": None,
         "passed": True, "mismatch": None}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kwi", "--g", "2"], "kwi needs --Q (q truncation order)"),
+    (["g1-product"], "g1-product needs --Q (q truncation order)"),
+    (["g1-product", "--perturb", "1,1,1"], "g1-product needs --Q (q truncation order)"),
+    (["g1-product", "--g", "2", "--Q", "4"],
+     "g1-product is the tuple-length-1 identity; omit --g"),
+    (["g1-product", "--Q", "4", "--perturb", "1,1,1"],
+     "--perturb applies only to the kwi identity"),
+    (["thm5-routes", "--Q", "4", "--perturb", "1,1,1"],
+     "--perturb applies only to the kwi identity"),
+    (["weight-routes", "--g", "2", "--Q", "4"], "weight-routes has no q truncation; omit --Q"),
+])
+def test_verify_usage_messages(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv, "--N", "3")
+    assert (code, out, err) == (2, "", f"nilorb: {message}\n")
 
 
 def test_verify_usage_errors(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorb import pipeline, poly_text, quotient_text
-from nilorb.exactnum import InexactDivisionError, PoleError, PolyQ, ratio_text
+from nilorb.exactnum import (
+    InexactDivisionError, PoleError, PolyQ, RationalFunctionQ, ratio_text,
+)
 from nilorb.partitions import centralizer_order, inner_product, partitions_of
 from rf_arithmetic import RF
 
@@ -29,6 +31,11 @@ def longdiv(num, den, order):
             if k + j <= order:
                 num[k + j] -= c * d
     return out
+
+
+def fractions_of(p):
+    """The coefficients of p as Fractions, read off its stored numerators."""
+    return [Fraction(c, p.denominator) for c in p.numerators]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +105,7 @@ def test_equal_values_have_one_representation():
     assert a == b and hash(a) == hash(b) and str(a) == str(b)
     assert str(a) == "-(3/4)q^2 + 3q + (1/2)"
     half = PolyQ([Fraction(1, 2)])
-    assert (half + half).is_one
+    assert half + half == 1
     third = PolyQ([0, Fraction(1, 3)])
     assert ((third - third).numerators, (third - third).denominator) == ((), 1)
 
@@ -149,7 +156,9 @@ def test_rf_canonical_form_is_structural():
     a = RF(PolyQ([0, 2]), PolyQ([0, 0, 2]))
     b = RF(ONE, Q)
     assert a.num == b.num and a.den == b.den
-    assert a.den.leading == 1
+    # the integer form it prints: 1 / q
+    assert (a.num.numerators, a.num.denominator) == ((1,), 1)
+    assert (a.den.numerators, a.den.denominator) == ((0, 1), 1)
 
 
 def test_rf_adams_examples():
@@ -190,7 +199,7 @@ def test_expand_against_schoolbook_division():
             for lam in partitions_of(n):
                 ip = inner_product(lam, lam)
                 total = total + RF(PolyQ.q_power(g * (ip - lam.length)), centralizer_order(lam))
-            expected = longdiv(total.num.coefficients, total.den.coefficients, order)
+            expected = longdiv(fractions_of(total.num), fractions_of(total.den), order)
             assert rows[n] == expected, (g, n)
     # (q^2 + q - 1) / ((q-1)^2 (q+1)) at g = 1, n = 2
     assert pipeline._expand_weight_series(1, 2, 3)[2] == [-1, 0, 0, 1]
@@ -250,5 +259,20 @@ def test_adams_evaluation_compatibility(num, den, d):
 @given(st.lists(small_fracs, min_size=0, max_size=5))
 def test_coefficient_texts_match_the_fractions(coeffs):
     p = PolyQ(coeffs)
-    assert p.coefficient_texts == tuple(str(c) for c in p.coefficients)
+    assert p.coefficient_texts == tuple(str(c) for c in fractions_of(p))
     assert all(ratio_text(c.numerator, c.denominator) == str(c) for c in coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, nonzero_polys, st.one_of(small_fracs.filter(bool), nonzero_polys))
+def test_rf_canonical_form_is_the_printed_integer_pair(num, den, c):
+    f = RationalFunctionQ(num, den)
+    assert RationalFunctionQ(num * c, den * c) == f
+    assert f.num.denominator == 1 and f.den.denominator == 1
+    assert f.num.gcd(f.den).degree() == 0
+    assert gcd(*f.num.numerators, *f.den.numerators) == 1
+    assert f.den.numerators[-1] > 0
+    if den.evaluate(5):
+        assert f.evaluate(5) == num.evaluate(5) / den.evaluate(5)
+    assert str(f) == quotient_text([str(x) for x in f.num.numerators],
+                                   [str(x) for x in f.den.numerators])

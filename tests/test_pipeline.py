@@ -82,6 +82,14 @@ def test_log_coefficient_quadratic_term_pairs():
     assert pipeline.log_weight_coefficient(2, 2) == expected
 
 
+def test_log_coefficient_rejects_g_and_n_below_one(monkeypatch):
+    monkeypatch.setattr(pipeline, "_MEMOS", {})
+    for g, n in ((0, 3), (-1, 2), (2, 0)):
+        with pytest.raises(ValueError, match="g and n must be >= 1"):
+            pipeline.log_weight_coefficient(g, n)
+    assert pipeline._MEMOS == {}  # rejected before any memo is touched
+
+
 def test_exp_of_log_reproduces_weight_series():
     for g in (1, 2):
         logs = log_coefficients(pipeline.weight_series(g, 5))
