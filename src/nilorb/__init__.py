@@ -50,15 +50,15 @@ def quotient_text(num_coeffs, den_coeffs) -> str:
 
 _EXPORTS = {
     "exactnum": ("InexactDivisionError", "InternalCheckError", "PoleError", "PolyQ",
-                 "RationalFunctionQ"),
+                 "RationalFunctionQ", "SizeGuardError"),
     "partitions": ("Partition", "inner_product", "mobius", "monic_irreducible_count",
                    "partition_count", "partitions_of"),
-    "pipeline": ("CountingPolynomial", "ScanReport", "VerificationReport",
-                 "absolutely_indecomposable_count", "counting_value",
-                 "indecomposable_count", "orbit_count", "orbit_count_series",
-                 "scan_nonnegativity", "verify_g1_product", "verify_product_routes",
-                 "verify_triple_product", "verify_weight_routes"),
-    "fforacle": ("FieldSpec", "OrbitRecord", "SizeGuardError"),
+    "pipeline": ("CountingPolynomial", "absolutely_indecomposable_count", "counting_value",
+                 "indecomposable_count", "orbit_count", "orbit_count_series"),
+    "checks": ("ScanReport", "VerificationReport", "scan_nonnegativity",
+               "verify_g1_product", "verify_product_routes", "verify_triple_product",
+               "verify_weight_routes"),
+    "fforacle": ("FieldSpec", "OrbitRecord"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,0 +1,508 @@
+"""The identity checks, and the commands that run them.
+
+Each verifier compares the chain with a route that shares no code with the
+part of the chain it checks:
+
+* ``verify_weight_routes``: the column route's weight series against the
+  partition route's, up to any order (every run of the chain checks them
+  up to X**6 only);
+* ``verify_product_routes``: the product route to log M against the
+  component route;
+* ``verify_triple_product``: the weight series against the triple product
+  whose exponents are the coefficients of A;
+* ``verify_g1_product``: at g = 1, the weight series against a plain double
+  product that no counting polynomial enters;
+
+and ``scan_nonnegativity`` reports every negative coefficient of A.  The
+``verify``, ``oracle`` and ``conjecture-scan`` commands live here too, so
+that ``compute`` loads none of this module.
+"""
+
+from __future__ import annotations
+
+import argparse
+import re
+import sys
+import time
+from typing import Optional
+
+from .exactnum import InternalCheckError, SizeGuardError
+from .partitions import column_weight, partition_count, weight_denominator
+from .pipeline import (
+    CountingPolynomial,
+    Mismatch,
+    _column_rows,
+    _log_orbit_routes,
+    _Record,
+    _weight_mismatch,
+    absolutely_indecomposable_count,
+    coefficient_table,
+    weight_series,
+)
+
+#: the most partitions (of 1..N together) that ``verify_weight_routes``
+#: weighs by the partition route.  N = 26 (11,731 partitions) runs: it took
+#: 10.3 s at g = 2 and 11.8 s at g = 5 (2 cores, Python 3.11.7), about twice
+#: N = 24 (7,337 partitions).  N = 27 (14,741) is refused.
+_WEIGHT_ROUTES_PARTITIONS = 12_000
+
+
+class VerificationReport(_Record):
+    __slots__ = ("identity", "g", "x_order", "q_order", "passed", "mismatch")
+
+    def __init__(self, identity: str, g: int, x_order: int, q_order: Optional[int],
+                 passed: bool, mismatch: Optional[Mismatch]):
+        if not passed and mismatch is None:
+            raise InternalCheckError("failed report without a mismatch location")
+        super().__init__(identity, g, x_order, q_order, passed, mismatch)
+
+
+class ScanReport(_Record):
+    __slots__ = ("g", "n_max", "negative_terms", "polynomials")
+
+    def __init__(self, g: int, n_max: int, negative_terms: tuple[tuple[int, int, int], ...],
+                 polynomials: tuple[CountingPolynomial, ...]):
+        super().__init__(g, n_max, negative_terms, polynomials)
+
+    @property
+    def all_nonnegative(self) -> bool:
+        return not self.negative_terms
+
+
+# ---------------------------------------------------------------------------
+# identity verifiers
+
+
+def verify_weight_routes(g: int, order: int) -> VerificationReport:
+    """Compare the column route's weight-series numerators with the partition
+    route's for X**1..X**order, reporting the first (X**n, q**s) at which
+    they differ rather than raising.
+
+    The partition route weighs every partition of 1..order, so its cost
+    follows their number; past ``_WEIGHT_ROUTES_PARTITIONS`` of them this
+    raises ``SizeGuardError`` before any work."""
+    if g < 1 or order < 1:
+        raise ValueError("g and order must be >= 1")
+    count = sum(partition_count(n) for n in range(1, order + 1))
+    if count > _WEIGHT_ROUTES_PARTITIONS:
+        raise SizeGuardError(
+            f"weight-routes at N={order} weighs {count} partitions, "
+            f"beyond the guard of {_WEIGHT_ROUTES_PARTITIONS}"
+        )
+    rows = _column_rows(g, order)
+    for n in range(1, order + 1):
+        mismatch = _weight_mismatch(g, n, column_weight(g, rows[n], n))
+        if mismatch is not None:
+            return VerificationReport("weight-routes", g, order, None, False, mismatch)
+    return VerificationReport("weight-routes", g, order, None, True, None)
+
+
+def verify_product_routes(g: int, order: int) -> VerificationReport:
+    """Compare the two independent constructions of log M coefficientwise,
+    reporting rather than raising on mismatch."""
+    if g < 1 or order < 1:
+        raise ValueError("g and order must be >= 1")
+    _, mismatch = _log_orbit_routes(g, order)
+    return VerificationReport("thm5-routes", g, order, None, mismatch is None, mismatch)
+
+
+def _bi_one(x_order: int, q_order: int) -> list[list[int]]:
+    """The series 1 as rows: row m holds the coefficients of q**0..q**q_order
+    in the X**m coefficient."""
+    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
+    rows[0][0] = 1
+    return rows
+
+
+def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
+    """Multiply ``rows`` in place by (1 - q**c X**n) ** a in the doubly
+    truncated ring, in one pass over the generalised binomial series
+    sum_j (-1)**j C(a, j) q**(cj) X**(nj).  Its integer coefficients follow
+    b_j = b_(j-1) (j-1-a) / j; terms past either truncation are dropped.
+    Row m gains multiples of rows m - nj below it, so m runs downwards and
+    every row read is still the one before the multiplication."""
+    q_order = len(rows[0]) - 1
+    terms, b = [], 1
+    for j in range(1, (len(rows) - 1) // n + 1):
+        b = b * (j - 1 - a) // j
+        if b == 0 or c * j > q_order:
+            break
+        terms.append((n * j, c * j, b))
+    for m in range(len(rows) - 1, n - 1, -1):
+        row = rows[m]
+        for shift, power, b in terms:
+            if shift > m:
+                break
+            row[power:] = [x + b * y for x, y in zip(row[power:], rows[m - shift])]
+
+
+def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]:
+    """The weight series' coefficients of X**0..X**x_order as rows of the
+    coefficients of q**0..q**q_order: each numerator p_n divided by D_n as a
+    power series over the integers, exact at every step because
+    D_n(0) = (-1)**n."""
+    rows = []
+    for n, p in enumerate(weight_series(g, x_order)):
+        den = weight_denominator(n).numerators
+        out = []
+        for k in range(q_order + 1):
+            acc = p.numerators[k] if k < len(p.numerators) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            out.append(acc * den[0])
+        rows.append(out)
+    return rows
+
+
+def _compare_rows(
+    identity: str,
+    g: int,
+    x_order: int,
+    q_order: int,
+    lhs: list[list[int]],
+    rhs: list[list[int]],
+) -> VerificationReport:
+    for n in range(x_order + 1):
+        if lhs[n] == rhs[n]:
+            continue
+        k = next(k for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
+        return VerificationReport(
+            identity, g, x_order, q_order, False,
+            Mismatch(n, k, str(lhs[n][k]), str(rhs[n][k])),
+        )
+    return VerificationReport(identity, g, x_order, q_order, True, None)
+
+
+def verify_triple_product(
+    g: int,
+    x_order: int,
+    q_order: int,
+    perturb: Optional[tuple[int, int, int]] = None,
+) -> VerificationReport:
+    """Check that the weight series equals the triple product over
+    (n, s, i) of (1 - q**(s+i) X**n) ** a(n, s), where a(n, s) are the
+    coefficients of the absolutely-indecomposable counts.
+
+    Both sides are expanded in X up to x_order and q up to q_order; factors
+    with s + i > q_order are 1 modulo the q-truncation and are skipped.
+    Each factor is applied in one pass through its binomial series, so the
+    right side stays in integer arithmetic on rows of q-coefficients.
+    ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
+    deliberate-corruption hook for negative-control testing; it must lie
+    inside the window (n <= x_order, s <= q_order) and have d != 0.
+    """
+    if x_order < 1 or q_order < 1:
+        raise ValueError("truncation orders must be >= 1")
+    tables: dict[int, list[int]] = {
+        n: list(coefficient_table(g, n)) for n in range(1, x_order + 1)
+    }
+    if perturb is not None:
+        pn, ps, delta = perturb
+        # a zero delta, or a coefficient past q**q_order, changes nothing
+        # inside the window, so the control could not fail
+        if not (1 <= pn <= x_order and 0 <= ps <= q_order) or delta == 0:
+            raise ValueError("perturbation outside the verified window")
+        table = tables[pn]
+        table.extend([0] * (ps + 1 - len(table)))
+        table[ps] += delta
+
+    rhs = _bi_one(x_order, q_order)
+    for n in range(1, x_order + 1):
+        for s, a in enumerate(tables[n]):
+            if a == 0 or s > q_order:
+                continue
+            for i in range(q_order - s + 1):
+                _bi_mul_power(rhs, n, s + i, a)
+
+    lhs = _expand_weight_series(g, x_order, q_order)
+    return _compare_rows("kwi", g, x_order, q_order, lhs, rhs)
+
+
+def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
+    """At g = 1 the weight series equals the plain double product of
+    (1 - q**i X**n); this builds that product directly, without going
+    through the counting polynomials."""
+    if x_order < 1 or q_order < 1:
+        raise ValueError("truncation orders must be >= 1")
+    rhs = _bi_one(x_order, q_order)
+    for n in range(1, x_order + 1):
+        for i in range(q_order + 1):
+            _bi_mul_power(rhs, n, i, 1)
+    lhs = _expand_weight_series(1, x_order, q_order)
+    return _compare_rows("g1-product", 1, x_order, q_order, lhs, rhs)
+
+
+def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
+    """List every negative coefficient of the absolutely-indecomposable
+    counts for n up to n_max.  An empty list means the nonnegativity
+    conjecture holds in range; a nonempty one is a finding, not an error."""
+    if g < 2:
+        raise ValueError("the nonnegativity scan needs g >= 2")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    negatives = []
+    polys = []
+    for n in range(1, n_max + 1):
+        cp = absolutely_indecomposable_count(g, n)
+        polys.append(cp)
+        for s, c in enumerate(cp.coefficient_list):
+            if c < 0:
+                negatives.append((n, s, c))
+    return ScanReport(g, n_max, tuple(negatives), tuple(polys))
+
+
+# ---------------------------------------------------------------------------
+# the commands: their arguments, declared on the subparsers ``cli`` registers,
+# and their handlers, called from ``cli.main``
+
+
+def _parse_partition(text: str):
+    from .partitions import Partition
+
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+        return Partition(sorted(parts, reverse=True)) if parts else Partition()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
+
+
+def _parse_perturb(text: str) -> tuple[int, int, int]:
+    try:
+        n, s, delta = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"perturbation must be 'n,s,delta', got {text!r}"
+        )
+    return n, s, delta
+
+
+def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Declare the arguments of ``verify``, ``oracle`` or ``conjecture-scan``
+    on its subparser ``p``."""
+    from .cli import _positive_int
+
+    if command == "verify":
+        p.add_argument("identity", choices=("thm5-routes", "weight-routes", "kwi", "g1-product"))
+        p.add_argument("--g", type=_positive_int, default=1)
+        p.add_argument("--N", required=True, type=_positive_int, help="X truncation order")
+        p.add_argument("--Q", type=_positive_int, help="q truncation order")
+        p.add_argument("--perturb", type=_parse_perturb, metavar="n,s,delta",
+                       help="deliberately corrupt one exponent (negative control)")
+    elif command == "oracle":
+        p.add_argument("--check", required=True,
+                       choices=("M", "IA", "nilcount", "nilcount-total"))
+        p.add_argument("--g", type=_positive_int)
+        p.add_argument("--n", type=_positive_int)
+        p.add_argument("--q", required=True, type=_positive_int, help="field size")
+        p.add_argument("--lambda", dest="lam", type=_parse_partition,
+                       help="partition as comma-separated parts, e.g. 2,1")
+        p.add_argument("--f", help="monic polynomial over the field, e.g. x or x^2+x+1")
+    else:  # conjecture-scan
+        p.add_argument("--g", required=True, type=_positive_int)
+        p.add_argument("--Nmax", required=True, type=_positive_int, dest="n_max")
+    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
+
+
+def _report_payload(report: VerificationReport) -> dict:
+    out = {
+        "identity": report.identity,
+        "g": report.g,
+        "x_order": report.x_order,
+        "q_order": report.q_order,
+        "passed": report.passed,
+        "mismatch": None,
+    }
+    if report.mismatch is not None:
+        out["mismatch"] = {
+            "x_degree": report.mismatch.x_degree,
+            "q_degree": report.mismatch.q_degree,
+            "lhs": report.mismatch.lhs,
+            "rhs": report.mismatch.rhs,
+        }
+    return out
+
+
+def cmd_verify(args) -> int:
+    from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _envelope, canonical_json
+
+    t0 = time.perf_counter()
+    # the usage rules: --Q is required by the truncated identities and
+    # refused by the others, --perturb is for kwi, g1-product is at g = 1
+    identity, truncated = args.identity, args.identity in ("kwi", "g1-product")
+    error = None
+    if identity == "g1-product" and args.g != 1:
+        error = "g1-product is the tuple-length-1 identity; omit --g"
+    elif truncated and args.Q is None:
+        error = f"{identity} needs --Q (q truncation order)"
+    elif args.perturb and identity != "kwi":
+        error = "--perturb applies only to the kwi identity"
+    elif not truncated and args.Q is not None:
+        error = f"{identity} has no q truncation; omit --Q"
+    if error:
+        print(f"nilorb: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    if identity == "thm5-routes":
+        report = verify_product_routes(args.g, args.N)
+    elif identity == "weight-routes":
+        report = verify_weight_routes(args.g, args.N)
+    elif identity == "kwi":
+        report = verify_triple_product(args.g, args.N, args.Q, perturb=args.perturb)
+    else:
+        report = verify_g1_product(args.N, args.Q)
+
+    payload = _report_payload(report)
+    if args.format == "json":
+        parameters = {"identity": args.identity, "g": report.g,
+                      "N": args.N, "Q": args.Q}
+        print(canonical_json(_envelope("verify", parameters, {"report": payload}, [payload], t0)))
+    else:
+        status = "PASS" if report.passed else "FAIL"
+        detail = ""
+        if report.mismatch:
+            m = report.mismatch
+            where = f"X^{m.x_degree}" + (f", q^{m.q_degree}" if m.q_degree is not None else "")
+            detail = f"  first mismatch at {where}: {m.lhs} != {m.rhs}"
+        print(f"{report.identity} (g={report.g}, N={report.x_order}"
+              + (f", Q={report.q_order}" if report.q_order is not None else "")
+              + f"): {status}{detail}")
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+
+
+_TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
+
+
+def _parse_poly_text(text: str, q: int) -> tuple[int, ...]:
+    """Parse e.g. 'x', 'x^2+x+1', 'x-1' into ascending coefficients mod p."""
+    from .fforacle import FieldSpec
+
+    compact = text.replace(" ", "")
+    if not compact:
+        raise ValueError("empty polynomial")
+    tokens = re.findall(r"[+-]?[^+-]+", compact)
+    coeffs: dict[int, int] = {}
+    for tok in tokens:
+        sign = 1
+        body = tok
+        if body[0] in "+-":
+            sign = -1 if body[0] == "-" else 1
+            body = body[1:]
+        m = _TERM_RE.match(body)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ValueError(f"cannot parse term {tok!r} in {text!r}")
+        coeff = int(m.group(1)) if m.group(1) else 1
+        if m.group(2) is None:
+            power = 0
+        else:
+            power = int(m.group(3)) if m.group(3) else 1
+        coeffs[power] = coeffs.get(power, 0) + sign * coeff
+    degree = max(coeffs)
+    field = FieldSpec.of(q)
+    out = [coeffs.get(k, 0) % field.p for k in range(degree + 1)]
+    return tuple(out)
+
+
+def _oracle_rows(args) -> tuple[list[dict], dict]:
+    from . import fforacle, pipeline
+    from .partitions import inner_product
+
+    field = fforacle.FieldSpec.of(args.q)
+    rows = []
+    if args.check in ("M", "IA"):
+        if args.g is None or args.n is None:
+            raise ValueError(f"--check {args.check} needs --g and --n")
+        if args.check == "M":
+            engine = int(pipeline.orbit_count(args.g, args.n).evaluate(args.q))
+            by_average = fforacle.burnside_orbit_count(field, args.n, args.g)
+            by_listing = len(fforacle.orbits(field, args.n, args.g))
+            rows.append({"quantity": "orbit count (Burnside average)",
+                         "engine": engine, "oracle": by_average,
+                         "match": engine == by_average})
+            rows.append({"quantity": "orbit count (explicit orbits)",
+                         "engine": engine, "oracle": by_listing,
+                         "match": engine == by_listing})
+        else:
+            i_engine = int(pipeline.indecomposable_count(args.g, args.n).evaluate(args.q))
+            a_engine = int(pipeline.absolutely_indecomposable_count(args.g, args.n).evaluate(args.q))
+            i_oracle, a_oracle = fforacle.indecomposability_counts(field, args.n, args.g)
+            rows.append({"quantity": "indecomposable orbit count",
+                         "engine": i_engine, "oracle": i_oracle,
+                         "match": i_engine == i_oracle})
+            rows.append({"quantity": "absolutely indecomposable orbit count",
+                         "engine": a_engine, "oracle": a_oracle,
+                         "match": a_engine == a_oracle})
+        params = {"check": args.check, "g": args.g, "n": args.n, "q": args.q}
+    elif args.check == "nilcount":
+        if args.lam is None or args.f is None:
+            raise ValueError("--check nilcount needs --lambda and --f")
+        f = _parse_poly_text(args.f, args.q)
+        d = len(f) - 1
+        formula = args.q ** (d * (inner_product(args.lam, args.lam) - args.lam.length))
+        enumerated = fforacle.nilpotent_commutant_count(field, f, args.lam)
+        rows.append({"quantity": "nilpotent commutant count",
+                     "engine": formula, "oracle": enumerated,
+                     "match": formula == enumerated})
+        params = {"check": args.check, "lambda": list(args.lam.parts),
+                  "f": args.f, "q": args.q}
+    else:  # nilcount-total
+        if args.n is None:
+            raise ValueError("--check nilcount-total needs --n")
+        formula = args.q ** (args.n * args.n - args.n)
+        enumerated = len(fforacle.nilpotent_matrices(field, args.n))
+        rows.append({"quantity": "nilpotent matrix count",
+                     "engine": formula, "oracle": enumerated,
+                     "match": formula == enumerated})
+        params = {"check": args.check, "n": args.n, "q": args.q}
+    return rows, params
+
+
+def cmd_oracle(args) -> int:
+    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _envelope, canonical_json
+
+    t0 = time.perf_counter()
+    rows, params = _oracle_rows(args)
+    if args.format == "json":
+        print(canonical_json(_envelope("oracle", params, {"comparisons": rows}, [], t0)))
+    else:
+        width = max(len(r["quantity"]) for r in rows)
+        for r in rows:
+            flag = "ok" if r["match"] else "MISMATCH"
+            print(f"{r['quantity']:<{width}}  engine={r['engine']}  "
+                  f"oracle={r['oracle']}  {flag}")
+    return EXIT_OK if all(r["match"] for r in rows) else EXIT_VERIFY_FAILED
+
+
+def cmd_scan(args) -> int:
+    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _envelope, _poly_payload, canonical_json
+
+    t0 = time.perf_counter()
+    report = scan_nonnegativity(args.g, args.n_max)
+    payload = {
+        "g": report.g,
+        "n_max": report.n_max,
+        "all_nonnegative": report.all_nonnegative,
+        "negative_terms": [list(t) for t in report.negative_terms],
+        "polynomials": [
+            _poly_payload("A", report.g, cp.n, cp.value) for cp in report.polynomials
+        ],
+    }
+    if args.format == "json":
+        params = {"g": args.g, "Nmax": args.n_max}
+        print(canonical_json(_envelope("conjecture-scan", params, {"scan": payload}, [], t0)))
+    else:
+        for cp in report.polynomials:
+            print(cp)
+        if report.all_nonnegative:
+            print(f"all coefficients nonnegative for n <= {report.n_max}")
+        else:
+            for n, s, c in report.negative_terms:
+                print(f"negative coefficient at n={n}, s={s}: {c}")
+    return EXIT_OK if report.all_nonnegative else EXIT_VERIFY_FAILED
+
+
+#: the handler of each check command, by the name (or alias) it was given as
+HANDLERS = {
+    "verify": cmd_verify,
+    "oracle": cmd_oracle,
+    "conjecture-scan": cmd_scan,
+    "conjecture_scan": cmd_scan,
+}

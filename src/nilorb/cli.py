@@ -3,15 +3,15 @@
 Subcommands:
 
 * ``compute``          -- counting polynomials (kinds A, I, M, H)
-* ``verify``           -- identity checks: thm5-routes (the two orbit-count
-                          constructions agree), weight-routes (the two
-                          weight-series constructions agree), kwi
-                          (triple-product factorization of the weight
-                          series), g1-product (closed product form at tuple
-                          length 1)
+* ``verify``           -- identity checks (thm5-routes, weight-routes, kwi,
+                          g1-product)
 * ``oracle``           -- brute-force finite-field cross-checks
 * ``conjecture-scan``  -- coefficient nonnegativity scan
 * ``cache``            -- on-disk result cache maintenance
+
+This module declares and runs ``compute`` and ``cache``; ``checks`` declares
+and runs the other three, and no other command loads it.  So a ``compute``
+hit or ``--version`` loads no module of the engine, and a miss only the chain.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage error or
 size-guard violation, 3 internal assertion failure.  JSON/CSV go to
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import tempfile
 import time
@@ -69,25 +68,6 @@ def _rf_payload(kind: str, g: int, n: int, rf) -> dict:
         "num_coeffs": [str(c) for c in rf.num.numerators],
         "den_coeffs": [str(c) for c in rf.den.numerators],
     }
-
-
-def _report_payload(report) -> dict:
-    out = {
-        "identity": report.identity,
-        "g": report.g,
-        "x_order": report.x_order,
-        "q_order": report.q_order,
-        "passed": report.passed,
-        "mismatch": None,
-    }
-    if report.mismatch is not None:
-        out["mismatch"] = {
-            "x_degree": report.mismatch.x_degree,
-            "q_degree": report.mismatch.q_degree,
-            "lhs": report.mismatch.lhs,
-            "rhs": report.mismatch.rhs,
-        }
-    return out
 
 
 def _compute_outputs(kind: str, g: int, mode: str, value: int) -> dict:
@@ -248,60 +228,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_partition(text: str):
-    from .partitions import Partition
-
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-        return Partition(sorted(parts, reverse=True)) if parts else Partition()
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
-
-
-_TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
-
-
-def _parse_poly_text(text: str, q: int) -> tuple[int, ...]:
-    """Parse e.g. 'x', 'x^2+x+1', 'x-1' into ascending coefficients mod p."""
-    from .fforacle import FieldSpec
-
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial")
-    tokens = re.findall(r"[+-]?[^+-]+", compact)
-    coeffs: dict[int, int] = {}
-    for tok in tokens:
-        sign = 1
-        body = tok
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _TERM_RE.match(body)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"cannot parse term {tok!r} in {text!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            power = 0
-        else:
-            power = int(m.group(3)) if m.group(3) else 1
-        coeffs[power] = coeffs.get(power, 0) + sign * coeff
-    degree = max(coeffs)
-    field = FieldSpec.of(q)
-    out = [coeffs.get(k, 0) % field.p for k in range(degree + 1)]
-    return tuple(out)
+#: every subcommand, in the order ``--help`` lists them: (name, aliases, help)
+_COMMANDS = (
+    ("compute", (), "compute a counting polynomial"),
+    ("verify", (), "verify a series identity at truncation"),
+    ("oracle", (), "compare against brute-force enumeration"),
+    ("conjecture-scan", ("conjecture_scan",),
+     "scan counting polynomials for negative coefficients"),
+    ("cache", (), "inspect or clear the result cache"),
+)
+#: the subcommands that ``checks`` declares and runs; no other loads it
+_CHECK_COMMANDS = ("verify", "oracle", "conjecture-scan")
 
 
-def _parse_perturb(text: str) -> tuple[int, int, int]:
-    try:
-        n, s, delta = (int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"perturbation must be 'n,s,delta', got {text!r}"
-        )
-    return n, s, delta
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    if command == "compute":
+        p.add_argument("--kind", required=True, choices=KINDS,
+                       help="A: absolutely indecomposable, I: indecomposable, "
+                            "M: all orbits, H: log-series coefficient")
+        p.add_argument("--g", required=True, type=_positive_int, help="tuple length")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--n", type=_positive_int, help="single matrix order")
+        group.add_argument("--N", type=_positive_int, help="all matrix orders 1..N")
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+        p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
+        p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
+    else:  # cache
+        p.add_argument("action", choices=("path", "list", "clear"))
+        p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is registered, but only
+    ``command`` (a name or an alias) gets its arguments: parsing one command
+    builds none of the others' and, unless it is a check, loads no
+    ``checks``."""
     parser = argparse.ArgumentParser(
         prog="nilorb",
         description="Exact orbit counting for tuples of nilpotent matrices "
@@ -309,49 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nilorb {ENGINE_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, aliases, text in _COMMANDS:
+        p = sub.add_parser(name, aliases=list(aliases), help=text)
+        if command == name or command in aliases:
+            if name in _CHECK_COMMANDS:
+                from . import checks
 
-    p_compute = sub.add_parser("compute", help="compute a counting polynomial")
-    p_compute.add_argument("--kind", required=True, choices=KINDS,
-                           help="A: absolutely indecomposable, I: indecomposable, "
-                                "M: all orbits, H: log-series coefficient")
-    p_compute.add_argument("--g", required=True, type=_positive_int, help="tuple length")
-    group = p_compute.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive_int, help="single matrix order")
-    group.add_argument("--N", type=_positive_int, help="all matrix orders 1..N")
-    p_compute.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p_compute.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
-    p_compute.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
-
-    p_verify = sub.add_parser("verify", help="verify a series identity at truncation")
-    p_verify.add_argument("identity", choices=("thm5-routes", "weight-routes", "kwi", "g1-product"))
-    p_verify.add_argument("--g", type=_positive_int, default=1)
-    p_verify.add_argument("--N", required=True, type=_positive_int, help="X truncation order")
-    p_verify.add_argument("--Q", type=_positive_int, help="q truncation order")
-    p_verify.add_argument("--perturb", type=_parse_perturb, metavar="n,s,delta",
-                          help="deliberately corrupt one exponent (negative control)")
-    p_verify.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-    p_oracle = sub.add_parser("oracle", help="compare against brute-force enumeration")
-    p_oracle.add_argument("--check", required=True,
-                          choices=("M", "IA", "nilcount", "nilcount-total"))
-    p_oracle.add_argument("--g", type=_positive_int)
-    p_oracle.add_argument("--n", type=_positive_int)
-    p_oracle.add_argument("--q", required=True, type=_positive_int, help="field size")
-    p_oracle.add_argument("--lambda", dest="lam", type=_parse_partition,
-                          help="partition as comma-separated parts, e.g. 2,1")
-    p_oracle.add_argument("--f", help="monic polynomial over the field, e.g. x or x^2+x+1")
-    p_oracle.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-    p_scan = sub.add_parser("conjecture-scan", aliases=["conjecture_scan"],
-                            help="scan counting polynomials for negative coefficients")
-    p_scan.add_argument("--g", required=True, type=_positive_int)
-    p_scan.add_argument("--Nmax", required=True, type=_positive_int, dest="n_max")
-    p_scan.add_argument("--format", choices=("json", "pretty"), default="pretty")
-
-    p_cache = sub.add_parser("cache", help="inspect or clear the result cache")
-    p_cache.add_argument("action", choices=("path", "list", "clear"))
-    p_cache.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
-
+                checks.add_arguments(name, p)
+            else:
+                _add_arguments(name, p)
     return parser
 
 
@@ -400,148 +327,6 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    from . import pipeline
-
-    t0 = time.perf_counter()
-    # the usage rules: --Q is required by the truncated identities and
-    # refused by the others, --perturb is for kwi, g1-product is at g = 1
-    identity, truncated = args.identity, args.identity in ("kwi", "g1-product")
-    error = None
-    if identity == "g1-product" and args.g != 1:
-        error = "g1-product is the tuple-length-1 identity; omit --g"
-    elif truncated and args.Q is None:
-        error = f"{identity} needs --Q (q truncation order)"
-    elif args.perturb and identity != "kwi":
-        error = "--perturb applies only to the kwi identity"
-    elif not truncated and args.Q is not None:
-        error = f"{identity} has no q truncation; omit --Q"
-    if error:
-        print(f"nilorb: {error}", file=sys.stderr)
-        return EXIT_USAGE
-    if identity == "thm5-routes":
-        report = pipeline.verify_product_routes(args.g, args.N)
-    elif identity == "weight-routes":
-        report = pipeline.verify_weight_routes(args.g, args.N)
-    elif identity == "kwi":
-        report = pipeline.verify_triple_product(args.g, args.N, args.Q, perturb=args.perturb)
-    else:
-        report = pipeline.verify_g1_product(args.N, args.Q)
-
-    payload = _report_payload(report)
-    if args.format == "json":
-        parameters = {"identity": args.identity, "g": report.g,
-                      "N": args.N, "Q": args.Q}
-        print(canonical_json(_envelope("verify", parameters, {"report": payload}, [payload], t0)))
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        detail = ""
-        if report.mismatch:
-            m = report.mismatch
-            where = f"X^{m.x_degree}" + (f", q^{m.q_degree}" if m.q_degree is not None else "")
-            detail = f"  first mismatch at {where}: {m.lhs} != {m.rhs}"
-        print(f"{report.identity} (g={report.g}, N={report.x_order}"
-              + (f", Q={report.q_order}" if report.q_order is not None else "")
-              + f"): {status}{detail}")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-def _oracle_rows(args) -> tuple[list[dict], dict]:
-    from . import fforacle, pipeline
-    from .partitions import inner_product
-
-    field = fforacle.FieldSpec.of(args.q)
-    rows = []
-    if args.check in ("M", "IA"):
-        if args.g is None or args.n is None:
-            raise ValueError(f"--check {args.check} needs --g and --n")
-        if args.check == "M":
-            engine = int(pipeline.orbit_count(args.g, args.n).evaluate(args.q))
-            by_average = fforacle.burnside_orbit_count(field, args.n, args.g)
-            by_listing = len(fforacle.orbits(field, args.n, args.g))
-            rows.append({"quantity": "orbit count (Burnside average)",
-                         "engine": engine, "oracle": by_average,
-                         "match": engine == by_average})
-            rows.append({"quantity": "orbit count (explicit orbits)",
-                         "engine": engine, "oracle": by_listing,
-                         "match": engine == by_listing})
-        else:
-            i_engine = int(pipeline.indecomposable_count(args.g, args.n).evaluate(args.q))
-            a_engine = int(pipeline.absolutely_indecomposable_count(args.g, args.n).evaluate(args.q))
-            i_oracle, a_oracle = fforacle.indecomposability_counts(field, args.n, args.g)
-            rows.append({"quantity": "indecomposable orbit count",
-                         "engine": i_engine, "oracle": i_oracle,
-                         "match": i_engine == i_oracle})
-            rows.append({"quantity": "absolutely indecomposable orbit count",
-                         "engine": a_engine, "oracle": a_oracle,
-                         "match": a_engine == a_oracle})
-        params = {"check": args.check, "g": args.g, "n": args.n, "q": args.q}
-    elif args.check == "nilcount":
-        if args.lam is None or args.f is None:
-            raise ValueError("--check nilcount needs --lambda and --f")
-        f = _parse_poly_text(args.f, args.q)
-        d = len(f) - 1
-        formula = args.q ** (d * (inner_product(args.lam, args.lam) - args.lam.length))
-        enumerated = fforacle.nilpotent_commutant_count(field, f, args.lam)
-        rows.append({"quantity": "nilpotent commutant count",
-                     "engine": formula, "oracle": enumerated,
-                     "match": formula == enumerated})
-        params = {"check": args.check, "lambda": list(args.lam.parts),
-                  "f": args.f, "q": args.q}
-    else:  # nilcount-total
-        if args.n is None:
-            raise ValueError("--check nilcount-total needs --n")
-        formula = args.q ** (args.n * args.n - args.n)
-        enumerated = len(fforacle.nilpotent_matrices(field, args.n))
-        rows.append({"quantity": "nilpotent matrix count",
-                     "engine": formula, "oracle": enumerated,
-                     "match": formula == enumerated})
-        params = {"check": args.check, "n": args.n, "q": args.q}
-    return rows, params
-
-
-def cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
-    rows, params = _oracle_rows(args)
-    if args.format == "json":
-        print(canonical_json(_envelope("oracle", params, {"comparisons": rows}, [], t0)))
-    else:
-        width = max(len(r["quantity"]) for r in rows)
-        for r in rows:
-            flag = "ok" if r["match"] else "MISMATCH"
-            print(f"{r['quantity']:<{width}}  engine={r['engine']}  "
-                  f"oracle={r['oracle']}  {flag}")
-    return EXIT_OK if all(r["match"] for r in rows) else EXIT_VERIFY_FAILED
-
-
-def cmd_scan(args) -> int:
-    from . import pipeline
-
-    t0 = time.perf_counter()
-    report = pipeline.scan_nonnegativity(args.g, args.n_max)
-    payload = {
-        "g": report.g,
-        "n_max": report.n_max,
-        "all_nonnegative": report.all_nonnegative,
-        "negative_terms": [list(t) for t in report.negative_terms],
-        "polynomials": [
-            _poly_payload("A", report.g, cp.n, cp.value) for cp in report.polynomials
-        ],
-    }
-    if args.format == "json":
-        params = {"g": args.g, "Nmax": args.n_max}
-        print(canonical_json(_envelope("conjecture-scan", params, {"scan": payload}, [], t0)))
-    else:
-        for cp in report.polynomials:
-            print(cp)
-        if report.all_nonnegative:
-            print(f"all coefficients nonnegative for n <= {report.n_max}")
-        else:
-            for n, s, c in report.negative_terms:
-                print(f"negative coefficient at n={n}, s={s}: {c}")
-    return EXIT_OK if report.all_nonnegative else EXIT_VERIFY_FAILED
-
-
 def cmd_cache(args) -> int:
     root = _cache_root(args.cache_dir)
     if args.action == "path":
@@ -561,24 +346,23 @@ def cmd_cache(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "compute": cmd_compute,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "conjecture-scan": cmd_scan,
-    "conjecture_scan": cmd_scan,
-    "cache": cmd_cache,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option values, so its first other word is the
+    # subcommand
+    command = next((word for word in argv if not word.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        if args.command == "compute":
+            return cmd_compute(args)
+        if args.command == "cache":
+            return cmd_cache(args)
+        from . import checks
+
+        return checks.HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError) as exc:  # a SizeGuardError too
         print(f"nilorb: {exc}", file=sys.stderr)
         return EXIT_USAGE

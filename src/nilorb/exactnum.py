@@ -45,6 +45,10 @@ class InternalCheckError(AssertionError):
     """
 
 
+class SizeGuardError(ValueError):
+    """A request exceeds what a brute-force route can run at desk scale."""
+
+
 def _is_scalar(x: object) -> bool:
     """True for an exact scalar: an ``int`` or a ``Fraction``."""
     if isinstance(x, int):

@@ -16,20 +16,15 @@ per field so results are reproducible.  Matrices are tuples of row tuples.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactnum import InternalCheckError
+from .exactnum import InternalCheckError, SizeGuardError
 from .partitions import Partition, inner_product
 
 Matrix = tuple[tuple[int, ...], ...]
 MatrixTuple = tuple[Matrix, ...]
-
-
-class SizeGuardError(ValueError):
-    """An enumeration request exceeds the desk-scale guards."""
 
 
 #: fixed monic irreducible moduli (ascending coefficients, leading 1)
@@ -199,10 +194,6 @@ class FieldSpec:
 
 def zero_matrix(n: int) -> Matrix:
     return tuple((0,) * n for _ in range(n))
-
-
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_add(field: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
@@ -506,33 +497,6 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
     return k, True, residue
 
 
-DECOMPOSABLE = "decomposable"
-INDECOMPOSABLE = "indecomposable"
-ABSOLUTELY_INDECOMPOSABLE = "absolutely indecomposable"
-
-
-def classify_tuple(field: FieldSpec, matrices: MatrixTuple) -> str:
-    """Classify one tuple via its endomorphism algebra: indecomposable iff
-    the algebra is local (Fitting), absolutely indecomposable iff the
-    residue field is the base field itself.  These criteria are standard
-    representation theory rather than anything specific to this package."""
-    _, local, residue = _endomorphism_profile(field, matrices)
-    if not local:
-        return DECOMPOSABLE
-    if residue == field.q:
-        return ABSOLUTELY_INDECOMPOSABLE
-    return INDECOMPOSABLE
-
-
-def classify_orbit(record: OrbitRecord, field: FieldSpec) -> str:
-    """Classification of an orbit from its recorded algebra profile."""
-    if not record.local:
-        return DECOMPOSABLE
-    if record.residue_size == field.q:
-        return ABSOLUTELY_INDECOMPOSABLE
-    return INDECOMPOSABLE
-
-
 def indecomposability_counts(field: FieldSpec, n: int, g: int) -> tuple[int, int]:
     """(indecomposable orbit count, absolutely indecomposable orbit count)
     tallied over the explicit orbit list."""
@@ -542,14 +506,6 @@ def indecomposability_counts(field: FieldSpec, n: int, g: int) -> tuple[int, int
     if not a_count <= i_count <= len(recs):
         raise InternalCheckError("classification counts are inconsistent")
     return i_count, a_count
-
-
-def random_orbit_member(field: FieldSpec, n: int, rep: MatrixTuple, rng: random.Random) -> MatrixTuple:
-    """A uniformly random conjugate of the given tuple (testing aid)."""
-    group = invertible_matrices(field, n)
-    t = rng.choice(group)
-    ti = mat_inverse(field, t)
-    return tuple(mat_mul(field, mat_mul(field, ti, m), t) for m in rep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Assembly of the orbit-counting polynomials and the identity verifiers.
+"""Assembly of the orbit-counting polynomials: the chain.
 
 The chain runs: weight series in X -> formal log -> Moebius sums giving the
 absolutely-indecomposable counts A -> divisor sums giving the indecomposable
@@ -6,8 +6,8 @@ counts I -> the full orbit counts M.
 
 The weight series is built by the column route, which needs no division,
 and every run recomputes its coefficients up to X**_WEIGHT_CHECK_ORDER by
-the partition route and asserts that the two agree; ``verify_weight_routes``
-compares them up to any order.
+the partition route and asserts that the two agree; ``checks``
+compares them up to any order, and holds the other identity verifiers.
 
 Each coefficient is a ``PolyQ`` over a denominator known in closed form (the
 weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1), its log's
@@ -48,7 +48,6 @@ from .partitions import (
     monic_irreducible_count,
     orbit_weight,
     partitions_of,
-    weight_denominator,
 )
 from .series import exp_coefficients, log_coefficients
 
@@ -134,28 +133,6 @@ class Mismatch(_Record):
 
     def __init__(self, x_degree: int, q_degree: Optional[int], lhs: str, rhs: str):
         super().__init__(x_degree, q_degree, lhs, rhs)
-
-
-class VerificationReport(_Record):
-    __slots__ = ("identity", "g", "x_order", "q_order", "passed", "mismatch")
-
-    def __init__(self, identity: str, g: int, x_order: int, q_order: Optional[int],
-                 passed: bool, mismatch: Optional[Mismatch]):
-        if not passed and mismatch is None:
-            raise InternalCheckError("failed report without a mismatch location")
-        super().__init__(identity, g, x_order, q_order, passed, mismatch)
-
-
-class ScanReport(_Record):
-    __slots__ = ("g", "n_max", "negative_terms", "polynomials")
-
-    def __init__(self, g: int, n_max: int, negative_terms: tuple[tuple[int, int, int], ...],
-                 polynomials: tuple[CountingPolynomial, ...]):
-        super().__init__(g, n_max, negative_terms, polynomials)
-
-    @property
-    def all_nonnegative(self) -> bool:
-        return not self.negative_terms
 
 
 # ---------------------------------------------------------------------------
@@ -445,173 +422,13 @@ def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# identity verifiers
+def __getattr__(name: str):
+    """The verifiers, the scan and their reports, which ``checks`` holds,
+    resolve here too; the first lookup loads that module."""
+    from . import _EXPORTS
 
+    if name not in _EXPORTS["checks"]:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checks
 
-def verify_weight_routes(g: int, order: int) -> VerificationReport:
-    """Compare the column route's weight-series numerators with the partition
-    route's for X**1..X**order, reporting the first (X**n, q**s) at which
-    they differ rather than raising."""
-    if g < 1 or order < 1:
-        raise ValueError("g and order must be >= 1")
-    rows = _column_rows(g, order)
-    for n in range(1, order + 1):
-        mismatch = _weight_mismatch(g, n, column_weight(g, rows[n], n))
-        if mismatch is not None:
-            return VerificationReport("weight-routes", g, order, None, False, mismatch)
-    return VerificationReport("weight-routes", g, order, None, True, None)
-
-
-def verify_product_routes(g: int, order: int) -> VerificationReport:
-    """Compare the two independent constructions of log M coefficientwise,
-    reporting rather than raising on mismatch."""
-    if g < 1 or order < 1:
-        raise ValueError("g and order must be >= 1")
-    _, mismatch = _log_orbit_routes(g, order)
-    return VerificationReport("thm5-routes", g, order, None, mismatch is None, mismatch)
-
-
-def _bi_one(x_order: int, q_order: int) -> list[list[int]]:
-    """The series 1 as rows: row m holds the coefficients of q**0..q**q_order
-    in the X**m coefficient."""
-    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
-    rows[0][0] = 1
-    return rows
-
-
-def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
-    """Multiply ``rows`` in place by (1 - q**c X**n) ** a in the doubly
-    truncated ring, in one pass over the generalised binomial series
-    sum_j (-1)**j C(a, j) q**(cj) X**(nj).  Its integer coefficients follow
-    b_j = b_(j-1) (j-1-a) / j; terms past either truncation are dropped.
-    Row m gains multiples of rows m - nj below it, so m runs downwards and
-    every row read is still the one before the multiplication."""
-    q_order = len(rows[0]) - 1
-    terms, b = [], 1
-    for j in range(1, (len(rows) - 1) // n + 1):
-        b = b * (j - 1 - a) // j
-        if b == 0 or c * j > q_order:
-            break
-        terms.append((n * j, c * j, b))
-    for m in range(len(rows) - 1, n - 1, -1):
-        row = rows[m]
-        for shift, power, b in terms:
-            if shift > m:
-                break
-            row[power:] = [x + b * y for x, y in zip(row[power:], rows[m - shift])]
-
-
-def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]:
-    """The weight series' coefficients of X**0..X**x_order as rows of the
-    coefficients of q**0..q**q_order: each numerator p_n divided by D_n as a
-    power series over the integers, exact at every step because
-    D_n(0) = (-1)**n."""
-    rows = []
-    for n, p in enumerate(weight_series(g, x_order)):
-        den = weight_denominator(n).numerators
-        out = []
-        for k in range(q_order + 1):
-            acc = p.numerators[k] if k < len(p.numerators) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
-            out.append(acc * den[0])
-        rows.append(out)
-    return rows
-
-
-def _compare_rows(
-    identity: str,
-    g: int,
-    x_order: int,
-    q_order: int,
-    lhs: list[list[int]],
-    rhs: list[list[int]],
-) -> VerificationReport:
-    for n in range(x_order + 1):
-        if lhs[n] == rhs[n]:
-            continue
-        k = next(k for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
-        return VerificationReport(
-            identity, g, x_order, q_order, False,
-            Mismatch(n, k, str(lhs[n][k]), str(rhs[n][k])),
-        )
-    return VerificationReport(identity, g, x_order, q_order, True, None)
-
-
-def verify_triple_product(
-    g: int,
-    x_order: int,
-    q_order: int,
-    perturb: Optional[tuple[int, int, int]] = None,
-) -> VerificationReport:
-    """Check that the weight series equals the triple product over
-    (n, s, i) of (1 - q**(s+i) X**n) ** a(n, s), where a(n, s) are the
-    coefficients of the absolutely-indecomposable counts.
-
-    Both sides are expanded in X up to x_order and q up to q_order; factors
-    with s + i > q_order are 1 modulo the q-truncation and are skipped.
-    Each factor is applied in one pass through its binomial series, so the
-    right side stays in integer arithmetic on rows of q-coefficients.
-    ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
-    deliberate-corruption hook for negative-control testing; it must lie
-    inside the window (n <= x_order, s <= q_order) and have d != 0.
-    """
-    if x_order < 1 or q_order < 1:
-        raise ValueError("truncation orders must be >= 1")
-    tables: dict[int, list[int]] = {
-        n: list(coefficient_table(g, n)) for n in range(1, x_order + 1)
-    }
-    if perturb is not None:
-        pn, ps, delta = perturb
-        # a zero delta, or a coefficient past q**q_order, changes nothing
-        # inside the window, so the control could not fail
-        if not (1 <= pn <= x_order and 0 <= ps <= q_order) or delta == 0:
-            raise ValueError("perturbation outside the verified window")
-        table = tables[pn]
-        table.extend([0] * (ps + 1 - len(table)))
-        table[ps] += delta
-
-    rhs = _bi_one(x_order, q_order)
-    for n in range(1, x_order + 1):
-        for s, a in enumerate(tables[n]):
-            if a == 0 or s > q_order:
-                continue
-            for i in range(q_order - s + 1):
-                _bi_mul_power(rhs, n, s + i, a)
-
-    lhs = _expand_weight_series(g, x_order, q_order)
-    return _compare_rows("kwi", g, x_order, q_order, lhs, rhs)
-
-
-def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
-    """At g = 1 the weight series equals the plain double product of
-    (1 - q**i X**n); this builds that product directly, without going
-    through the counting polynomials."""
-    if x_order < 1 or q_order < 1:
-        raise ValueError("truncation orders must be >= 1")
-    rhs = _bi_one(x_order, q_order)
-    for n in range(1, x_order + 1):
-        for i in range(q_order + 1):
-            _bi_mul_power(rhs, n, i, 1)
-    lhs = _expand_weight_series(1, x_order, q_order)
-    return _compare_rows("g1-product", 1, x_order, q_order, lhs, rhs)
-
-
-def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
-    """List every negative coefficient of the absolutely-indecomposable
-    counts for n up to n_max.  An empty list means the nonnegativity
-    conjecture holds in range; a nonempty one is a finding, not an error."""
-    if g < 2:
-        raise ValueError("the nonnegativity scan needs g >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    negatives = []
-    polys = []
-    for n in range(1, n_max + 1):
-        cp = absolutely_indecomposable_count(g, n)
-        polys.append(cp)
-        for s, c in enumerate(cp.coefficient_list):
-            if c < 0:
-                negatives.append((n, s, c))
-    return ScanReport(g, n_max, tuple(negatives), tuple(polys))
+    return getattr(checks, name)

@@ -8,7 +8,7 @@ import json
 import random
 from fractions import Fraction
 
-from nilorb import cli, pipeline
+from nilorb import checks, cli, pipeline
 from nilorb.exactnum import PolyQ
 from nilorb.fforacle import (
     FieldSpec,
@@ -150,9 +150,9 @@ def test_criterion_6_oracle_commutant_counts(capsys):
 
 
 def test_criterion_7_conjecture_scan(capsys):
-    report6 = pipeline.scan_nonnegativity(2, 6)
+    report6 = checks.scan_nonnegativity(2, 6)
     ok = report6.all_nonnegative
-    report8 = pipeline.scan_nonnegativity(2, 8)
+    report8 = checks.scan_nonnegativity(2, 8)
     ok = ok and len(report8.polynomials) == 8  # completes and emits a report
     with capsys.disabled():
         if not report8.all_nonnegative:

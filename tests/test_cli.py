@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import nilorb
-from nilorb import KINDS, cli, fforacle, pipeline
+from nilorb import KINDS, checks, cli, fforacle, pipeline
 from nilorb.exactnum import InternalCheckError
 
 GOLDEN_PRETTY = {
@@ -443,7 +443,9 @@ def test_entry_point_help(nilorb_env):
 # the engine's modules, and the stdlib modules that only a Fraction or a
 # dataclass would load
 ENGINE_MODULES = {"nilorb.exactnum", "nilorb.partitions", "nilorb.series",
-                  "nilorb.pipeline", "nilorb.fforacle", "fractions", "dataclasses"}
+                  "nilorb.pipeline", "nilorb.checks", "nilorb.fforacle",
+                  "fractions", "dataclasses"}
+CHAIN_MODULES = {"nilorb.exactnum", "nilorb.partitions", "nilorb.series", "nilorb.pipeline"}
 
 # runs one command in a fresh interpreter, then prints its exit code and the
 # modules it loaded
@@ -467,20 +469,40 @@ def engine_modules_loaded(env, *argv) -> set:
 def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
     compute = ["compute", "--kind", "M", "--g", "2", "--N", "3",
                "--cache-dir", str(tmp_path), "--format"]
-    miss = engine_modules_loaded(nilorb_env, *compute, "json")
-    assert "nilorb.pipeline" in miss and "nilorb.fforacle" not in miss
-    # a miss of any kind runs the chain on integers and records without
-    # dataclasses; Fraction is only a view for library callers
+    # a miss of any kind loads the chain alone: no check, no oracle, and
+    # (it runs on integers and records without dataclasses) no Fraction
+    assert engine_modules_loaded(nilorb_env, *compute, "json") == CHAIN_MODULES
     for kind in KINDS:
         miss = engine_modules_loaded(nilorb_env, "compute", "--kind", kind, "--g", "2",
                                      "--N", "3", "--no-cache", "--format", "json")
-        assert miss == ENGINE_MODULES - {"nilorb.fforacle", "fractions", "dataclasses"}, kind
+        assert miss == CHAIN_MODULES, kind
     for fmt in ("json", "csv", "pretty"):
         assert engine_modules_loaded(nilorb_env, *compute, fmt) == set(), fmt
     h_pretty = ["compute", "--kind", "H", "--g", "2", "--N", "3", "--cache-dir", str(tmp_path)]
     assert "nilorb.exactnum" in engine_modules_loaded(nilorb_env, *h_pretty)
     assert engine_modules_loaded(nilorb_env, *h_pretty) == set()
     assert engine_modules_loaded(nilorb_env, "--version") == set()
+    assert engine_modules_loaded(nilorb_env, "cache", "list", "--cache-dir",
+                                 str(tmp_path)) == set()
+    # the checks load their module, and only the oracle loads the oracle (and
+    # takes the engine's value at q as a Fraction)
+    with_checks = CHAIN_MODULES | {"nilorb.checks"}
+    for argv in (["verify", "weight-routes", "--g", "2", "--N", "4"],
+                 ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "9"],
+                 ["conjecture-scan", "--g", "2", "--Nmax", "3"]):
+        assert engine_modules_loaded(nilorb_env, *argv) == with_checks, argv
+    oracle = engine_modules_loaded(nilorb_env, "oracle", "--check", "M", "--g", "2",
+                                   "--n", "2", "--q", "2")
+    assert oracle == with_checks | {"nilorb.fforacle", "dataclasses", "fractions"}
+
+
+def test_moved_checks_resolve_to_the_checks_module():
+    for name in ("ScanReport", "VerificationReport", "scan_nonnegativity", "verify_g1_product",
+                 "verify_product_routes", "verify_triple_product", "verify_weight_routes"):
+        value = getattr(checks, name)
+        assert getattr(nilorb, name) is value and getattr(pipeline, name) is value, name
+    with pytest.raises(AttributeError):
+        pipeline.no_such_name
 
 
 def test_package_exports_resolve_to_their_submodules():

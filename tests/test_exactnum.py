@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorb import pipeline, poly_text, quotient_text
+from nilorb import checks, poly_text, quotient_text
 from nilorb.exactnum import (
     InexactDivisionError, PoleError, PolyQ, RationalFunctionQ, ratio_text,
 )
@@ -18,7 +18,7 @@ ONE = PolyQ([1])
 def longdiv(num, den, order):
     """Independent schoolbook series division (ascending coefficients).
 
-    Deliberately not sharing any code with pipeline._expand_weight_series.
+    Deliberately not sharing any code with checks._expand_weight_series.
     """
     num = [Fraction(c) for c in num] + [Fraction(0)] * (order + 1)
     den = [Fraction(c) for c in den]
@@ -182,7 +182,7 @@ def test_rf_evaluate():
 def test_expand_negated_geometric():
     # the X^1 coefficient is 1 / (q - 1) for every g
     for g in (1, 2, 3):
-        row = pipeline._expand_weight_series(g, 1, 2)[1]
+        row = checks._expand_weight_series(g, 1, 2)[1]
         assert row == [-1, -1, -1]
         assert all(type(c) is int for c in row)
 
@@ -193,7 +193,7 @@ def test_expand_against_schoolbook_division():
     # rational-function arithmetic, then divided out by longdiv
     order = 12
     for g in (1, 2, 3):
-        rows = pipeline._expand_weight_series(g, 5, order)
+        rows = checks._expand_weight_series(g, 5, order)
         for n in range(1, 6):
             total = RF(PolyQ())
             for lam in partitions_of(n):
@@ -202,7 +202,7 @@ def test_expand_against_schoolbook_division():
             expected = longdiv(fractions_of(total.num), fractions_of(total.den), order)
             assert rows[n] == expected, (g, n)
     # (q^2 + q - 1) / ((q-1)^2 (q+1)) at g = 1, n = 2
-    assert pipeline._expand_weight_series(1, 2, 3)[2] == [-1, 0, 0, 1]
+    assert checks._expand_weight_series(1, 2, 3)[2] == [-1, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------

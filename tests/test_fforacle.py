@@ -4,18 +4,13 @@ import pytest
 
 from nilorb import pipeline
 from nilorb.fforacle import (
-    ABSOLUTELY_INDECOMPOSABLE,
-    DECOMPOSABLE,
-    INDECOMPOSABLE,
     FieldSpec,
     SizeGuardError,
+    _endomorphism_profile,
     block_jordan_matrix,
     burnside_orbit_count,
-    classify_orbit,
-    classify_tuple,
     commutant_basis,
     companion_matrix,
-    identity_matrix,
     indecomposability_counts,
     invertible_matrices,
     is_irreducible,
@@ -27,13 +22,49 @@ from nilorb.fforacle import (
     nilpotent_commutant_count,
     nilpotent_matrices,
     orbits,
-    random_orbit_member,
     zero_matrix,
 )
 from nilorb.partitions import Partition, inner_product, partition_count
 
 F2 = FieldSpec.of(2)
 F3 = FieldSpec.of(3)
+
+DECOMPOSABLE = "decomposable"
+INDECOMPOSABLE = "indecomposable"
+ABSOLUTELY_INDECOMPOSABLE = "absolutely indecomposable"
+
+
+def identity_matrix(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def classify_tuple(field, matrices) -> str:
+    """Classify one tuple via its endomorphism algebra: indecomposable iff
+    the algebra is local (Fitting), absolutely indecomposable iff the
+    residue field is the base field itself.  These criteria are standard
+    representation theory rather than anything specific to this package."""
+    _, local, residue = _endomorphism_profile(field, matrices)
+    if not local:
+        return DECOMPOSABLE
+    if residue == field.q:
+        return ABSOLUTELY_INDECOMPOSABLE
+    return INDECOMPOSABLE
+
+
+def classify_orbit(record, field) -> str:
+    """Classification of an orbit from its recorded algebra profile."""
+    if not record.local:
+        return DECOMPOSABLE
+    if record.residue_size == field.q:
+        return ABSOLUTELY_INDECOMPOSABLE
+    return INDECOMPOSABLE
+
+
+def random_orbit_member(field, n, rep, rng):
+    """A uniformly random conjugate of the given tuple."""
+    t = rng.choice(invertible_matrices(field, n))
+    ti = mat_inverse(field, t)
+    return tuple(mat_mul(field, mat_mul(field, ti, m), t) for m in rep)
 
 
 # ---------------------------------------------------------------------------

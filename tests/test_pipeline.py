@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import cli, pipeline
+from nilorb import checks, cli, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.partitions import divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
@@ -186,19 +186,19 @@ def test_counting_polynomial_str():
 
 def test_product_routes_agree():
     for g in (1, 2, 3):
-        report = pipeline.verify_product_routes(g, 4)
+        report = checks.verify_product_routes(g, 4)
         assert report.passed
         assert report.identity == "thm5-routes"
         assert report.mismatch is None
 
 
 def test_triple_product_identity_passes():
-    report = pipeline.verify_triple_product(2, 3, 12)
+    report = checks.verify_triple_product(2, 3, 12)
     assert report.passed
 
 
 def test_triple_product_negative_control():
-    report = pipeline.verify_triple_product(2, 3, 12, perturb=(2, 1, 1))
+    report = checks.verify_triple_product(2, 3, 12, perturb=(2, 1, 1))
     assert not report.passed
     assert report.mismatch is not None
     assert report.mismatch.x_degree == 2
@@ -206,7 +206,7 @@ def test_triple_product_negative_control():
 
 
 def test_triple_product_perturbation_at_the_window_edge_fails():
-    report = pipeline.verify_triple_product(2, 3, 6, perturb=(2, 6, 1))
+    report = checks.verify_triple_product(2, 3, 6, perturb=(2, 6, 1))
     assert not report.passed
     assert (report.mismatch.x_degree, report.mismatch.q_degree) == (2, 6)
 
@@ -216,18 +216,18 @@ def test_triple_product_rejects_perturbations_outside_the_window(perturb):
     # (2, 7, 1) lies past q^6 and (2, 1, 0) changes no exponent, so neither
     # could make the control fail
     with pytest.raises(ValueError, match="outside the verified window"):
-        pipeline.verify_triple_product(2, 3, 6, perturb=perturb)
+        checks.verify_triple_product(2, 3, 6, perturb=perturb)
 
 
 def test_triple_product_at_g1_equals_plain_product():
-    assert pipeline.verify_triple_product(1, 4, 10).passed
-    assert pipeline.verify_g1_product(4, 10).passed
+    assert checks.verify_triple_product(1, 4, 10).passed
+    assert checks.verify_g1_product(4, 10).passed
 
 
 @pytest.mark.parametrize("a", [-3, -2, -1, 0, 1, 2, 3])
 @pytest.mark.parametrize("n, c", [(2, 1), (3, 0), (1, 3)])
 def test_bi_mul_power_equals_repeated_factor(a, n, c):
-    rows = pipeline._expand_weight_series(2, 7, 9)
+    rows = checks._expand_weight_series(2, 7, 9)
     # reference on separate coefficient lists: |a| steps of multiplying by
     # (1 - q^c X^n), or of dividing by it for a < 0
     expected = [list(row) for row in rows]
@@ -239,7 +239,7 @@ def test_bi_mul_power_equals_repeated_factor(a, n, c):
                     expected[m][k] = prev[m][k] - prev[m - n][k - c]
                 else:
                     expected[m][k] = prev[m][k] + expected[m - n][k - c]
-    assert pipeline._bi_mul_power(rows, n, c, a) is None
+    assert checks._bi_mul_power(rows, n, c, a) is None
     assert rows == expected
     assert all(type(x) is int for row in rows for x in row)
 
@@ -248,12 +248,12 @@ def test_bi_mul_power_reads_each_row_before_it_changes():
     # (1 - X)^2 = 1 - 2X + X^2: row m gains rows m-1 and m-2 as they were
     # before the multiplication; read after their own update, rows 2 and 3
     # would come out as 5 and -12
-    rows = pipeline._bi_one(3, 1)
-    pipeline._bi_mul_power(rows, 1, 0, 2)
+    rows = checks._bi_one(3, 1)
+    checks._bi_mul_power(rows, 1, 0, 2)
     assert rows == [[1, 0], [-2, 0], [1, 0], [0, 0]]
     # (1 - q X)^-1 = sum of q^m X^m, truncated at q^2
-    rows = pipeline._bi_one(3, 2)
-    pipeline._bi_mul_power(rows, 1, 1, -1)
+    rows = checks._bi_one(3, 2)
+    checks._bi_mul_power(rows, 1, 1, -1)
     assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
 
@@ -265,7 +265,7 @@ def test_g1_product_control_fails_on_a_corrupted_weight_series(monkeypatch, caps
     weights = list(pipeline.weight_series(1, 6))
     weights[3] = weights[3] + PolyQ.q_power(5)
     pipeline._memo(1).weights = tuple(weights)
-    report = pipeline.verify_g1_product(6, 12)
+    report = checks.verify_g1_product(6, 12)
     assert not report.passed
     m = report.mismatch
     assert (m.x_degree, m.q_degree) == (3, 5)
@@ -277,21 +277,21 @@ def test_g1_product_control_fails_on_a_corrupted_weight_series(monkeypatch, caps
 
 def test_failed_report_requires_mismatch():
     with pytest.raises(InternalCheckError):
-        pipeline.VerificationReport("kwi", 2, 3, 12, False, None)
+        checks.VerificationReport("kwi", 2, 3, 12, False, None)
 
 
 def test_records_are_immutable_values():
     mismatch = pipeline.Mismatch(2, 1, "3", "4")
-    report = pipeline.VerificationReport("kwi", 2, 3, 12, False, mismatch)
-    same = pipeline.VerificationReport(identity="kwi", g=2, x_order=3, q_order=12,
-                                       passed=False, mismatch=pipeline.Mismatch(2, 1, "3", "4"))
+    report = checks.VerificationReport("kwi", 2, 3, 12, False, mismatch)
+    same = checks.VerificationReport(identity="kwi", g=2, x_order=3, q_order=12,
+                                     passed=False, mismatch=pipeline.Mismatch(2, 1, "3", "4"))
     assert report == same and hash(report) == hash(same)
-    assert report != pipeline.VerificationReport("kwi", 2, 3, 13, False, mismatch)
+    assert report != checks.VerificationReport("kwi", 2, 3, 13, False, mismatch)
     assert mismatch != (2, 1, "3", "4")
     assert repr(mismatch) == "Mismatch(x_degree=2, q_degree=1, lhs='3', rhs='4')"
     cp = pipeline.CountingPolynomial("A", 2, 3, PolyQ([0, 2, 3, 0, 1]))
     assert cp == pipeline.absolutely_indecomposable_count(2, 3)
-    scan = pipeline.ScanReport(2, 1, (), (cp,))
+    scan = checks.ScanReport(2, 1, (), (cp,))
     for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -327,20 +327,20 @@ def test_positivity_check_on_integer_values():
 
 
 def test_scan_is_clean_for_pairs_up_to_six():
-    report = pipeline.scan_nonnegativity(2, 6)
+    report = checks.scan_nonnegativity(2, 6)
     assert report.all_nonnegative
     assert report.negative_terms == ()
     assert len(report.polynomials) == 6
 
 
 def test_scan_runs_for_triples():
-    report = pipeline.scan_nonnegativity(3, 3)
+    report = checks.scan_nonnegativity(3, 3)
     assert len(report.polynomials) == 3
 
 
 def test_scan_rejects_single_matrices():
     with pytest.raises(ValueError):
-        pipeline.scan_nonnegativity(1, 4)
+        checks.scan_nonnegativity(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +395,12 @@ print(json.dumps(cells))
 
 def test_weight_routes_agree():
     for g in (1, 2, 3):
-        report = pipeline.verify_weight_routes(g, 8)
+        report = checks.verify_weight_routes(g, 8)
         assert report.passed and report.mismatch is None
         assert (report.identity, report.g, report.x_order, report.q_order) == (
             "weight-routes", g, 8, None)
     with pytest.raises(ValueError):
-        pipeline.verify_weight_routes(2, 0)
+        checks.verify_weight_routes(2, 0)
 
 
 @pytest.mark.parametrize("parts, s, within_cutoff", [((2, 1), 5, True), ((3, 2, 2, 1), 11, False)])
