@@ -151,13 +151,10 @@ def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
 _CACHE_ENTRY_GLOB = "v*__*.json"
 
 
-@lru_cache(maxsize=None)
-def _engine_source_digest() -> str:
-    """SHA-256 over the package's ``.py`` sources, so an engine change that
-    keeps its version number still invalidates every stored entry.  Computed
-    on first use of the cache only."""
-    # the interpreter's own SHA-256, as in the stdlib's random module:
-    # hashlib loads OpenSSL, which adds about 3.5 MB to each process
+def _sha256():
+    """A new SHA-256 object from the interpreter's own module, as in the
+    stdlib's random module: hashlib loads OpenSSL, which adds about 3.5 MB to
+    each process."""
     try:
         from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
@@ -165,16 +162,34 @@ def _engine_source_digest() -> str:
             from _sha2 import sha256  # Python 3.12 and later
         except ImportError:
             from hashlib import sha256
-    digest = sha256()
+    return sha256()
+
+
+@lru_cache(maxsize=None)
+def _engine_source_digest() -> str:
+    """SHA-256 over the package's ``.py`` sources, so an engine change that
+    keeps its version number still invalidates every stored entry.  Computed
+    on first use of the cache only."""
+    digest = _sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _outputs_digest(outputs) -> str:
+    """SHA-256 over the sorted-key compact JSON of a cache entry's outputs
+    (written by json's C encoder), so an entry edited after it was stored
+    is never served."""
+    digest = _sha256()
+    digest.update(json.dumps(outputs, sort_keys=True, separators=(",", ":")).encode())
     return digest.hexdigest()
 
 
 def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> dict | None:
     """Load cached outputs; corruption, an unreadable entry, a stale engine
     version or changed engine sources mean a miss (with a warning on
-    corruption or a read error), never a wrong answer."""
+    corruption or a read error), never a wrong answer.  Corruption includes
+    outputs that parse but no longer match the digest stored with them."""
     path = _cache_file(root, kind, g, mode, value)
     if not path.exists():
         return None
@@ -185,6 +200,8 @@ def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> dict | N
             return None
         if (entry["kind"], entry["g"], entry["mode"], entry["value"]) != (kind, g, mode, value):
             raise ValueError("cache key mismatch")
+        if entry["outputs_sha256"] != _outputs_digest(entry["outputs"]):
+            raise ValueError("outputs digest mismatch")
         return entry["outputs"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"nilorb: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
@@ -201,6 +218,7 @@ def cache_store(root: Path, kind: str, g: int, mode: str, value: int, outputs: d
         "mode": mode,
         "value": value,
         "outputs": outputs,
+        "outputs_sha256": _outputs_digest(outputs),
     }
     path = _cache_file(root, kind, g, mode, value)
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")

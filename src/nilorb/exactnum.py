@@ -8,10 +8,11 @@ This module is the numeric tower the rest of the package sits on:
   integer numerators over one common denominator; its arithmetic runs on
   the integers, and ``fractions`` is imported only to check an exact scalar
   and to return the value of ``evaluate``,
-* ``RationalFunctionQ``: reduced quotients of two integer polynomials, kept
-  in the form they print: coprime, with joint content 1 and a positive
-  leading denominator coefficient (so equality is structural); the counting
-  chain builds one only for its kind-H output, so it has no field operations.
+* ``RationalFunctionQ``: a polynomial over q**n - 1, reduced by cancelling
+  the cyclotomic factors of q**n - 1 and kept in the form it prints: coprime,
+  with joint content 1 and a positive leading denominator coefficient (so
+  equality is structural); the counting chain builds one only for its kind-H
+  output, so it has no field operations and runs no polynomial gcd.
 
 Nothing here ever rounds.  All values are immutable after construction and
 safe to share between threads.
@@ -19,6 +20,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -193,35 +195,16 @@ class PolyQ:
 
         Divides over the integers: with other = c * P for P primitive, the
         numerators of self divided by P have an integer quotient whenever
-        the division is exact (Gauss's lemma).  So every step of the integer
-        long division is exact too, and a step that is not leaves a nonzero
-        remainder behind.
+        the division is exact (Gauss's lemma).
         """
         other = _coerce_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         c = gcd(*other.numerators)
-        p = [x // c for x in other.numerators]
-        rem = list(self.numerators)
-        dp, lp = len(p) - 1, p[-1]
-        terms = [(i, y) for i, y in enumerate(p) if y]
-        quot = [0] * max(len(rem) - dp, 0)
-        for pos in range(len(quot) - 1, -1, -1):
-            factor = quot[pos] = rem[pos + dp] // lp
-            if factor:
-                for i, y in terms:
-                    rem[pos + i] -= factor * y
-        if any(rem):
+        quot = _quotient(self.numerators, [x // c for x in other.numerators])
+        if quot is None:
             raise InexactDivisionError(f"inexact division: {self} by {other}")
         return _poly(_times(quot, other.denominator), self.denominator * c)
-
-    def gcd(self, other: "PolyQ") -> "PolyQ":
-        """Greatest common divisor: an integer polynomial with content 1 and
-        a positive leading coefficient."""
-        if self.is_zero and other.is_zero:
-            return PolyQ()
-        return _poly(_int_poly_gcd(_int_primitive(list(self.numerators)),
-                                   _int_primitive(list(other.numerators))))
 
     # -- substitution and evaluation -----------------------------------
 
@@ -301,43 +284,32 @@ def _coerce_poly(x: "PolyQ | Scalar") -> PolyQ:
     return PolyQ([x])
 
 
-def _int_primitive(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    g = gcd(*c)
-    return [x // g for x in c] if g > 1 else c
+def _quotient(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The integer polynomial a / b, for b primitive, or None when the
+    division leaves a remainder.  When b divides a, every step of the
+    integer long division is exact too, so a step that is not leaves a
+    nonzero remainder behind."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    terms = [(i, y) for i, y in enumerate(b) if y]
+    quot = [0] * max(len(rem) - db, 0)
+    for pos in range(len(quot) - 1, -1, -1):
+        factor = quot[pos] = rem[pos + db] // lb
+        if factor:
+            for i, y in terms:
+                rem[pos + i] -= factor * y
+    return None if any(rem) else quot
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over the integers (b nonzero)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and r:
-        lr = r[-1]
-        r = [x * lb for x in r]
-        shift = len(r) - 1 - db
-        for i, y in enumerate(b):
-            r[shift + i] -= lr * y
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive polynomial gcd via the primitive pseudo-remainder sequence.
-
-    Content is removed after every step, which keeps intermediate integer
-    coefficients small enough for the degrees seen here (a few hundred).
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_pseudo_rem(a, b)
-        a, b = b, _int_primitive(r)
-    if a[-1] < 0:
-        a = [-x for x in a]
-    return a
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The coefficients of the cyclotomic polynomial Phi_d: q**d - 1 divided
+    exactly by Phi_e for every proper divisor e of d."""
+    phi = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _quotient(phi, _cyclotomic(e))
+    return tuple(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -345,62 +317,40 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 class RationalFunctionQ:
-    """Reduced quotient of two polynomials in q.
+    """A polynomial over q**n - 1, reduced to the quotient ``num / den`` that
+    it prints as.
 
-    Canonical form, which is also the printed one: ``num`` and ``den`` have
-    integer coefficients, their gcd has degree 0, their joint content is 1
-    and the leading coefficient of ``den`` is positive, so two equal values
-    always have componentwise-equal representations.
+    Canonical form: ``num`` and ``den`` have integer coefficients, their gcd
+    has degree 0, their joint content is 1 and the leading coefficient of
+    ``den`` is positive, so two equal values always have componentwise-equal
+    representations.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: "PolyQ | Scalar", den: "PolyQ | Scalar" = 1):
-        num = _coerce_poly(num)
-        den = _coerce_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            self.num, self.den = num, _poly([1])
-            return
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        # clear both denominators, then divide out the joint content,
-        # signed so that the leading coefficient of den comes out positive
-        a = _times(num.numerators, den.denominator)
-        b = _times(den.numerators, num.denominator)
-        c = gcd(*a, *b)
-        if b[-1] < 0:
-            c = -c
-        self.num = _poly([x // c for x in a])
-        self.den = _poly([x // c for x in b])
+    def __init__(self, num: PolyQ, n: int):
+        """The reduced form of num / (q**n - 1), for n >= 1.
 
-    # -- inspection -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def as_poly(self) -> PolyQ:
-        if self.den.degree() > 0:
-            raise InexactDivisionError(f"not a polynomial: {self}")
-        return self.num / self.den.numerators[0]
-
-    # -- substitution and evaluation ---------------------------------------
-
-    def adams(self, d: int) -> "RationalFunctionQ":
-        """Substitute q -> q**d.
-
-        The substitution keeps the coefficients, so it keeps the canonical
-        form, coprimality included, and no re-reduction is needed.
+        q**n - 1 is the squarefree product of the cyclotomic polynomials
+        Phi_d over d | n, so its gcd with num is the product of the Phi_d
+        that divide num, and the reduction needs no polynomial gcd: each is
+        divided out of both sides.  The pair left is already canonical.
+        With num = P / c for P integer, gcd(c, content(P)) = 1, and dividing
+        P by monic factors keeps its content; so the joint content of the
+        quotient of P and of c times the monic rest of q**n - 1 is 1, and
+        that rest's leading coefficient is c > 0.
         """
-        if d == 1:
-            return self
-        rf = object.__new__(type(self))
-        rf.num, rf.den = self.num.adams(d), self.den.adams(d)
-        return rf
+        if n < 1:
+            raise ValueError("the denominator q^n - 1 needs n >= 1")
+        top, bottom = num.numerators, [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = _cyclotomic(d)
+                quot = _quotient(top, phi)
+                if quot is not None:
+                    top, bottom = quot, _quotient(bottom, phi)
+        self.num = _poly(list(top))
+        self.den = _poly(_times(bottom, num.denominator))
 
     def evaluate(self, x: Scalar) -> Fraction:
         bottom = self.den.evaluate(x)
@@ -411,8 +361,6 @@ class RationalFunctionQ:
     # -- comparisons and display ------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PolyQ) or _is_scalar(other):
-            other = _coerce_rf(other)
         if not isinstance(other, RationalFunctionQ):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -426,8 +374,3 @@ class RationalFunctionQ:
 
     def __repr__(self) -> str:
         return f"RationalFunctionQ({self})"
-
-
-def _coerce_rf(x: "RationalFunctionQ | PolyQ | Scalar") -> RationalFunctionQ:
-    return x if isinstance(x, RationalFunctionQ) else RationalFunctionQ(x)
-

@@ -111,10 +111,11 @@ class CountingPolynomial(_Record):
     @property
     def coefficient_list(self) -> tuple[int, ...]:
         """Ascending integer coefficients (kinds with integral values)."""
-        poly = self.value if isinstance(self.value, PolyQ) else self.value.as_poly()
-        if not poly.is_integral:
+        if not isinstance(self.value, PolyQ):
+            raise ValueError("coefficient list of a non-polynomial count")
+        if not self.value.is_integral:
             raise ValueError(f"{self.kind}_{self.g}({self.n},q) has non-integral coefficients")
-        return poly.numerators
+        return self.value.numerators
 
     def degree(self) -> int:
         if isinstance(self.value, PolyQ):
@@ -245,7 +246,7 @@ def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
     if g < 1 or n < 1:
         raise ValueError("g and n must be >= 1")
-    return RationalFunctionQ(_log_numerators(g, n)[n], PolyQ.q_power_minus_one(n))
+    return RationalFunctionQ(_log_numerators(g, n)[n], n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def _log_orbit_routes(g: int, order: int) -> tuple[tuple[PolyQ, ...], Optional[M
     for n in range(1, order + 1):
         a, b, den = via_product[n], via_components[n], PolyQ.q_power_minus_one(n)
         if a != b * den:
-            return via_components, Mismatch(n, None, str(RationalFunctionQ(a, den)), str(b))
+            return via_components, Mismatch(n, None, str(RationalFunctionQ(a, n)), str(b))
     return via_components, None
 
 

@@ -108,6 +108,33 @@ elif check == "kwi":
     bad = [c for c in calls if c[0] in {"log_coefficients", "exp_coefficients", "_log_numerators"}
            and "coefficient_table" not in c[1]]
     witness = any(c[0] == "_log_numerators" and "coefficient_table" in c[1] for c in calls)
+elif check in ("oracle-M", "oracle-IA"):
+    # no oracle function reaches the chain: the chain runs only where
+    # _oracle_rows fetches the engine's value that it compares
+    import argparse, types
+    from nilorb import fforacle
+    kind = check[len("oracle-"):]
+    fetches = {"orbit_count"} if kind == "M" else {"indecomposable_count",
+                                                   "absolutely_indecomposable_count"}
+    oracle_names = {name for name, obj in vars(fforacle).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == fforacle.__name__}
+    if tangle:
+        tangled(fforacle, "nilpotent_matrices", lambda: pipeline.weight_series(2, 1))
+
+    def oracle():
+        rows, _ = checks._oracle_rows(argparse.Namespace(check=kind, g=2, n=2, q=2))
+        return types.SimpleNamespace(passed=all(row["match"] for row in rows))
+
+    calls = trace(oracle)
+    chain = [c for c in calls if c[0] in chain_names]
+    # a chain call inside an oracle function, or a first chain call that is
+    # not one of _oracle_rows' fetches
+    bad = [c for c in chain if oracle_names & set(c[1])
+           or (not chain_names & set(c[1])
+               and (c[1][-1], c[0]) not in {("_oracle_rows", name) for name in fetches})]
+    witness = ({c[0] for c in chain if c[1][-1] == "_oracle_rows"} == fetches
+               and any(c[0] in {"burnside_orbit_count", "indecomposability_counts"}
+                       for c in calls))
 else:  # g1-product
     # the double product calls nothing of the chain; only the weight series
     # it is compared with does
@@ -121,7 +148,7 @@ else:  # g1-product
 print(json.dumps({"witness": witness, "violations": bad[:3]}))
 """
 
-ROUTE_CHECKS = ("weight-routes", "thm5-routes", "kwi", "g1-product")
+ROUTE_CHECKS = ("weight-routes", "thm5-routes", "kwi", "g1-product", "oracle-M", "oracle-IA")
 
 
 def route_probe(env, check: str, tangle: bool) -> dict:

@@ -138,6 +138,31 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     assert "ignoring unreadable cache entry" in err
 
 
+def _edit_coefficients(entry):
+    entry["outputs"]["polynomials"][0]["coeffs"] = ["0", "0", "7"]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (lambda entry: entry.update(outputs={"polys": []}), "outputs digest mismatch"),
+    (_edit_coefficients, "outputs digest mismatch"),
+    (lambda entry: entry.pop("outputs_sha256"), "'outputs_sha256'"),
+    (lambda entry: entry.update(outputs_sha256=7), "outputs digest mismatch"),
+], ids=["outputs-replaced", "coefficient-edited", "digest-missing", "digest-ill-typed"])
+def test_cache_entry_that_parses_but_is_corrupt_is_recomputed(tmp_path, capsys, corrupt, reason):
+    args = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", str(tmp_path)]
+    code, expected, _ = run(capsys, *args[:-2], "--no-cache")
+    assert (code, expected) == (0, GOLDEN_PRETTY[3] + "\n")
+    assert run(capsys, *args) == (0, expected, "")
+    path = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    entry = json.loads(path.read_text())
+    corrupt(entry)
+    path.write_text(json.dumps(entry))
+    warning = f"nilorb: ignoring unreadable cache entry {path}: {reason}\n"
+    assert run(capsys, *args) == (0, expected, warning)
+    # the recomputed entry replaced the corrupt one
+    assert run(capsys, *args) == (0, expected, "")
+
+
 def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path, capsys):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")

@@ -9,7 +9,7 @@ from nilorb.exactnum import (
     InexactDivisionError, PoleError, PolyQ, RationalFunctionQ, ratio_text,
 )
 from nilorb.partitions import centralizer_order, inner_product, partitions_of
-from rf_arithmetic import RF
+from rf_arithmetic import RF, poly_gcd
 
 Q = PolyQ([0, 1])
 ONE = PolyQ([1])
@@ -48,7 +48,7 @@ def test_product_difference_of_squares():
 
 def test_gcd_example():
     # (q-1)(q+1) and q(q-1) share exactly q-1
-    assert PolyQ([-1, 0, 1]).gcd(PolyQ([0, -1, 1])) == PolyQ([-1, 1])
+    assert poly_gcd(PolyQ([-1, 0, 1]), PolyQ([0, -1, 1])) == PolyQ([-1, 1])
 
 
 def test_exact_divide():
@@ -150,6 +150,13 @@ def test_rf_addition_example():
 
 def test_rf_reduction_example():
     assert RF(Q, PolyQ([0, -1, 1])) == RF(ONE, PolyQ([-1, 1]))
+    # over q^n - 1, the factors of q^n - 1 that divide the numerator cancel
+    assert str(RationalFunctionQ(PolyQ([1, 1]), 2)) == "(1) / (q - 1)"
+    assert str(RationalFunctionQ(PolyQ([Fraction(1, 2), 0, 0, 0, Fraction(-1, 2)]), 4)) == "(-1) / (2)"
+    assert str(RationalFunctionQ(PolyQ([3, 0, 3]), 4)) == "(3) / (q^2 - 1)"
+    assert str(RationalFunctionQ(PolyQ(), 3)) == "0"
+    with pytest.raises(ValueError):
+        RationalFunctionQ(ONE, 0)
 
 
 def test_rf_canonical_form_is_structural():
@@ -231,7 +238,7 @@ def test_exact_div_inverts_multiplication(a, b, r):
 @settings(max_examples=60, deadline=None)
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both(a, b):
-    g = a.gcd(b)
+    g = poly_gcd(a, b)
     a.exact_div(g)
     b.exact_div(g)
 
@@ -264,12 +271,23 @@ def test_coefficient_texts_match_the_fractions(coeffs):
 
 
 @settings(max_examples=80, deadline=None)
+@given(polys, st.integers(1, 12), st.data())
+def test_rf_over_q_power_minus_one_is_its_gcd_reduced_form(num, n, data):
+    # multiplying in q^k - 1 for k | n puts every Phi_d, d | k, in the numerator
+    k = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    for factor in (ONE, PolyQ.q_power_minus_one(k)):
+        f = RationalFunctionQ(num * factor, n)
+        reference = RF(num * factor, PolyQ.q_power_minus_one(n))
+        assert (f.num, f.den) == (reference.num, reference.den)
+
+
+@settings(max_examples=80, deadline=None)
 @given(polys, nonzero_polys, st.one_of(small_fracs.filter(bool), nonzero_polys))
 def test_rf_canonical_form_is_the_printed_integer_pair(num, den, c):
-    f = RationalFunctionQ(num, den)
-    assert RationalFunctionQ(num * c, den * c) == f
+    f = RF(num, den)
+    assert RF(num * c, den * c) == f
     assert f.num.denominator == 1 and f.den.denominator == 1
-    assert f.num.gcd(f.den).degree() == 0
+    assert poly_gcd(f.num, f.den).degree() == 0
     assert gcd(*f.num.numerators, *f.den.numerators) == 1
     assert f.den.numerators[-1] > 0
     if den.evaluate(5):

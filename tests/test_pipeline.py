@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import checks, cli, pipeline
-from nilorb.exactnum import InternalCheckError, PolyQ
+from nilorb import checks, cli, exactnum, pipeline
+from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
 from nilorb.partitions import divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
 from rf_arithmetic import RF
@@ -88,6 +88,45 @@ def test_log_coefficient_rejects_g_and_n_below_one(monkeypatch):
         with pytest.raises(ValueError, match="g and n must be >= 1"):
             pipeline.log_weight_coefficient(g, n)
     assert pipeline._MEMOS == {}  # rejected before any memo is touched
+
+
+H_SIZES = [(g, n) for g in range(1, 6) for n in range(1, 13)]
+
+
+def test_log_coefficient_is_its_gcd_reduced_form():
+    for g, n in H_SIZES:
+        h = pipeline.log_weight_coefficient(g, n)
+        reference = RF(pipeline._log_numerators(g, n)[n], PolyQ.q_power_minus_one(n))
+        assert (h.num, h.den) == (reference.num, reference.den), (g, n)
+
+
+def cancellation_mismatches() -> list:
+    """The (g, n) in H_SIZES at which H's numerator times q^n - 1, over
+    q^n - 1, reduces otherwise than by the reference arithmetic's gcd.
+
+    No factor of q^n - 1 divides the numerator of any H at these sizes (nor
+    up to n = 20), so reducing H itself cancels nothing; with q^n - 1
+    multiplied in, every factor cancels."""
+    out = []
+    for g, n in H_SIZES:
+        num = pipeline._log_numerators(g, n)[n] * PolyQ.q_power_minus_one(n)
+        value, reference = RationalFunctionQ(num, n), RF(num, PolyQ.q_power_minus_one(n))
+        if (value.num, value.den) != (reference.num, reference.den):
+            out.append((g, n))
+    return out
+
+
+def test_h_numerators_times_q_power_minus_one_cancel_every_factor():
+    assert cancellation_mismatches() == []
+
+
+def test_h_reference_catches_a_skipped_cyclotomic_factor(monkeypatch):
+    cyclotomic = exactnum._cyclotomic
+    for d in range(1, 13):  # built first, so that every other Phi_d stays right
+        cyclotomic(d)
+    # dividing by 1 is always exact and cancels nothing: divisor 2 is skipped
+    monkeypatch.setattr(exactnum, "_cyclotomic", lambda d: (1,) if d == 2 else cyclotomic(d))
+    assert cancellation_mismatches() == [(g, n) for g, n in H_SIZES if n % 2 == 0]
 
 
 def test_exp_of_log_reproduces_weight_series():
@@ -174,6 +213,8 @@ def test_coefficient_list_rejects_rational_coefficients():
     rational = pipeline.indecomposable_count(2, 6)  # has 1/3, 15/2, 77/3 and 81/2
     with pytest.raises(ValueError, match="non-integral"):
         rational.coefficient_list
+    with pytest.raises(ValueError, match="non-polynomial"):
+        pipeline.log_weight_value(2, 2).coefficient_list
 
 
 def test_counting_polynomial_str():
@@ -190,6 +231,24 @@ def test_product_routes_agree():
         assert report.passed
         assert report.identity == "thm5-routes"
         assert report.mismatch is None
+
+
+def test_product_routes_report_a_mismatch_in_reduced_form(monkeypatch):
+    # coefficient n of the product route is a numerator over q^n - 1; off
+    # by q^2 - 1 at X^4, its reduced form cancels the factors q - 1 and q + 1
+    route = pipeline._log_orbit_product_route
+
+    def perturbed(g, order):
+        coeffs = list(route(g, order))
+        coeffs[4] = coeffs[4] + PolyQ.q_power_minus_one(2)
+        return tuple(coeffs)
+
+    monkeypatch.setattr(pipeline, "_log_orbit_product_route", perturbed)
+    mismatch = checks.verify_product_routes(2, 5).mismatch
+    reduced = RF(perturbed(2, 5)[4], PolyQ.q_power_minus_one(4))
+    assert reduced.den == PolyQ([4, 0, 4])
+    assert mismatch == pipeline.Mismatch(
+        4, None, str(reduced), str(pipeline._log_orbit_component_route(2, 5)[4]))
 
 
 def test_triple_product_identity_passes():
@@ -453,7 +512,7 @@ def test_orbit_count_routes_negative_control(run_fresh):
     # a wrong I(2, 3) reaches only the component route, first at X^3
     out = run_fresh("""
 from nilorb import pipeline
-from nilorb.exactnum import InternalCheckError, PolyQ
+from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
 count = pipeline.indecomposable_count
 def corrupted(g, n):
     cp = count(g, n)
