@@ -26,14 +26,13 @@ import sys
 import time
 from typing import Optional
 
-from .exactnum import InternalCheckError, SizeGuardError
+from .exactnum import InternalCheckError, SizeGuardError, _Record
 from .partitions import column_weight, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
     Mismatch,
     _column_rows,
     _log_orbit_routes,
-    _Record,
     _weight_mismatch,
     absolutely_indecomposable_count,
     coefficient_table,

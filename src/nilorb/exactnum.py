@@ -12,7 +12,9 @@ This module is the numeric tower the rest of the package sits on:
   the cyclotomic factors of q**n - 1 and kept in the form it prints: coprime,
   with joint content 1 and a positive leading denominator coefficient (so
   equality is structural); the counting chain builds one only for its kind-H
-  output, so it has no field operations and runs no polynomial gcd.
+  output, so it has no field operations and runs no polynomial gcd,
+* ``_Record``: the immutable value record that every record of the
+  package (a partition, a count, a report, an orbit) subclasses.
 
 Nothing here ever rounds.  All values are immutable after construction and
 safe to share between threads.
@@ -49,6 +51,44 @@ class InternalCheckError(AssertionError):
 
 class SizeGuardError(ValueError):
     """A request exceeds what a brute-force route can run at desk scale."""
+
+
+class _Record:
+    """An immutable value record, the package's one way to declare a value
+    whose fields are its constructor's arguments.  Its fields are its
+    class's ``__slots__``, set once by ``__init__``; records of one class
+    compare and hash by their field values, pickle by them, and assigning to
+    a field raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _is_scalar(x: object) -> bool:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import InternalCheckError, PolyQ
+from .exactnum import InternalCheckError, PolyQ, _Record
 
 
-class Partition:
+class Partition(_Record):
     """Weakly decreasing sequence of positive integers; () is the partition of 0."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -34,47 +34,37 @@ class Partition:
                 raise ValueError(f"partition parts must be >= 1, got {p}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
-        self._parts = parts
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        super().__init__(parts)
 
     @property
     def weight(self) -> int:
-        return sum(self._parts)
+        return sum(self.parts)
 
     @property
     def length(self) -> int:
-        return len(self._parts)
+        return len(self.parts)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: part i counts original parts >= i."""
-        if not self._parts:
+        if not self.parts:
             return self
         out = []
-        for i in range(1, self._parts[0] + 1):
-            out.append(sum(1 for p in self._parts if p >= i))
+        for i in range(1, self.parts[0] + 1):
+            out.append(sum(1 for p in self.parts if p >= i))
         return Partition(out)
 
     def exponential_form(self) -> dict[int, int]:
         """Map part value -> multiplicity, finitely supported."""
         mult: dict[int, int] = {}
-        for p in self._parts:
+        for p in self.parts:
             mult[p] = mult.get(p, 0) + 1
         return mult
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
     def __iter__(self):
-        return iter(self._parts)
+        return iter(self.parts)
 
     def __repr__(self) -> str:
-        return f"Partition{self._parts}"
+        return f"Partition{self.parts}"
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -38,6 +38,7 @@ from .exactnum import (
     InternalCheckError,
     PolyQ,
     RationalFunctionQ,
+    _Record,
     ratio_text,
 )
 from .partitions import (
@@ -58,42 +59,6 @@ if TYPE_CHECKING:
 _CHECK_POINTS = (2, 3, 4, 5)
 #: every run cross-asserts the two weight routes up to this X-degree
 _WEIGHT_CHECK_ORDER = 6
-
-
-class _Record:
-    """An immutable value record.  Its fields are its class's ``__slots__``,
-    set once by ``__init__``; records of one class compare and hash by their
-    field values, and assigning to a field raises ``AttributeError``."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class CountingPolynomial(_Record):

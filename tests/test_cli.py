@@ -409,14 +409,69 @@ def test_oracle_total_count(capsys):
     assert "engine=64" in out
 
 
+# negative controls: each check, its oracle side perturbed, must exit 1 and
+# flag exactly the perturbed row
+
+
+def test_oracle_orbit_count_control(capsys, monkeypatch):
+    burnside = fforacle.burnside_orbit_count
+    monkeypatch.setattr(fforacle, "burnside_orbit_count", lambda *a: burnside(*a) + 1)
+    code, out, _ = run(capsys, "oracle", "--check", "M", "--g", "2", "--n", "2", "--q", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "orbit count (Burnside average)  engine=5  oracle=6  MISMATCH",
+        "orbit count (explicit orbits)   engine=5  oracle=5  ok",
+    ]
+
+
+def test_oracle_classification_control(capsys, monkeypatch):
+    counts = fforacle.indecomposability_counts
+
+    def fewer_absolutely_indecomposable(*args):
+        i, a = counts(*args)
+        return i, a - 1
+
+    monkeypatch.setattr(fforacle, "indecomposability_counts", fewer_absolutely_indecomposable)
+    code, out, _ = run(capsys, "oracle", "--check", "IA", "--g", "2", "--n", "2", "--q", "3",
+                       "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert [(r["quantity"], r["engine"], r["oracle"], r["match"]) for r in rows] == [
+        ("indecomposable orbit count", 6, 6, True),
+        ("absolutely indecomposable orbit count", 6, 5, False),
+    ]
+
+
+def test_oracle_commutant_count_control(capsys, monkeypatch):
+    count = fforacle.nilpotent_commutant_count
+    monkeypatch.setattr(fforacle, "nilpotent_commutant_count", lambda *a: count(*a) - 1)
+    code, out, _ = run(capsys, "oracle", "--check", "nilcount",
+                       "--lambda", "2,1", "--f", "x", "--q", "3")
+    assert code == 1
+    assert out.splitlines() == ["nilpotent commutant count  engine=27  oracle=26  MISMATCH"]
+
+
+def test_oracle_total_count_control(capsys, monkeypatch):
+    nilpotents = fforacle.nilpotent_matrices
+    monkeypatch.setattr(fforacle, "nilpotent_matrices", lambda *a: nilpotents(*a)[1:])
+    code, out, _ = run(capsys, "oracle", "--check", "nilcount-total", "--n", "3", "--q", "2",
+                       "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert rows == [{"quantity": "nilpotent matrix count", "engine": 64, "oracle": 63,
+                     "match": False}]
+
+
 def test_oracle_guard_is_usage_error(capsys):
-    with pytest.raises(fforacle.SizeGuardError) as guard:
-        fforacle.burnside_orbit_count(fforacle.FieldSpec.of(3), 3, 2)
-    code, _, err = run(capsys, "oracle", "--check", "M", "--g", "2",
-                       "--n", "3", "--q", "3")
-    assert code == 2
-    assert "guard" in err
-    assert err == f"nilorb: {guard.value}\n"
+    # one size past the guard at q = 2 and q = 7, and two sizes it never admits
+    for n, q, g in ((3, 3, 2), (2, 2, 8), (2, 7, 3), (2, 8, 1)):
+        with pytest.raises(fforacle.SizeGuardError) as guard:
+            fforacle.burnside_orbit_count(fforacle.FieldSpec.of(q), n, g)
+        code, _, err = run(capsys, "oracle", "--check", "M", "--g", str(g),
+                           "--n", str(n), "--q", str(q))
+        assert code == 2
+        assert err == f"nilorb: orbit enumeration at n={n}, q={q}, g={g} exceeds the guard\n"
+        assert err == f"nilorb: {guard.value}\n"
 
 
 def test_oracle_missing_arguments(capsys):
@@ -510,7 +565,7 @@ def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
     assert engine_modules_loaded(nilorb_env, "cache", "list", "--cache-dir",
                                  str(tmp_path)) == set()
     # the checks load their module, and only the oracle loads the oracle (and
-    # takes the engine's value at q as a Fraction)
+    # takes the engine's value at q as a Fraction); no command loads dataclasses
     with_checks = CHAIN_MODULES | {"nilorb.checks"}
     for argv in (["verify", "weight-routes", "--g", "2", "--N", "4"],
                  ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "9"],
@@ -518,7 +573,7 @@ def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
         assert engine_modules_loaded(nilorb_env, *argv) == with_checks, argv
     oracle = engine_modules_loaded(nilorb_env, "oracle", "--check", "M", "--g", "2",
                                    "--n", "2", "--q", "2")
-    assert oracle == with_checks | {"nilorb.fforacle", "dataclasses", "fractions"}
+    assert oracle == with_checks | {"nilorb.fforacle", "fractions"}
 
 
 def test_moved_checks_resolve_to_the_checks_module():

@@ -6,6 +6,7 @@ from nilorb import pipeline
 from nilorb.fforacle import (
     FieldSpec,
     SizeGuardError,
+    _ORBIT_REACH,
     _endomorphism_profile,
     block_jordan_matrix,
     burnside_orbit_count,
@@ -142,8 +143,11 @@ def test_size_guards():
         nilpotent_matrices(FieldSpec.of(5), 3)
     with pytest.raises(SizeGuardError):
         orbits(F3, 3, 2)
+    # one tuple length past the guard's reach at q = 2 and q = 7
     with pytest.raises(SizeGuardError):
-        burnside_orbit_count(F2, 2, 4)
+        burnside_orbit_count(F2, 2, 8)
+    with pytest.raises(SizeGuardError):
+        orbits(FieldSpec.of(7), 2, 3)
 
 
 def test_mat_inverse():
@@ -190,24 +194,38 @@ def test_single_matrix_orbits_are_partition_classes():
         assert len(orbits(field, n, 1)) == partition_count(n)
 
 
+#: the (n, q, g) that CI runs through the CLI instead: four corners of the
+#: guard's reach, and all of q = 7, whose 2016 invertible matrices take about
+#: 2 s to tabulate even at g = 1
+CI_SIZES = {(2, 2, 7), (2, 3, 5), (2, 4, 4), (2, 7, 1), (2, 7, 2)}
+
+
+def sizes_in_guard():
+    """Every (field, n, g) the orbit guard admits but the CI sizes, and
+    n = 1 at three fields."""
+    for (n, q), g_max in _ORBIT_REACH.items():
+        for g in range(1, g_max + 1):
+            if (n, q, g) not in CI_SIZES:
+                yield FieldSpec.of(q), n, g
+    for q in (2, 4, 9):
+        for g in (1, 2, 5):
+            yield FieldSpec.of(q), 1, g
+
+
 def test_burnside_equals_orbit_listing_everywhere_in_guard():
-    cases = [(F2, 2), (F3, 2), (F2, 3)]
-    for field, n in cases:
-        for g in (1, 2, 3):
-            assert burnside_orbit_count(field, n, g) == len(orbits(field, n, g))
+    for field, n, g in sizes_in_guard():
+        assert burnside_orbit_count(field, n, g) == len(orbits(field, n, g)), (field.q, n, g)
 
 
 def test_pipeline_counts_match_oracle_everywhere_in_guard():
-    cases = [(F2, 2), (F3, 2), (F2, 3)]
-    for field, n in cases:
-        for g in (1, 2, 3):
-            m_engine = int(pipeline.orbit_count(g, n).evaluate(field.q))
-            i_engine = int(pipeline.indecomposable_count(g, n).evaluate(field.q))
-            a_engine = int(pipeline.absolutely_indecomposable_count(g, n).evaluate(field.q))
-            recs = orbits(field, n, g)
-            i_oracle, a_oracle = indecomposability_counts(field, n, g)
-            assert m_engine == len(recs)
-            assert (i_engine, a_engine) == (i_oracle, a_oracle)
+    for field, n, g in sizes_in_guard():
+        m_engine = int(pipeline.orbit_count(g, n).evaluate(field.q))
+        i_engine = int(pipeline.indecomposable_count(g, n).evaluate(field.q))
+        a_engine = int(pipeline.absolutely_indecomposable_count(g, n).evaluate(field.q))
+        # the listing behind the I and A counts is compared to Burnside above
+        i_oracle, a_oracle = indecomposability_counts(field, n, g)
+        assert m_engine == burnside_orbit_count(field, n, g), (field.q, n, g)
+        assert (i_engine, a_engine) == (i_oracle, a_oracle), (field.q, n, g)
 
 
 # ---------------------------------------------------------------------------

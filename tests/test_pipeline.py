@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilorb import checks, cli, exactnum, pipeline
+from nilorb import checks, cli, exactnum, fforacle, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
-from nilorb.partitions import divisors, mobius, partition_count, weight_denominator
+from nilorb.partitions import Partition, divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
 from rf_arithmetic import RF
 
@@ -351,7 +351,20 @@ def test_records_are_immutable_values():
     cp = pipeline.CountingPolynomial("A", 2, 3, PolyQ([0, 2, 3, 0, 1]))
     assert cp == pipeline.absolutely_indecomposable_count(2, 3)
     scan = checks.ScanReport(2, 1, (), (cp,))
-    for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g")):
+    lam = Partition((2, 1))
+    assert repr(lam) == "Partition(2, 1)"
+    assert lam == Partition([2, 1]) and hash(lam) == hash(Partition([2, 1]))
+    zero = ((0, 0), (0, 0))
+    orbit = fforacle.OrbitRecord((zero,), 1, 4, False, None)
+    same_orbit = fforacle.OrbitRecord(representative=(zero,), size=1, endo_dim=4,
+                                      local=False, residue_size=None)
+    assert orbit == same_orbit and hash(orbit) == hash(same_orbit)
+    with pytest.raises(InternalCheckError, match="local orbit without residue size"):
+        fforacle.OrbitRecord((zero,), 1, 4, True, None)
+    with pytest.raises(InternalCheckError, match="residue size on a non-local orbit"):
+        fforacle.OrbitRecord((zero,), 1, 4, False, 2)
+    for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g"),
+                          (lam, "parts"), (orbit, "local")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
