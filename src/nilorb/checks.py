@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import argparse
 import re
-import sys
-import time
 from typing import Optional
 
-from .exactnum import InternalCheckError, SizeGuardError, _Record
+from .exactnum import InternalCheckError, SizeGuardError, _Record, ratio_text
 from .partitions import column_weight, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
@@ -303,43 +301,24 @@ def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
 
 
 def _report_payload(report: VerificationReport) -> dict:
-    out = {
-        "identity": report.identity,
-        "g": report.g,
-        "x_order": report.x_order,
-        "q_order": report.q_order,
-        "passed": report.passed,
-        "mismatch": None,
-    }
+    payload = dict(zip(report.__slots__, report._values()))
     if report.mismatch is not None:
-        out["mismatch"] = {
-            "x_degree": report.mismatch.x_degree,
-            "q_degree": report.mismatch.q_degree,
-            "lhs": report.mismatch.lhs,
-            "rhs": report.mismatch.rhs,
-        }
-    return out
+        payload["mismatch"] = dict(zip(Mismatch.__slots__, report.mismatch._values()))
+    return payload
 
 
-def cmd_verify(args) -> int:
-    from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _envelope, canonical_json
-
-    t0 = time.perf_counter()
+def cmd_verify(args) -> tuple:
     # the usage rules: --Q is required by the truncated identities and
     # refused by the others, --perturb is for kwi, g1-product is at g = 1
     identity, truncated = args.identity, args.identity in ("kwi", "g1-product")
-    error = None
     if identity == "g1-product" and args.g != 1:
-        error = "g1-product is the tuple-length-1 identity; omit --g"
-    elif truncated and args.Q is None:
-        error = f"{identity} needs --Q (q truncation order)"
-    elif args.perturb and identity != "kwi":
-        error = "--perturb applies only to the kwi identity"
-    elif not truncated and args.Q is not None:
-        error = f"{identity} has no q truncation; omit --Q"
-    if error:
-        print(f"nilorb: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("g1-product is the tuple-length-1 identity; omit --g")
+    if truncated and args.Q is None:
+        raise ValueError(f"{identity} needs --Q (q truncation order)")
+    if args.perturb and identity != "kwi":
+        raise ValueError("--perturb applies only to the kwi identity")
+    if not truncated and args.Q is not None:
+        raise ValueError(f"{identity} has no q truncation; omit --Q")
     if identity == "thm5-routes":
         report = verify_product_routes(args.g, args.N)
     elif identity == "weight-routes":
@@ -350,21 +329,19 @@ def cmd_verify(args) -> int:
         report = verify_g1_product(args.N, args.Q)
 
     payload = _report_payload(report)
-    if args.format == "json":
-        parameters = {"identity": args.identity, "g": report.g,
-                      "N": args.N, "Q": args.Q}
-        print(canonical_json(_envelope("verify", parameters, {"report": payload}, [payload], t0)))
-    else:
+    text = None
+    if args.format == "pretty":
         status = "PASS" if report.passed else "FAIL"
         detail = ""
         if report.mismatch:
             m = report.mismatch
             where = f"X^{m.x_degree}" + (f", q^{m.q_degree}" if m.q_degree is not None else "")
             detail = f"  first mismatch at {where}: {m.lhs} != {m.rhs}"
-        print(f"{report.identity} (g={report.g}, N={report.x_order}"
-              + (f", Q={report.q_order}" if report.q_order is not None else "")
-              + f"): {status}{detail}")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+        text = (f"{report.identity} (g={report.g}, N={report.x_order}"
+                + (f", Q={report.q_order}" if report.q_order is not None else "")
+                + f"): {status}{detail}")
+    parameters = {"identity": identity, "g": report.g, "N": args.N, "Q": args.Q}
+    return report.passed, parameters, {"report": payload}, [payload], text
 
 
 _TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
@@ -400,35 +377,42 @@ def _parse_poly_text(text: str, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _value_at(cp: CountingPolynomial, q: int) -> int | str:
+    """The exact value of ``cp`` at q: an int, or the text of a value that
+    is not an integer (which no count can be, so its row fails)."""
+    v, d = cp.value.numerator_at(q), cp.value.denominator
+    return v // d if v % d == 0 else ratio_text(v, d)
+
+
+def _row(quantity: str, engine, oracle: int) -> dict:
+    return {"quantity": quantity, "engine": engine, "oracle": oracle, "match": engine == oracle}
+
+
 def _oracle_rows(args) -> tuple[list[dict], dict]:
     from . import fforacle, pipeline
     from .partitions import inner_product
 
     field = fforacle.FieldSpec.of(args.q)
-    rows = []
     if args.check in ("M", "IA"):
         if args.g is None or args.n is None:
             raise ValueError(f"--check {args.check} needs --g and --n")
+        # the oracle runs first, so that its guard refuses a size past its
+        # reach before the chain builds anything
         if args.check == "M":
-            engine = int(pipeline.orbit_count(args.g, args.n).evaluate(args.q))
             by_average = fforacle.burnside_orbit_count(field, args.n, args.g)
-            by_listing = len(fforacle.orbits(field, args.n, args.g))
-            rows.append({"quantity": "orbit count (Burnside average)",
-                         "engine": engine, "oracle": by_average,
-                         "match": engine == by_average})
-            rows.append({"quantity": "orbit count (explicit orbits)",
-                         "engine": engine, "oracle": by_listing,
-                         "match": engine == by_listing})
+            by_listing = sum(1 for _ in fforacle.orbit_listing(field, args.n, args.g))
+            engine = _value_at(pipeline.orbit_count(args.g, args.n), args.q)
+            rows = [_row("orbit count (Burnside average)", engine, by_average),
+                    _row("orbit count (explicit orbits)", engine, by_listing)]
         else:
-            i_engine = int(pipeline.indecomposable_count(args.g, args.n).evaluate(args.q))
-            a_engine = int(pipeline.absolutely_indecomposable_count(args.g, args.n).evaluate(args.q))
             i_oracle, a_oracle = fforacle.indecomposability_counts(field, args.n, args.g)
-            rows.append({"quantity": "indecomposable orbit count",
-                         "engine": i_engine, "oracle": i_oracle,
-                         "match": i_engine == i_oracle})
-            rows.append({"quantity": "absolutely indecomposable orbit count",
-                         "engine": a_engine, "oracle": a_oracle,
-                         "match": a_engine == a_oracle})
+            rows = [
+                _row("indecomposable orbit count",
+                     _value_at(pipeline.indecomposable_count(args.g, args.n), args.q), i_oracle),
+                _row("absolutely indecomposable orbit count",
+                     _value_at(pipeline.absolutely_indecomposable_count(args.g, args.n), args.q),
+                     a_oracle),
+            ]
         params = {"check": args.check, "g": args.g, "n": args.n, "q": args.q}
     elif args.check == "nilcount":
         if args.lam is None or args.f is None:
@@ -436,44 +420,33 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
         f = _parse_poly_text(args.f, args.q)
         d = len(f) - 1
         formula = args.q ** (d * (inner_product(args.lam, args.lam) - args.lam.length))
-        enumerated = fforacle.nilpotent_commutant_count(field, f, args.lam)
-        rows.append({"quantity": "nilpotent commutant count",
-                     "engine": formula, "oracle": enumerated,
-                     "match": formula == enumerated})
+        rows = [_row("nilpotent commutant count", formula,
+                     fforacle.nilpotent_commutant_count(field, f, args.lam))]
         params = {"check": args.check, "lambda": list(args.lam.parts),
                   "f": args.f, "q": args.q}
     else:  # nilcount-total
         if args.n is None:
             raise ValueError("--check nilcount-total needs --n")
-        formula = args.q ** (args.n * args.n - args.n)
-        enumerated = len(fforacle.nilpotent_matrices(field, args.n))
-        rows.append({"quantity": "nilpotent matrix count",
-                     "engine": formula, "oracle": enumerated,
-                     "match": formula == enumerated})
+        rows = [_row("nilpotent matrix count", args.q ** (args.n * args.n - args.n),
+                     len(fforacle.nilpotent_matrices(field, args.n)))]
         params = {"check": args.check, "n": args.n, "q": args.q}
     return rows, params
 
 
-def cmd_oracle(args) -> int:
-    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _envelope, canonical_json
-
-    t0 = time.perf_counter()
+def cmd_oracle(args) -> tuple:
     rows, params = _oracle_rows(args)
-    if args.format == "json":
-        print(canonical_json(_envelope("oracle", params, {"comparisons": rows}, [], t0)))
-    else:
+    text = None
+    if args.format == "pretty":
         width = max(len(r["quantity"]) for r in rows)
-        for r in rows:
-            flag = "ok" if r["match"] else "MISMATCH"
-            print(f"{r['quantity']:<{width}}  engine={r['engine']}  "
-                  f"oracle={r['oracle']}  {flag}")
-    return EXIT_OK if all(r["match"] for r in rows) else EXIT_VERIFY_FAILED
+        text = "\n".join(
+            f"{r['quantity']:<{width}}  engine={r['engine']}  oracle={r['oracle']}  "
+            + ("ok" if r["match"] else "MISMATCH") for r in rows)
+    return all(r["match"] for r in rows), params, {"comparisons": rows}, [], text
 
 
-def cmd_scan(args) -> int:
-    from .cli import EXIT_OK, EXIT_VERIFY_FAILED, _envelope, _poly_payload, canonical_json
+def cmd_scan(args) -> tuple:
+    from .cli import _poly_payload
 
-    t0 = time.perf_counter()
     report = scan_nonnegativity(args.g, args.n_max)
     payload = {
         "g": report.g,
@@ -484,24 +457,21 @@ def cmd_scan(args) -> int:
             _poly_payload("A", report.g, cp.n, cp.value) for cp in report.polynomials
         ],
     }
-    if args.format == "json":
-        params = {"g": args.g, "Nmax": args.n_max}
-        print(canonical_json(_envelope("conjecture-scan", params, {"scan": payload}, [], t0)))
-    else:
-        for cp in report.polynomials:
-            print(cp)
+    text = None
+    if args.format == "pretty":
+        lines = [str(cp) for cp in report.polynomials]
         if report.all_nonnegative:
-            print(f"all coefficients nonnegative for n <= {report.n_max}")
-        else:
-            for n, s, c in report.negative_terms:
-                print(f"negative coefficient at n={n}, s={s}: {c}")
-    return EXIT_OK if report.all_nonnegative else EXIT_VERIFY_FAILED
+            lines.append(f"all coefficients nonnegative for n <= {report.n_max}")
+        lines += [f"negative coefficient at n={n}, s={s}: {c}"
+                  for n, s, c in report.negative_terms]
+        text = "\n".join(lines)
+    params = {"g": args.g, "Nmax": args.n_max}
+    return report.all_nonnegative, params, {"scan": payload}, [], text
 
 
-#: the handler of each check command, by the name (or alias) it was given as
+#: the handler of each check command, by its canonical name
 HANDLERS = {
     "verify": cmd_verify,
     "oracle": cmd_oracle,
     "conjecture-scan": cmd_scan,
-    "conjecture_scan": cmd_scan,
 }

@@ -13,9 +13,12 @@ This module declares and runs ``compute`` and ``cache``; ``checks`` declares
 and runs the other three, and no other command loads it.  So a ``compute``
 hit or ``--version`` loads no module of the engine, and a miss only the chain.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage error or
-size-guard violation, 3 internal assertion failure.  JSON/CSV go to
-standard output; diagnostics go to standard error.
+Every handler returns its result as ``(passed, parameters, outputs,
+reports, text)`` and raises ``ValueError`` on a usage error; ``main`` alone
+prints it and picks the exit code: 0 success/pass, 1 verification failure,
+2 usage error or size-guard violation, 3 internal assertion failure.  A
+``text`` of None means ``--format json``, printed as the envelope.  Results
+go to standard output; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -304,24 +307,11 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
 # command handlers
 
 
-def _envelope(command: str, parameters: dict, outputs: dict, reports: list, t0: float) -> dict:
-    return {
-        "command": command,
-        "engine_version": ENGINE_VERSION,
-        "parameters": parameters,
-        "outputs": outputs,
-        "reports": reports,
-        "timing_ms": int((time.perf_counter() - t0) * 1000),
-    }
-
-
-def cmd_compute(args) -> int:
-    t0 = time.perf_counter()
+def cmd_compute(args) -> tuple:
     mode = "n" if args.n is not None else "N"
     value = args.n if args.n is not None else args.N
     if args.kind == "H" and args.format == "csv":
-        print("nilorb: csv output is only defined for polynomial kinds", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("csv output is only defined for polynomial kinds")
 
     outputs = None
     root = _cache_root(args.cache_dir)
@@ -335,33 +325,25 @@ def cmd_compute(args) -> int:
             except OSError as exc:
                 print(f"nilorb: result not cached in {root}: {exc}", file=sys.stderr)
 
+    text = None
     if args.format == "pretty":
-        print(_payload_to_pretty(args.kind, outputs, single=(mode == "n")))
+        text = _payload_to_pretty(args.kind, outputs, single=(mode == "n"))
     elif args.format == "csv":
-        print(_payload_to_csv(outputs))
-    else:
-        parameters = {"kind": args.kind, "g": args.g, mode: value}
-        print(canonical_json(_envelope("compute", parameters, outputs, [], t0)))
-    return EXIT_OK
+        text = _payload_to_csv(outputs)
+    return True, {"kind": args.kind, "g": args.g, mode: value}, outputs, [], text
 
 
-def cmd_cache(args) -> int:
+def cmd_cache(args) -> tuple:
     root = _cache_root(args.cache_dir)
     if args.action == "path":
-        print(root)
-        return EXIT_OK
+        return True, {}, {}, [], str(root)
+    entries = sorted(root.glob(_CACHE_ENTRY_GLOB)) if root.is_dir() else []
     if args.action == "list":
-        if root.is_dir():
-            for path in sorted(root.glob(_CACHE_ENTRY_GLOB)):
-                print(path.name)
-        return EXIT_OK
-    removed = 0
-    if root.is_dir():
-        for path in root.glob(_CACHE_ENTRY_GLOB):
-            path.unlink()
-            removed += 1
-    print(f"removed {removed} cache entries", file=sys.stderr)
-    return EXIT_OK
+        return True, {}, {}, [], "\n".join(path.name for path in entries)
+    for path in entries:
+        path.unlink()
+    print(f"removed {len(entries)} cache entries", file=sys.stderr)
+    return True, {}, {}, [], ""
 
 
 def main(argv=None) -> int:
@@ -373,20 +355,35 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the canonical name, whichever alias the command was given as
+    command = next(name for name, aliases, _ in _COMMANDS if args.command in (name, *aliases))
+    t0 = time.perf_counter()
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "cache":
-            return cmd_cache(args)
-        from . import checks
+        if command in _CHECK_COMMANDS:
+            from . import checks
 
-        return checks.HANDLERS[args.command](args)
+            handler = checks.HANDLERS[command]
+        else:
+            handler = cmd_compute if command == "compute" else cmd_cache
+        passed, parameters, outputs, reports, text = handler(args)
     except (ValueError, ZeroDivisionError) as exc:  # a SizeGuardError too
         print(f"nilorb: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ArithmeticError) as exc:  # an InternalCheckError too
         print(f"nilorb: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if text is None:
+        print(canonical_json({
+            "command": command,
+            "engine_version": ENGINE_VERSION,
+            "parameters": parameters,
+            "outputs": outputs,
+            "reports": reports,
+            "timing_ms": int((time.perf_counter() - t0) * 1000),
+        }))
+    elif text:
+        print(text)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def entry() -> None:

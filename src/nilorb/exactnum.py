@@ -258,6 +258,14 @@ class PolyQ:
         out[::d] = self.numerators
         return _poly(out, self.denominator)
 
+    def numerator_at(self, x: int) -> int:
+        """The value at the integer q = x times ``denominator``, by Horner's
+        rule on the integers."""
+        acc = 0
+        for c in reversed(self.numerators):
+            acc = acc * x + c
+        return acc
+
     def evaluate(self, x: Scalar) -> Fraction:
         """The value at q = x, by Horner's rule on x's numerator and
         denominator."""

@@ -279,12 +279,9 @@ def indecomposable_count(g: int, n: int) -> CountingPolynomial:
 
 def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> None:
     """Assert that poly takes positive integer values at the check points:
-    the numerators' value at q0, by Horner's rule, is a positive multiple of
-    the denominator."""
+    the numerators' value at q0 is a positive multiple of the denominator."""
     for q0 in _CHECK_POINTS:
-        v = 0
-        for c in reversed(poly.numerators):
-            v = v * q0 + c
+        v = poly.numerator_at(q0)
         if v <= 0 or v % poly.denominator:
             raise InternalCheckError(
                 f"{kind} at g={g}, n={n} evaluates to {ratio_text(v, poly.denominator)} "

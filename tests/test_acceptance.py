@@ -112,7 +112,7 @@ def test_criterion_5_oracle_orbit_counts(capsys):
     ]
     for g, n, q, frozen in cases:
         field = FieldSpec.of(q)
-        engine = int(pipeline.orbit_count(g, n).evaluate(q))
+        engine = pipeline.orbit_count(g, n).evaluate(q)
         by_average = burnside_orbit_count(field, n, g)
         by_listing = len(orbits(field, n, g))
         ok = ok and engine == by_average == by_listing
@@ -121,8 +121,8 @@ def test_criterion_5_oracle_orbit_counts(capsys):
     f2 = FieldSpec.of(2)
     ok = ok and indecomposability_counts(f2, 2, 2) == (4, 4)
     ok = ok and indecomposability_counts(f2, 3, 2) == (32, 32)
-    ok = ok and int(pipeline.absolutely_indecomposable_count(2, 2).evaluate(2)) == 4
-    ok = ok and int(pipeline.absolutely_indecomposable_count(2, 3).evaluate(2)) == 32
+    ok = ok and pipeline.absolutely_indecomposable_count(2, 2).evaluate(2) == 4
+    ok = ok and pipeline.absolutely_indecomposable_count(2, 3).evaluate(2) == 32
     with capsys.disabled():
         _report(5, "oracle equivalence, orbit counts", ok)
 

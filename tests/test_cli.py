@@ -1,5 +1,6 @@
 import importlib
 import json
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 import nilorb
 from nilorb import KINDS, checks, cli, fforacle, pipeline
-from nilorb.exactnum import InternalCheckError
+from nilorb.exactnum import InternalCheckError, PolyQ
+from nilorb.pipeline import CountingPolynomial
 
 GOLDEN_PRETTY = {
     1: "1",
@@ -74,10 +76,9 @@ def test_compute_h_kind(capsys):
 
 
 def test_compute_h_csv_is_usage_error(capsys):
-    code, _, err = run(capsys, "compute", "--kind", "H", "--g", "2",
-                       "--n", "1", "--format", "csv", "--no-cache")
-    assert code == 2
-    assert "csv" in err
+    code, out, err = run(capsys, "compute", "--kind", "H", "--g", "2",
+                         "--n", "1", "--format", "csv", "--no-cache")
+    assert (code, out, err) == (2, "", "nilorb: csv output is only defined for polynomial kinds\n")
 
 
 def test_internal_check_failure_exits_3(capsys, monkeypatch):
@@ -305,13 +306,15 @@ def test_verify_kwi_rejects_perturbations_that_change_nothing(capsys, perturb):
 
 
 def test_verify_json_mismatch_payload(capsys):
-    code, out, _ = run(capsys, "verify", "kwi", "--g", "2", "--N", "3",
-                       "--Q", "12", "--perturb", "2,1,1", "--format", "json")
-    assert code == 1
-    report = json.loads(out)["outputs"]["report"]
-    assert report["passed"] is False
-    assert report["mismatch"]["x_degree"] == 2
-    assert report["mismatch"]["q_degree"] is not None
+    # a failed check prints its whole result, then exits 1
+    code, out, err = run(capsys, "verify", "kwi", "--g", "2", "--N", "3",
+                         "--Q", "12", "--perturb", "2,1,1", "--format", "json")
+    assert (code, err) == (1, "")
+    envelope = json.loads(out)
+    report = envelope["outputs"]["report"]
+    assert envelope["reports"] == [report]
+    assert report == {"identity": "kwi", "g": 2, "x_order": 3, "q_order": 12, "passed": False,
+                      "mismatch": {"x_degree": 2, "q_degree": 1, "lhs": "-1", "rhs": "-2"}}
 
 
 def test_verify_routes_and_g1(capsys):
@@ -362,8 +365,9 @@ def test_verify_weight_routes(capsys):
     (["weight-routes", "--g", "2", "--Q", "4"], "weight-routes has no q truncation; omit --Q"),
 ])
 def test_verify_usage_messages(capsys, argv, message):
-    code, out, err = run(capsys, "verify", *argv, "--N", "3")
-    assert (code, out, err) == (2, "", f"nilorb: {message}\n")
+    for fmt in ("pretty", "json"):
+        code, out, err = run(capsys, "verify", *argv, "--N", "3", "--format", fmt)
+        assert (code, out, err) == (2, "", f"nilorb: {message}\n"), fmt
 
 
 def test_verify_usage_errors(capsys):
@@ -462,9 +466,56 @@ def test_oracle_total_count_control(capsys, monkeypatch):
                      "match": False}]
 
 
+# negative controls on the engine side: a value that is not an integer at q
+# is a mismatch that shows it exactly, never a value cut to an integer
+
+
+def plus_q_squared_over_8(count):
+    def perturbed(g, n):
+        cp = count(g, n)
+        return CountingPolynomial(cp.kind, g, n, cp.value + PolyQ([0, 0, Fraction(1, 8)]))
+    return perturbed
+
+
+def test_oracle_orbit_count_fails_on_a_non_integral_engine_value(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "orbit_count", plus_q_squared_over_8(pipeline.orbit_count))
+    code, out, _ = run(capsys, "oracle", "--check", "M", "--g", "2", "--n", "2", "--q", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "orbit count (Burnside average)  engine=11/2  oracle=5  MISMATCH",
+        "orbit count (explicit orbits)   engine=11/2  oracle=5  MISMATCH",
+    ]
+
+
+def test_oracle_classification_fails_on_a_non_integral_engine_value(capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "absolutely_indecomposable_count",
+                        plus_q_squared_over_8(pipeline.absolutely_indecomposable_count))
+    code, out, _ = run(capsys, "oracle", "--check", "IA", "--g", "2", "--n", "2", "--q", "3",
+                       "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["outputs"]["comparisons"]
+    assert [(r["quantity"], r["engine"], r["oracle"], r["match"]) for r in rows] == [
+        ("indecomposable orbit count", 6, 6, True),
+        ("absolutely indecomposable orbit count", "57/8", 6, False),
+    ]
+
+
+def test_oracle_orbit_count_classifies_no_orbit(capsys, monkeypatch):
+    def classified(*args):
+        raise LookupError("an orbit was classified")
+
+    monkeypatch.setattr(fforacle, "_endomorphism_profile", classified)
+    code, out, _ = run(capsys, "oracle", "--check", "M", "--g", "3", "--n", "2", "--q", "3")
+    assert code == 0 and out.count(" ok\n") == 2
+    with pytest.raises(LookupError):
+        run(capsys, "oracle", "--check", "IA", "--g", "3", "--n", "2", "--q", "3")
+
+
 def test_oracle_guard_is_usage_error(capsys):
-    # one size past the guard at q = 2 and q = 7, and two sizes it never admits
-    for n, q, g in ((3, 3, 2), (2, 2, 8), (2, 7, 3), (2, 8, 1)):
+    # one size past the guard at n = 1, q = 2 and q = 7, and two sizes it
+    # never admits; at n = 1 the refusal comes before any g-tuple is built
+    n1_past = fforacle._ORBIT_REACH_N1 + 1
+    for n, q, g in ((3, 3, 2), (2, 2, 8), (2, 7, 3), (2, 8, 1), (1, 9, n1_past), (1, 2, 10 ** 9)):
         with pytest.raises(fforacle.SizeGuardError) as guard:
             fforacle.burnside_orbit_count(fforacle.FieldSpec.of(q), n, g)
         code, _, err = run(capsys, "oracle", "--check", "M", "--g", str(g),
@@ -493,6 +544,33 @@ def test_scan_command(capsys):
     scan = json.loads(out)["outputs"]["scan"]
     assert scan["all_nonnegative"] is True
     assert scan["negative_terms"] == []
+
+
+# ---------------------------------------------------------------------------
+# the command contract: every command's JSON is the one six-key envelope
+# under its canonical name (failed checks and usage errors are tested with
+# their commands above)
+
+
+ENVELOPE_KEYS = {"command", "engine_version", "parameters", "outputs", "reports", "timing_ms"}
+CONTRACT_RUNS = {
+    "compute": ["compute", "--kind", "M", "--g", "2", "--N", "3", "--no-cache"],
+    "verify": ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "6"],
+    "oracle": ["oracle", "--check", "M", "--g", "2", "--n", "2", "--q", "2"],
+    "conjecture-scan": ["conjecture-scan", "--g", "2", "--Nmax", "3"],
+    "conjecture_scan": ["conjecture_scan", "--g", "2", "--Nmax", "3"],
+}
+
+
+@pytest.mark.parametrize("given", sorted(CONTRACT_RUNS))
+def test_json_envelope_has_six_keys_under_the_canonical_name(capsys, given):
+    code, out, err = run(capsys, *CONTRACT_RUNS[given], "--format", "json")
+    assert (code, err) == (0, "")
+    envelope = json.loads(out)
+    assert set(envelope) == ENVELOPE_KEYS
+    assert envelope["command"] == given.replace("_", "-")
+    assert envelope["engine_version"] == nilorb.__version__
+    assert out == cli.canonical_json(envelope) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +642,18 @@ def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
     assert engine_modules_loaded(nilorb_env, "--version") == set()
     assert engine_modules_loaded(nilorb_env, "cache", "list", "--cache-dir",
                                  str(tmp_path)) == set()
-    # the checks load their module, and only the oracle loads the oracle (and
-    # takes the engine's value at q as a Fraction); no command loads dataclasses
+    # the checks load their module, and only the oracle loads the oracle (it
+    # takes the engine's value at q on the integers); no command loads
+    # fractions or dataclasses
     with_checks = CHAIN_MODULES | {"nilorb.checks"}
     for argv in (["verify", "weight-routes", "--g", "2", "--N", "4"],
                  ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "9"],
                  ["conjecture-scan", "--g", "2", "--Nmax", "3"]):
         assert engine_modules_loaded(nilorb_env, *argv) == with_checks, argv
-    oracle = engine_modules_loaded(nilorb_env, "oracle", "--check", "M", "--g", "2",
-                                   "--n", "2", "--q", "2")
-    assert oracle == with_checks | {"nilorb.fforacle", "fractions"}
+    for check in ("M", "IA"):
+        oracle = engine_modules_loaded(nilorb_env, "oracle", "--check", check, "--g", "2",
+                                       "--n", "2", "--q", "2")
+        assert oracle == with_checks | {"nilorb.fforacle"}, check
 
 
 def test_moved_checks_resolve_to_the_checks_module():

@@ -7,6 +7,7 @@ from nilorb.fforacle import (
     FieldSpec,
     SizeGuardError,
     _ORBIT_REACH,
+    _ORBIT_REACH_N1,
     _endomorphism_profile,
     block_jordan_matrix,
     burnside_orbit_count,
@@ -22,6 +23,7 @@ from nilorb.fforacle import (
     monic_irreducibles,
     nilpotent_commutant_count,
     nilpotent_matrices,
+    orbit_listing,
     orbits,
     zero_matrix,
 )
@@ -148,6 +150,13 @@ def test_size_guards():
         burnside_orbit_count(F2, 2, 8)
     with pytest.raises(SizeGuardError):
         orbits(FieldSpec.of(7), 2, 3)
+    # n = 1 has one orbit, but its listing grows with g: the guard refuses
+    # past its reach at every q, before any tuple is built
+    for q in (2, 9):
+        with pytest.raises(SizeGuardError, match=f"g={_ORBIT_REACH_N1 + 1} "):
+            next(orbit_listing(FieldSpec.of(q), 1, _ORBIT_REACH_N1 + 1))
+        with pytest.raises(SizeGuardError):
+            burnside_orbit_count(FieldSpec.of(q), 1, 10 ** 9)
 
 
 def test_mat_inverse():
@@ -189,6 +198,12 @@ def test_orbits_partition_the_tuple_space():
         assert 6 % r.size == 0
 
 
+def test_orbit_listing_is_the_orbit_list_unclassified():
+    for field, n, g in ((F2, 2, 2), (F3, 2, 2), (F2, 3, 1), (F3, 1, 4)):
+        listing = list(orbit_listing(field, n, g))
+        assert listing == [(r.representative, r.size) for r in orbits(field, n, g)]
+
+
 def test_single_matrix_orbits_are_partition_classes():
     for n, field in ((2, F2), (3, F2), (2, F3)):
         assert len(orbits(field, n, 1)) == partition_count(n)
@@ -219,9 +234,9 @@ def test_burnside_equals_orbit_listing_everywhere_in_guard():
 
 def test_pipeline_counts_match_oracle_everywhere_in_guard():
     for field, n, g in sizes_in_guard():
-        m_engine = int(pipeline.orbit_count(g, n).evaluate(field.q))
-        i_engine = int(pipeline.indecomposable_count(g, n).evaluate(field.q))
-        a_engine = int(pipeline.absolutely_indecomposable_count(g, n).evaluate(field.q))
+        m_engine = pipeline.orbit_count(g, n).evaluate(field.q)
+        i_engine = pipeline.indecomposable_count(g, n).evaluate(field.q)
+        a_engine = pipeline.absolutely_indecomposable_count(g, n).evaluate(field.q)
         # the listing behind the I and A counts is compared to Burnside above
         i_oracle, a_oracle = indecomposability_counts(field, n, g)
         assert m_engine == burnside_orbit_count(field, n, g), (field.q, n, g)
