@@ -49,8 +49,8 @@ def quotient_text(num_coeffs, den_coeffs) -> str:
 
 
 _EXPORTS = {
-    "exactnum": ("InexactDivisionError", "InternalCheckError", "PoleError", "PolyQ",
-                 "RationalFunctionQ", "SizeGuardError"),
+    "exactnum": ("InexactDivisionError", "InternalCheckError", "PolyQ", "RationalFunctionQ",
+                 "SizeGuardError"),
     "partitions": ("Partition", "inner_product", "mobius", "monic_irreducible_count",
                    "partition_count", "partitions_of"),
     "pipeline": ("CountingPolynomial", "absolutely_indecomposable_count", "counting_value",

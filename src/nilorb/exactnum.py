@@ -2,12 +2,10 @@
 
 This module is the numeric tower the rest of the package sits on:
 
-* arbitrary-precision integers and rationals (Python ``int`` and
-  ``fractions.Fraction`` -- already exact, so no wrapper types),
 * ``PolyQ``: dense polynomials in q with rational coefficients, stored as
-  integer numerators over one common denominator; its arithmetic runs on
-  the integers, and ``fractions`` is imported only to check an exact scalar
-  and to return the value of ``evaluate``,
+  integer numerators over one common denominator; it is built from that
+  integer form, its arithmetic runs on the integers, and its scalars are
+  ``int``s, so no rational number type is needed,
 * ``RationalFunctionQ``: a polynomial over q**n - 1, reduced by cancelling
   the cyclotomic factors of q**n - 1 and kept in the form it prints: coprime,
   with joint content 1 and a positive leading denominator coefficient (so
@@ -24,22 +22,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from . import poly_text, quotient_text
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    Scalar = Union[int, Fraction]
 
 
 class InexactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
-
-
-class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at a pole."""
 
 
 class InternalCheckError(AssertionError):
@@ -91,24 +80,9 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
-def _is_scalar(x: object) -> bool:
-    """True for an exact scalar: an ``int`` or a ``Fraction``."""
-    if isinstance(x, int):
-        return True
-    from fractions import Fraction
-
-    return isinstance(x, Fraction)
-
-
-def _exact(x: Scalar) -> Scalar:
-    if _is_scalar(x):
-        return x
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
-
-
 def ratio_text(a: int, b: int) -> str:
-    """``str(Fraction(a, b))`` for integers a and b > 0, without building it:
-    ``"a"`` or ``"a/b"`` in lowest terms, the sign on the numerator."""
+    """The text of the rational a / b, for integers a and b > 0: ``"a"`` or
+    ``"a/b"`` in lowest terms, the sign on the numerator."""
     g = gcd(a, b)
     a, b = a // g, b // g
     return str(a) if b == 1 else f"{a}/{b}"
@@ -121,21 +95,25 @@ def ratio_text(a: int, b: int) -> str:
 class PolyQ:
     """Dense polynomial in q over the rationals.
 
-    Stored as integer ``numerators`` in ascending degree over one positive
-    ``denominator``, in canonical form: no trailing zero numerators and
+    ``PolyQ(numerators, denominator)`` is the polynomial with the integer
+    ``numerators`` in ascending degree over the integer ``denominator`` >= 1.
+    It is stored in canonical form: no trailing zero numerators and
     gcd(denominator, numerators) = 1, so equal values have equal
     representations.  The zero polynomial is ``((), 1)`` and reports
-    ``degree() == -1`` (standing in for "minus infinity").
+    ``degree() == -1`` (standing in for "minus infinity").  Its scalar
+    operands are ``int``s.
     """
 
     __slots__ = ("numerators", "denominator")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [_exact(x) for x in coeffs]
-        den = lcm(*(x.denominator for x in c))
-        self.numerators, self.denominator = _reduced(
-            [x.numerator * (den // x.denominator) for x in c], den
-        )
+    def __init__(self, numerators: Iterable[int] = (), denominator: int = 1):
+        nums = list(numerators)
+        for x in (*nums, denominator):
+            if not isinstance(x, int):
+                raise TypeError(f"expected an int, got {type(x).__name__}")
+        if denominator < 1:
+            raise ValueError(f"the denominator must be >= 1, got {denominator}")
+        self.numerators, self.denominator = _reduced(nums, denominator)
 
     # -- constructors -------------------------------------------------
 
@@ -157,7 +135,7 @@ class PolyQ:
 
     @property
     def coefficient_texts(self) -> tuple[str, ...]:
-        """The ``str`` of each coefficient as a ``Fraction``."""
+        """The text of each coefficient, as ``ratio_text`` gives it."""
         return tuple(ratio_text(c, self.denominator) for c in self.numerators)
 
     def degree(self) -> int:
@@ -174,7 +152,7 @@ class PolyQ:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: "PolyQ | Scalar") -> "PolyQ":
+    def __add__(self, other: "PolyQ | int") -> "PolyQ":
         other = _coerce_poly(other)
         den = lcm(self.denominator, other.denominator)
         a = _times(self.numerators, den // self.denominator)
@@ -190,10 +168,10 @@ class PolyQ:
     def __neg__(self) -> "PolyQ":
         return _poly([-x for x in self.numerators], self.denominator)
 
-    def __sub__(self, other: "PolyQ | Scalar") -> "PolyQ":
+    def __sub__(self, other: "PolyQ | int") -> "PolyQ":
         return self + (-_coerce_poly(other))
 
-    def __mul__(self, other: "PolyQ | Scalar") -> "PolyQ":
+    def __mul__(self, other: "PolyQ | int") -> "PolyQ":
         if isinstance(other, int):
             return _poly(_times(self.numerators, other), self.denominator)
         other = _coerce_poly(other)
@@ -266,26 +244,13 @@ class PolyQ:
             acc = acc * x + c
         return acc
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        """The value at q = x, by Horner's rule on x's numerator and
-        denominator."""
-        from fractions import Fraction
-
-        x = _exact(x)
-        p, r = x.numerator, x.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.numerators):
-            acc = acc * p + c * scale
-            scale *= r
-        return Fraction(acc, self.denominator * r ** max(self.degree(), 0))
-
     # -- comparisons and display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyQ):
-            if not _is_scalar(other):
+            if not isinstance(other, int):
                 return NotImplemented
-            other = PolyQ([other])
+            other = _poly([other])
         return (self.numerators == other.numerators
                 and self.denominator == other.denominator)
 
@@ -326,7 +291,7 @@ def _times(nums: Sequence[int], k: int) -> list[int]:
     return [x * k for x in nums] if k != 1 else list(nums)
 
 
-def _coerce_poly(x: "PolyQ | Scalar") -> PolyQ:
+def _coerce_poly(x: "PolyQ | int") -> PolyQ:
     if isinstance(x, PolyQ):
         return x
     return PolyQ([x])
@@ -399,12 +364,6 @@ class RationalFunctionQ:
                     top, bottom = quot, _quotient(bottom, phi)
         self.num = _poly(list(top))
         self.den = _poly(_times(bottom, num.denominator))
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        bottom = self.den.evaluate(x)
-        if bottom == 0:
-            raise PoleError(f"pole at q = {x}")
-        return self.num.evaluate(x) / bottom
 
     # -- comparisons and display ------------------------------------------
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional
 
 from . import KINDS
 from .exactnum import (
@@ -52,9 +52,6 @@ from .partitions import (
 )
 from .series import exp_coefficients, log_coefficients
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 #: prime powers where positivity of the counts is spot-checked at construction
 _CHECK_POINTS = (2, 3, 4, 5)
 #: every run cross-asserts the two weight routes up to this X-degree
@@ -62,13 +59,12 @@ _WEIGHT_CHECK_ORDER = 6
 
 
 class CountingPolynomial(_Record):
-    """A counting polynomial (or rational function, for kind H) with its
-    provenance: which count it is, the tuple length g and the matrix order n.
-    """
+    """A counting polynomial with its provenance: which count it is (A, I or
+    M), the tuple length g and the matrix order n."""
 
     __slots__ = ("kind", "g", "n", "value")
 
-    def __init__(self, kind: str, g: int, n: int, value: Union[PolyQ, RationalFunctionQ]):
+    def __init__(self, kind: str, g: int, n: int, value: PolyQ):
         if kind not in KINDS:
             raise ValueError(f"unknown kind {kind!r}")
         super().__init__(kind, g, n, value)
@@ -76,19 +72,9 @@ class CountingPolynomial(_Record):
     @property
     def coefficient_list(self) -> tuple[int, ...]:
         """Ascending integer coefficients (kinds with integral values)."""
-        if not isinstance(self.value, PolyQ):
-            raise ValueError("coefficient list of a non-polynomial count")
         if not self.value.is_integral:
             raise ValueError(f"{self.kind}_{self.g}({self.n},q) has non-integral coefficients")
         return self.value.numerators
-
-    def degree(self) -> int:
-        if isinstance(self.value, PolyQ):
-            return self.value.degree()
-        raise ValueError("degree of a non-polynomial count")
-
-    def evaluate(self, q0) -> Fraction:
-        return self.value.evaluate(q0)
 
     def __str__(self) -> str:
         return f"{self.kind}_{self.g}({self.n},q) = {self.value}"
@@ -366,23 +352,16 @@ def orbit_count(g: int, n: int) -> CountingPolynomial:
     return orbit_count_series(g, n)[n - 1]
 
 
-def log_weight_value(g: int, n: int) -> CountingPolynomial:
-    """The kind-H value: the X**n log coefficient as a rational function."""
-    if g < 1 or n < 1:
-        raise ValueError("g and n must be >= 1")
-    return CountingPolynomial("H", g, n, log_weight_coefficient(g, n))
-
-
 def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:
+    """The counting polynomial of kind A, I or M; an H value is a rational
+    function, which ``log_weight_coefficient`` gives."""
     if kind == "A":
         return absolutely_indecomposable_count(g, n)
     if kind == "I":
         return indecomposable_count(g, n)
     if kind == "M":
         return orbit_count(g, n)
-    if kind == "H":
-        return log_weight_value(g, n)
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ValueError(f"no counting polynomial of kind {kind!r}")
 
 
 def __getattr__(name: str):

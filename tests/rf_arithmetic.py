@@ -8,12 +8,32 @@ values; ``RF`` takes any numerator and denominator, reduces them to the
 canonical form by a general polynomial gcd (the primitive pseudo-remainder
 sequence), and adds that field's ``+``, ``-``, ``*``, division by an integer
 and the substitution q -> q**d, with reduction after each; it keeps
-``exp_coefficients`` running over it.  Nothing here uses the chain.
+``exp_coefficients`` running over it.  ``PolyQ`` takes only its integer
+form, so ``poly`` builds one from exact rational coefficients, and
+``value_at`` gives the exact value of a polynomial or rational function at
+an integer q.  Nothing here uses the chain.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from nilorb.exactnum import InexactDivisionError, PolyQ, RationalFunctionQ
+
+
+def poly(coeffs) -> PolyQ:
+    """The PolyQ with the ascending exact rational coefficients ``coeffs``
+    (ints or Fractions)."""
+    c = [Fraction(x) for x in coeffs]
+    den = lcm(*(x.denominator for x in c))
+    return PolyQ([x.numerator * (den // x.denominator) for x in c], den)
+
+
+def value_at(p, q: int) -> Fraction:
+    """The exact value of the PolyQ or RationalFunctionQ p at the integer q;
+    a pole raises ZeroDivisionError."""
+    if isinstance(p, RationalFunctionQ):
+        return value_at(p.num, q) / value_at(p.den, q)
+    return Fraction(p.numerator_at(q), p.denominator)
 
 
 def _int_primitive(c: list[int]) -> list[int]:
@@ -130,7 +150,7 @@ class RF(RationalFunctionQ):
 
 
 def _poly_of(x) -> PolyQ:
-    return x if isinstance(x, PolyQ) else PolyQ([x])
+    return x if isinstance(x, PolyQ) else poly([x])
 
 
 def _rf(x) -> RF:

@@ -1,15 +1,16 @@
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nilorb
 from nilorb import checks, poly_text, quotient_text
-from nilorb.exactnum import (
-    InexactDivisionError, PoleError, PolyQ, RationalFunctionQ, ratio_text,
-)
+from nilorb.exactnum import InexactDivisionError, PolyQ, RationalFunctionQ, ratio_text
 from nilorb.partitions import centralizer_order, inner_product, partitions_of
-from rf_arithmetic import RF, poly_gcd
+from rf_arithmetic import RF, poly, poly_gcd, value_at
 
 Q = PolyQ([0, 1])
 ONE = PolyQ([1])
@@ -42,6 +43,37 @@ def fractions_of(p):
 # polynomials
 
 
+def test_polyq_takes_its_integer_form():
+    p = PolyQ([1, 2], 2)
+    assert (p.numerators, p.denominator) == ((1, 2), 2)
+    for bad in ([Fraction(1, 2)], [1.5]):
+        with pytest.raises(TypeError):
+            PolyQ(bad)
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            PolyQ([1], den)
+    # scalar operands are ints; a rational scalar is a constant PolyQ
+    for bad in (Fraction(1, 2), 0.5):
+        for op in (lambda: p + bad, lambda: p - bad, lambda: p * bad, lambda: bad * p,
+                   lambda: p.exact_div(bad)):
+            with pytest.raises(TypeError):
+                op()
+    assert p * PolyQ([1], 2) == PolyQ([1, 2], 4) and p + 1 == PolyQ([3, 2], 2)
+    assert p != Fraction(1, 2) and PolyQ([1], 2) != Fraction(1, 2)
+
+
+def test_no_module_imports_fractions():
+    for path in sorted(Path(nilorb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in [name.split(".")[0] for name in names], path.name
+
+
 def test_product_difference_of_squares():
     assert PolyQ([-1, 1]) * PolyQ([1, 1]) == PolyQ([-1, 0, 1])
 
@@ -67,7 +99,7 @@ def test_degree_and_zero_conventions():
     assert PolyQ().is_zero
     assert PolyQ([0, 0]).is_zero
     assert (PolyQ() * Q).is_zero
-    assert PolyQ([Fraction(1, 2)]).is_integral is False
+    assert PolyQ([1], 2).is_integral is False
     assert PolyQ([2, 3]).is_integral
 
 
@@ -99,22 +131,22 @@ def test_display_works_on_coefficient_strings():
 
 
 def test_equal_values_have_one_representation():
-    a = PolyQ([Fraction(2, 4), 3, Fraction(-6, 8)])
-    b = PolyQ([Fraction(1, 2), Fraction(6, 2), Fraction(-3, 4), 0])
+    a = PolyQ([4, 24, -6, 0], 8)
+    b = poly([Fraction(1, 2), Fraction(6, 2), Fraction(-3, 4), 0])
     assert (a.numerators, a.denominator) == ((2, 12, -3), 4)
     assert a == b and hash(a) == hash(b) and str(a) == str(b)
     assert str(a) == "-(3/4)q^2 + 3q + (1/2)"
-    half = PolyQ([Fraction(1, 2)])
+    half = PolyQ([1], 2)
     assert half + half == 1
-    third = PolyQ([0, Fraction(1, 3)])
+    third = PolyQ([0, 1], 3)
     assert ((third - third).numerators, (third - third).denominator) == ((), 1)
 
 
 def test_integer_scalings_and_shifts():
-    p = PolyQ([Fraction(2, 3), 0, -4])
+    p = PolyQ([2, 0, -12], 3)
     assert p * 3 == 3 * p == PolyQ([2, 0, -12]) == p * PolyQ([3])
-    assert p / 4 == p * PolyQ([Fraction(1, 4)]) == PolyQ([Fraction(1, 6), 0, -1])
-    assert p / -2 == PolyQ([Fraction(-1, 3), 0, 2])
+    assert p / 4 == p * PolyQ([1], 4) == poly([Fraction(1, 6), 0, -1])
+    assert p / -2 == poly([Fraction(-1, 3), 0, 2])
     assert (p * 0).is_zero and (PolyQ() / 5).is_zero
     with pytest.raises(ZeroDivisionError):
         p / 0
@@ -128,15 +160,16 @@ def test_integer_scalings_and_shifts():
 
 
 def test_content_and_primitive_part():
-    p = PolyQ([Fraction(2, 3), Fraction(4, 3)])
+    p = poly([Fraction(2, 3), Fraction(4, 3)])
     content = Fraction(gcd(*p.numerators), p.denominator)
     assert content == Fraction(2, 3)
-    assert p * (1 / content) == PolyQ([1, 2])
+    assert p * PolyQ([content.denominator], content.numerator) == PolyQ([1, 2])
 
 
 def test_evaluate_paper_value():
     # q^4 + 3q^2 + 2q at q = 2
-    assert PolyQ([0, 2, 3, 0, 1]).evaluate(2) == 32
+    assert PolyQ([0, 2, 3, 0, 1]).numerator_at(2) == 32
+    assert PolyQ([0, 2, 3, 0, 1], 4).numerator_at(2) == 32
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +185,7 @@ def test_rf_reduction_example():
     assert RF(Q, PolyQ([0, -1, 1])) == RF(ONE, PolyQ([-1, 1]))
     # over q^n - 1, the factors of q^n - 1 that divide the numerator cancel
     assert str(RationalFunctionQ(PolyQ([1, 1]), 2)) == "(1) / (q - 1)"
-    assert str(RationalFunctionQ(PolyQ([Fraction(1, 2), 0, 0, 0, Fraction(-1, 2)]), 4)) == "(-1) / (2)"
+    assert str(RationalFunctionQ(PolyQ([1, 0, 0, 0, -1], 2), 4)) == "(-1) / (2)"
     assert str(RationalFunctionQ(PolyQ([3, 0, 3]), 4)) == "(3) / (q^2 - 1)"
     assert str(RationalFunctionQ(PolyQ(), 3)) == "0"
     with pytest.raises(ValueError):
@@ -173,13 +206,6 @@ def test_rf_adams_examples():
     assert f.adams(2) == RF(ONE, PolyQ([-1, 0, 1]))
     assert RF(PolyQ([0, 2])).adams(3) == RF(PolyQ([0, 0, 0, 2]))
     assert f.adams(1) == f
-
-
-def test_rf_evaluate():
-    assert RF(PolyQ([0, 2])).evaluate(2) == 4
-    assert RF(ONE, PolyQ([-1, 1])).evaluate(2) == 1
-    with pytest.raises(PoleError):
-        RF(ONE, PolyQ([-1, 1])).evaluate(1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +242,7 @@ def test_expand_against_schoolbook_division():
 # randomized properties
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-polys = st.lists(small_fracs, min_size=0, max_size=5).map(PolyQ)
+polys = st.lists(small_fracs, min_size=0, max_size=5).map(poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 
@@ -254,18 +280,18 @@ def test_adams_composition(num, den, d1, d2):
 @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
 def test_adams_evaluation_compatibility(num, den, d):
     f = RF(num, den)
-    q0 = Fraction(3)
+    q0 = 3
     try:
-        expected = f.evaluate(q0 ** d)
-    except PoleError:
+        expected = value_at(f, q0 ** d)
+    except ZeroDivisionError:  # a pole
         return
-    assert f.adams(d).evaluate(q0) == expected
+    assert value_at(f.adams(d), q0) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_fracs, min_size=0, max_size=5))
 def test_coefficient_texts_match_the_fractions(coeffs):
-    p = PolyQ(coeffs)
+    p = poly(coeffs)
     assert p.coefficient_texts == tuple(str(c) for c in fractions_of(p))
     assert all(ratio_text(c.numerator, c.denominator) == str(c) for c in coeffs)
 
@@ -282,7 +308,9 @@ def test_rf_over_q_power_minus_one_is_its_gcd_reduced_form(num, n, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(polys, nonzero_polys, st.one_of(small_fracs.filter(bool), nonzero_polys))
+@given(polys, nonzero_polys, st.one_of(st.integers(-3, 3).filter(bool),
+                                      small_fracs.filter(bool).map(lambda c: poly([c])),
+                                      nonzero_polys))
 def test_rf_canonical_form_is_the_printed_integer_pair(num, den, c):
     f = RF(num, den)
     assert RF(num * c, den * c) == f
@@ -290,7 +318,7 @@ def test_rf_canonical_form_is_the_printed_integer_pair(num, den, c):
     assert poly_gcd(f.num, f.den).degree() == 0
     assert gcd(*f.num.numerators, *f.den.numerators) == 1
     assert f.den.numerators[-1] > 0
-    if den.evaluate(5):
-        assert f.evaluate(5) == num.evaluate(5) / den.evaluate(5)
+    if den.numerator_at(5):
+        assert value_at(f, 5) == value_at(num, 5) / value_at(den, 5)
     assert str(f) == quotient_text([str(x) for x in f.num.numerators],
                                    [str(x) for x in f.den.numerators])

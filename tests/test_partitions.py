@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from nilorb import partitions
@@ -20,7 +18,7 @@ from nilorb.partitions import (
     q_binomial,
     weight_denominator,
 )
-from rf_arithmetic import RF
+from rf_arithmetic import RF, value_at
 
 
 
@@ -137,7 +135,7 @@ def test_centralizer_order_of_scalar_types_is_gl_order():
             expected = 1
             for i in range(n):
                 expected *= q ** n - q ** i
-            assert poly.evaluate(q) == expected
+            assert value_at(poly, q) == expected
 
 
 def weight(lam, g):
@@ -224,7 +222,7 @@ def test_q_binomials():
         for k in range(n + 1):
             b = q_binomial(n, k)
             assert b == q_binomial(n, n - k)
-            assert b.evaluate(1) == len([s for s in range(2 ** n) if bin(s).count("1") == k])
+            assert value_at(b, 1) == len([s for s in range(2 ** n) if bin(s).count("1") == k])
             quotient = weight_denominator(n).exact_div(weight_denominator(k) * weight_denominator(n - k))
             assert b == quotient
     with pytest.raises(ValueError):
@@ -253,7 +251,7 @@ def test_divisors():
 
 def test_irreducible_count_closed_forms():
     assert monic_irreducible_count(1) == PolyQ([-1, 1])
-    assert monic_irreducible_count(2) == PolyQ([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert monic_irreducible_count(2) == PolyQ([0, -1, 1], 2)
 
 
 def test_irreducible_count_matches_enumeration():
@@ -261,4 +259,4 @@ def test_irreducible_count_matches_enumeration():
         field = FieldSpec.of(q)
         for d in range(1, 5):
             expected = len(monic_irreducibles(field, d))
-            assert monic_irreducible_count(d).evaluate(q) == expected
+            assert value_at(monic_irreducible_count(d), q) == expected

@@ -6,7 +6,7 @@ import pytest
 from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.partitions import weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
-from rf_arithmetic import RF
+from rf_arithmetic import RF, poly
 
 RF_ZERO = RF(PolyQ())
 RF_ONE = RF(PolyQ([1]))
@@ -17,8 +17,8 @@ def q_minus_one(n):
 
 
 def random_poly(rng, max_deg=3):
-    return PolyQ([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                  for _ in range(rng.randint(0, max_deg + 1))])
+    return poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, max_deg + 1))])
 
 
 def random_zero_series(rng, order):
@@ -89,8 +89,8 @@ def alternating_log(series):
 
 def test_log_of_geometric():
     got = log_coefficients([weight_denominator(n) for n in range(5)])
-    assert got == (PolyQ(),) + tuple(q_minus_one(n) * Fraction(1, n) for n in range(1, 5))
-    expected = (RF_ZERO,) + tuple(RF(PolyQ([Fraction(1, n)])) for n in range(1, 5))
+    assert got == (PolyQ(),) + tuple(q_minus_one(n) * PolyQ([1], n) for n in range(1, 5))
+    expected = (RF_ZERO,) + tuple(RF(PolyQ([1], n)) for n in range(1, 5))
     assert log((RF_ONE,) * 5) == expected
 
 
@@ -112,9 +112,9 @@ def test_exp_log_inverse_pair_on_binomial():
 def test_exp_of_x():
     halves = [1, 1, Fraction(1, 2), Fraction(1, 6)]
     assert exp_coefficients((RF_ZERO, RF_ONE, RF_ZERO, RF_ZERO)) == tuple(
-        RF(PolyQ([c])) for c in halves)
+        RF(poly([c])) for c in halves)
     assert exp_coefficients((PolyQ(), PolyQ([1]), PolyQ(), PolyQ())) == tuple(
-        PolyQ([c]) for c in halves)
+        poly([c]) for c in halves)
 
 
 def test_exp_over_polynomials_matches_rational_functions():
