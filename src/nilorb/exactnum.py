@@ -352,6 +352,12 @@ class RationalFunctionQ:
         P by monic factors keeps its content; so the joint content of the
         quotient of P and of c times the monic rest of q**n - 1 is 1, and
         that rest's leading coefficient is c > 0.
+
+        The search for Phi_d is kept on purpose.  No H value at g <= 5,
+        n <= 20 has such a factor, but the argument that none ever does
+        rests on A_m(1) > 0, which follows only from the open nonnegativity
+        conjecture; and ``pipeline._log_orbit_routes`` builds its mismatch
+        text from numerators whose factors do cancel.
         """
         if n < 1:
             raise ValueError("the denominator q^n - 1 needs n >= 1")

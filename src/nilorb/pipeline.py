@@ -28,7 +28,6 @@ nonnegativity question is only ever a report.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 from itertools import zip_longest
 from typing import Optional
 
@@ -65,8 +64,8 @@ class CountingPolynomial(_Record):
     __slots__ = ("kind", "g", "n", "value")
 
     def __init__(self, kind: str, g: int, n: int, value: PolyQ):
-        if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
+        if kind not in KINDS or kind == "H":
+            raise ValueError(f"no counting polynomial of kind {kind!r}")
         super().__init__(kind, g, n, value)
 
     @property
@@ -94,20 +93,23 @@ class Mismatch(_Record):
 class _ChainMemo:
     """What the chain has built for one tuple length g, kept as prefixes.
 
-    Row s of the column route's table (G(s, c) for c = 0..s), coefficient n
-    of the weight series and of its log (held as their numerators over D_n
-    and over q**n - 1), and the orbit count M(g, n), do not depend on the
-    truncation order, so the longest prefix built so far serves every order.  A prefix is an immutable tuple that is
-    only ever replaced by a longer one built aside, so a concurrent reader
-    always sees a whole prefix; the lock keeps a late, shorter build from
-    replacing a longer one.
+    ``columns`` holds row s of the column route's table (G(s, c) for
+    c = 0..s); ``weights`` and ``logs`` hold coefficient n of the weight
+    series and of its log, as their numerators over D_n and over q**n - 1;
+    ``a_counts``, ``i_counts`` and ``orbits`` hold A(g, n), I(g, n) and
+    M(g, n) at index n - 1.  None of these depends on the truncation order,
+    so the longest prefix built so far serves every order.  A prefix is an
+    immutable tuple that is only ever replaced by a longer one built aside,
+    so a concurrent reader always sees a whole prefix; the lock keeps a
+    late, shorter build from replacing a longer one.
     """
 
-    __slots__ = ("columns", "weights", "logs", "orbits", "_lock")
+    __slots__ = ("columns", "weights", "logs", "a_counts", "i_counts", "orbits", "_lock")
 
     def __init__(self):
         one = PolyQ([1])
-        self.columns, self.weights, self.logs, self.orbits = ((one,),), (one,), (PolyQ(),), ()
+        self.columns, self.weights, self.logs = ((one,),), (one,), (PolyQ(),)
+        self.a_counts = self.i_counts = self.orbits = ()
         self._lock = threading.Lock()
 
     def prefix(self, field: str, length: int, extend) -> tuple:
@@ -121,6 +123,16 @@ class _ChainMemo:
                     setattr(self, field, have)
         return have
 
+    def grown(self, field: str, length: int, step) -> tuple:
+        """The prefix held in ``field``, first grown to ``length`` entries by
+        appending step(k, entries before k) for each missing index k."""
+        def extend(have):
+            for k in range(len(have), length):
+                have += (step(k, have),)
+            return have
+
+        return self.prefix(field, length, extend)
+
 
 _MEMOS: dict[int, _ChainMemo] = {}
 
@@ -132,13 +144,10 @@ def _memo(g: int) -> _ChainMemo:
 def _column_rows(g: int, order: int) -> tuple[tuple[PolyQ, ...], ...]:
     """Rows 0..order of the column route's table: row s holds G(s, c) for
     c = 0..s, where G(s, 0) = 0 for s >= 1."""
-    def extend(have):
-        rows = list(have)
-        for s in range(len(rows), order + 1):
-            rows.append((PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1)))
-        return tuple(rows)
+    def row(s, rows):
+        return (PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1))
 
-    return _memo(g).prefix("columns", order + 1, extend)
+    return _memo(g).grown("columns", order + 1, row)
 
 
 def _partition_weight(g: int, n: int) -> PolyQ:
@@ -157,21 +166,15 @@ def _weight_mismatch(g: int, n: int, via_columns: PolyQ) -> Optional[Mismatch]:
     return None
 
 
-def _weight_coefficients(g: int, order: int) -> tuple[PolyQ, ...]:
-    def extend(have):
-        rows = _column_rows(g, order)
-        out = list(have)
-        for n in range(len(have), order + 1):
-            out.append(column_weight(g, rows[n], n))
-            mismatch = _weight_mismatch(g, n, out[n]) if n <= _WEIGHT_CHECK_ORDER else None
-            if mismatch is not None:
-                raise InternalCheckError(
-                    f"weight routes disagree at g={g}, X^{n}, q^{mismatch.q_degree}: "
-                    f"{mismatch.lhs} vs {mismatch.rhs}"
-                )
-        return tuple(out)
-
-    return _memo(g).prefix("weights", order + 1, extend)[: order + 1]
+def _weight(g: int, n: int) -> PolyQ:
+    weight = column_weight(g, _column_rows(g, n)[n], n)
+    mismatch = _weight_mismatch(g, n, weight) if n <= _WEIGHT_CHECK_ORDER else None
+    if mismatch is not None:
+        raise InternalCheckError(
+            f"weight routes disagree at g={g}, X^{n}, q^{mismatch.q_degree}: "
+            f"{mismatch.lhs} vs {mismatch.rhs}"
+        )
+    return weight
 
 
 def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
@@ -182,14 +185,14 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
         raise ValueError("tuple length g must be >= 1")
     if order < 0:
         raise ValueError("series order must be >= 0")
-    return _weight_coefficients(g, order)
+    return _memo(g).grown("weights", order + 1, lambda n, _: _weight(g, n))[: order + 1]
 
 
 def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
     """Numerators over q**n - 1 of the coefficients of X**0..X**order of the
     formal log of the weight series."""
     return _memo(g).prefix(
-        "logs", order + 1, lambda have: log_coefficients(_weight_coefficients(g, order), have)
+        "logs", order + 1, lambda have: log_coefficients(weight_series(g, order), have)
     )[: order + 1]
 
 
@@ -204,7 +207,6 @@ def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
 # the counting polynomials
 
 
-@lru_cache(maxsize=None)
 def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of absolutely indecomposable orbits, as a polynomial in q.
 
@@ -217,6 +219,10 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """
     if g < 1 or n < 1:
         raise ValueError("g and n must be >= 1")
+    return _memo(g).grown("a_counts", n, lambda k, _: _absolutely_indecomposable(g, k + 1))[n - 1]
+
+
+def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
     logs = _log_numerators(g, n)
     total = PolyQ()
     for d in divisors(n):
@@ -243,12 +249,15 @@ def coefficient_table(g: int, n: int) -> tuple[int, ...]:
     return absolutely_indecomposable_count(g, n).coefficient_list
 
 
-@lru_cache(maxsize=None)
 def indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of indecomposable orbits: the double divisor sum over
     transported absolutely-indecomposable counts."""
     if g < 1 or n < 1:
         raise ValueError("g and n must be >= 1")
+    return _memo(g).grown("i_counts", n, lambda k, _: _indecomposable(g, k + 1))[n - 1]
+
+
+def _indecomposable(g: int, n: int) -> CountingPolynomial:
     total = PolyQ()
     for d in divisors(n):
         inner = PolyQ()

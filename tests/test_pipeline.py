@@ -153,11 +153,20 @@ def test_single_matrix_counts_are_one():
 
 
 def test_counts_are_integral_with_bounded_degree():
-    for g in (1, 2, 3):
-        for n in range(1, 7):
+    # deg A <= (g - 1) n^2 is a hard assertion of the engine.  The exact
+    # degree of A and M, g times the dimension n^2 - n of the nilpotent cone
+    # minus dim PGL_n = n^2 - 1, and A's leading coefficient 1 (2 only at
+    # A_2(2,q) = 2q) are tested facts: no written proof covers every (g, n)
+    for g in range(1, 6):
+        orders = range(1, 13 if g <= 3 else 10)
+        orbits = pipeline.orbit_count_series(g, orders[-1])
+        for n in orders:
             cp = pipeline.absolutely_indecomposable_count(g, n)
             assert cp.value.is_integral
             assert cp.value.degree() <= (g - 1) * n * n
+            degree = max(g * (n * n - n) - (n * n - 1), 0)
+            assert cp.value.degree() == orbits[n - 1].value.degree() == degree, (g, n)
+            assert cp.coefficient_list[-1] == (2 if (g, n) == (2, 2) else 1), (g, n)
 
 
 def test_moebius_inversion_round_trip():
@@ -208,6 +217,9 @@ def test_counting_value_dispatch():
     for kind in ("H", "Z"):
         with pytest.raises(ValueError, match=f"no counting polynomial of kind '{kind}'"):
             pipeline.counting_value(kind, 2, 2)
+        # nor can one be built around an H value
+        with pytest.raises(ValueError, match=f"no counting polynomial of kind '{kind}'"):
+            pipeline.CountingPolynomial(kind, 2, 1, pipeline.log_weight_coefficient(2, 1))
 
 
 def test_coefficient_list_rejects_rational_coefficients():
@@ -372,7 +384,7 @@ def test_records_are_immutable_values():
         with pytest.raises(AttributeError):
             record.extra = 1
         assert pickle.loads(pickle.dumps(record)) == record
-    with pytest.raises(ValueError, match="unknown kind"):
+    with pytest.raises(ValueError, match="no counting polynomial of kind 'Z'"):
         pipeline.CountingPolynomial("Z", 2, 3, ONE)
     with pytest.raises(TypeError):
         pipeline.Mismatch(2, 1, "3")
@@ -600,6 +612,38 @@ print(json.dumps([raised, code, stdout.getvalue(), stderr.getvalue()]))
     raised, code, stdout, stderr = json.loads(out)
     assert raised == message
     assert code == 3 and stdout == "" and message in stderr
+
+
+def test_a_prefix_negative_control(run_fresh):
+    # q more in A(2, 3), put into the memo's prefix of A: I(2, 3) carries it,
+    # so the component route to log M departs from the product route at X^3
+    out = run_fresh("""
+import contextlib, io, json
+from nilorb import cli, pipeline
+from nilorb.exactnum import InternalCheckError, PolyQ
+counts = [pipeline.absolutely_indecomposable_count(2, n) for n in (1, 2, 3)]
+counts[2] = pipeline.CountingPolynomial("A", 2, 3, counts[2].value + PolyQ([0, 1]))
+pipeline._memo(2).a_counts = tuple(counts)
+carried = str(pipeline.indecomposable_count(2, 3).value)
+try:
+    pipeline.orbit_count_series(2, 5)
+except InternalCheckError as exc:
+    raised = str(exc)
+else:
+    raised = None
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    verify = cli.main(["verify", "thm5-routes", "--g", "2", "--N", "5"])
+    compute = cli.main(["compute", "--kind", "M", "--g", "2", "--N", "5", "--no-cache"])
+print(json.dumps([carried, raised, verify, compute, stdout.getvalue(), stderr.getvalue()]))
+""")
+    carried, raised, verify, compute, stdout, stderr = json.loads(out)
+    assert carried == str(pipeline.indecomposable_count(2, 3).value + PolyQ([0, 1])) == (
+        "q^4 + 3q^2 + 3q")
+    assert raised.startswith("orbit-count routes disagree at g=2, X^3: ")
+    assert verify == 1
+    assert stdout.startswith("thm5-routes (g=2, N=5): FAIL  first mismatch at X^3: ")
+    assert compute == 3 and raised in stderr
 
 
 def test_late_shorter_build_keeps_the_longer_prefix():
