@@ -30,7 +30,8 @@ from .pipeline import (
     CountingPolynomial,
     Mismatch,
     _column_rows,
-    _log_orbit_routes,
+    _log_orbit_component_coefficient,
+    _orbit_log_mismatch,
     _weight_mismatch,
     absolutely_indecomposable_count,
     coefficient_table,
@@ -95,12 +96,15 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
 
 
 def verify_product_routes(g: int, order: int) -> VerificationReport:
-    """Compare the two independent constructions of log M coefficientwise,
-    reporting rather than raising on mismatch."""
+    """Compare the two independent constructions of log M for X**1..X**order,
+    reporting the first X**n at which they differ rather than raising."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
-    _, mismatch = _log_orbit_routes(g, order)
-    return VerificationReport("thm5-routes", g, order, None, mismatch is None, mismatch)
+    for n in range(1, order + 1):
+        mismatch = _orbit_log_mismatch(g, n, _log_orbit_component_coefficient(g, n))
+        if mismatch is not None:
+            return VerificationReport("thm5-routes", g, order, None, False, mismatch)
+    return VerificationReport("thm5-routes", g, order, None, True, None)
 
 
 def _bi_one(x_order: int, q_order: int) -> list[list[int]]:
@@ -257,8 +261,7 @@ def _parse_partition(text: str):
     from .partitions import Partition
 
     try:
-        parts = tuple(int(p) for p in text.split(","))
-        return Partition(sorted(parts, reverse=True)) if parts else Partition()
+        return Partition(sorted((int(p) for p in text.split(",")), reverse=True))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 

@@ -87,19 +87,11 @@ def _compute_outputs(kind: str, g: int, mode: str, value: int) -> dict:
             ]
         }
     polys = []
-    if mode == "N":
-        if kind == "M":
-            # generating-series convention: the X^0 term 1 leads the list
-            polys.append(_poly_payload("M", g, 0, PolyQ([1])))
-            for cp in pipeline.orbit_count_series(g, value):
-                polys.append(_poly_payload("M", g, cp.n, cp.value))
-        else:
-            for n in range(1, value + 1):
-                cp = pipeline.counting_value(kind, g, n)
-                polys.append(_poly_payload(kind, g, n, cp.value))
-    else:
-        cp = pipeline.counting_value(kind, g, value)
-        polys.append(_poly_payload(kind, g, value, cp.value))
+    if mode == "N" and kind == "M":
+        # generating-series convention: the X^0 term 1 leads the list
+        polys.append(_poly_payload("M", g, 0, PolyQ([1])))
+    for n in range(1, value + 1) if mode == "N" else [value]:
+        polys.append(_poly_payload(kind, g, n, pipeline.counting_value(kind, g, n).value))
     return {"polynomials": polys}
 
 

@@ -356,7 +356,7 @@ class RationalFunctionQ:
         The search for Phi_d is kept on purpose.  No H value at g <= 5,
         n <= 20 has such a factor, but the argument that none ever does
         rests on A_m(1) > 0, which follows only from the open nonnegativity
-        conjecture; and ``pipeline._log_orbit_routes`` builds its mismatch
+        conjecture; and ``pipeline._orbit_log_mismatch`` builds its mismatch
         text from numerators whose factors do cancel.
         """
         if n < 1:

@@ -96,42 +96,36 @@ class _ChainMemo:
     ``columns`` holds row s of the column route's table (G(s, c) for
     c = 0..s); ``weights`` and ``logs`` hold coefficient n of the weight
     series and of its log, as their numerators over D_n and over q**n - 1;
-    ``a_counts``, ``i_counts`` and ``orbits`` hold A(g, n), I(g, n) and
-    M(g, n) at index n - 1.  None of these depends on the truncation order,
-    so the longest prefix built so far serves every order.  A prefix is an
-    immutable tuple that is only ever replaced by a longer one built aside,
-    so a concurrent reader always sees a whole prefix; the lock keeps a
-    late, shorter build from replacing a longer one.
+    ``orbit_logs`` holds coefficient n of log M, as agreed by its two
+    routes; ``a_counts``, ``i_counts`` and ``orbits`` hold A(g, n), I(g, n)
+    and M(g, n) at index n - 1.  None of these depends on the truncation
+    order, so the longest prefix built so far serves every order.  A prefix
+    is an immutable tuple that is only ever replaced by a longer one built
+    aside, so a concurrent reader always sees a whole prefix; the lock
+    keeps a late, shorter build from replacing a longer one.
     """
 
-    __slots__ = ("columns", "weights", "logs", "a_counts", "i_counts", "orbits", "_lock")
+    __slots__ = ("columns", "weights", "logs", "orbit_logs", "a_counts", "i_counts", "orbits",
+                 "_lock")
 
     def __init__(self):
         one = PolyQ([1])
-        self.columns, self.weights, self.logs = ((one,),), (one,), (PolyQ(),)
+        self.columns, self.weights = ((one,),), (one,)
+        self.logs = self.orbit_logs = (PolyQ(),)
         self.a_counts = self.i_counts = self.orbits = ()
         self._lock = threading.Lock()
-
-    def prefix(self, field: str, length: int, extend) -> tuple:
-        """The prefix held in ``field``, first replaced by ``extend(prefix)``
-        when it is shorter than ``length``."""
-        have = getattr(self, field)
-        if len(have) < length:
-            have = extend(have)
-            with self._lock:
-                if len(getattr(self, field)) < len(have):
-                    setattr(self, field, have)
-        return have
 
     def grown(self, field: str, length: int, step) -> tuple:
         """The prefix held in ``field``, first grown to ``length`` entries by
         appending step(k, entries before k) for each missing index k."""
-        def extend(have):
+        have = getattr(self, field)
+        if len(have) < length:
             for k in range(len(have), length):
                 have += (step(k, have),)
-            return have
-
-        return self.prefix(field, length, extend)
+            with self._lock:
+                if len(getattr(self, field)) < len(have):
+                    setattr(self, field, have)
+        return have
 
 
 _MEMOS: dict[int, _ChainMemo] = {}
@@ -191,8 +185,8 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
 def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
     """Numerators over q**n - 1 of the coefficients of X**0..X**order of the
     formal log of the weight series."""
-    return _memo(g).prefix(
-        "logs", order + 1, lambda have: log_coefficients(weight_series(g, order), have)
+    return _memo(g).grown(
+        "logs", order + 1, lambda n, have: log_coefficients(weight_series(g, n), have)[n]
     )[: order + 1]
 
 
@@ -287,51 +281,52 @@ def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> Non
 # -- the two routes to the full orbit counts --------------------------------
 
 
-def _log_orbit_product_route(g: int, order: int) -> tuple[PolyQ, ...]:
-    """Coefficients of log M from the product over degrees d of the weight
+def _log_orbit_product_coefficient(g: int, n: int) -> PolyQ:
+    """Coefficient n of log M from the product over degrees d of the weight
     series at (q**d, X**d) raised to the monic-irreducible count N_d: the
     log of that product is the sum over d of N_d * H(q**d, X**d), so the
     coefficient of X**n is the sum over d | n of N_d * H_(n/d)(q**d).  Each
-    H_(n/d)(q**d) is its numerator over q**n - 1, so coefficient n is
-    returned as its numerator over q**n - 1.
+    H_(n/d)(q**d) is its numerator over q**n - 1, so the coefficient is
+    returned as its numerator over q**n - 1."""
+    logs = _log_numerators(g, n)
+    total = PolyQ()
+    for d in divisors(n):
+        total = total + logs[n // d].adams(d) * monic_irreducible_count(d)
+    return total
 
-    Factors with d > order start at X**d and cannot affect coefficients up
-    to the truncation, so the sum stops at d = order.
+
+def _log_orbit_component_coefficient(g: int, n: int) -> PolyQ:
+    """Coefficient n of log M from the sum over m of I(g, m) * sum over k of
+    X**(mk) / k, i.e. the log of the product of (1 - X**m) ** (-I(g, m)):
+    the sum over k | n of I(g, n/k) / k."""
+    total = PolyQ()
+    for k in divisors(n):
+        total = total + indecomposable_count(g, n // k).value / k
+    return total
+
+
+def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Mismatch]:
+    """The product route's coefficient n of log M and the component route's
+    ``via_components``, if the two differ, or None.
+
+    exp is injective on series with constant term 0, so the first X**n at
+    which the logs differ is also the first at which the two routes' orbit
+    counts would differ.
     """
-    logs = _log_numerators(g, order)
-    coeffs = [PolyQ()] * (order + 1)
-    for d in range(1, order + 1):
-        count = monic_irreducible_count(d)
-        for k in range(1, order // d + 1):
-            coeffs[k * d] = coeffs[k * d] + logs[k].adams(d) * count
-    return tuple(coeffs)
+    via_product = _log_orbit_product_coefficient(g, n)
+    if via_product != via_components * PolyQ.q_power_minus_one(n):
+        return Mismatch(n, None, str(RationalFunctionQ(via_product, n)), str(via_components))
+    return None
 
 
-def _log_orbit_component_route(g: int, order: int) -> tuple[PolyQ, ...]:
-    """Coefficients of log M from the sum over n of I(g, n) * sum over k of
-    X**(nk) / k, i.e. the log of the product of (1 - X**n) ** (-I(g, n))."""
-    coeffs = [PolyQ()] * (order + 1)
-    for n in range(1, order + 1):
-        count = indecomposable_count(g, n).value
-        for k in range(1, order // n + 1):
-            coeffs[n * k] = coeffs[n * k] + count / k
-    return tuple(coeffs)
-
-
-def _log_orbit_routes(g: int, order: int) -> tuple[tuple[PolyQ, ...], Optional[Mismatch]]:
-    """The coefficients of log M up to X**order by the component route, and
-    the first X**n at which the product route disagrees (None if nowhere).
-
-    exp is injective on series with constant term 0, so that is also the
-    first X**n at which the two routes' orbit counts would differ.
-    """
-    via_product = _log_orbit_product_route(g, order)
-    via_components = _log_orbit_component_route(g, order)
-    for n in range(1, order + 1):
-        a, b, den = via_product[n], via_components[n], PolyQ.q_power_minus_one(n)
-        if a != b * den:
-            return via_components, Mismatch(n, None, str(RationalFunctionQ(a, n)), str(b))
-    return via_components, None
+def _orbit_log(g: int, n: int) -> PolyQ:
+    log = _log_orbit_component_coefficient(g, n)
+    mismatch = _orbit_log_mismatch(g, n, log)
+    if mismatch is not None:
+        raise InternalCheckError(
+            f"orbit-count routes disagree at g={g}, X^{n}: {mismatch.lhs} vs {mismatch.rhs}"
+        )
+    return log
 
 
 def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
@@ -339,22 +334,15 @@ def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
     routes to log M agree coefficientwise."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
-    counts = _memo(g).prefix("orbits", order, lambda _: _cross_asserted_orbit_counts(g, order))
-    return counts[:order]
+    return _memo(g).grown("orbits", order, lambda k, lower: _orbit_count(g, k + 1, lower))[:order]
 
 
-def _cross_asserted_orbit_counts(g: int, order: int) -> tuple[CountingPolynomial, ...]:
-    logs, mismatch = _log_orbit_routes(g, order)
-    if mismatch is not None:
-        raise InternalCheckError(
-            f"orbit-count routes disagree at g={g}, X^{mismatch.x_degree}: "
-            f"{mismatch.lhs} vs {mismatch.rhs}"
-        )
-    out = []
-    for n, poly in enumerate(exp_coefficients(logs)[1:], 1):
-        _check_prime_power_positivity("M", g, n, poly)
-        out.append(CountingPolynomial("M", g, n, poly))
-    return tuple(out)
+def _orbit_count(g: int, n: int, lower: tuple[CountingPolynomial, ...]) -> CountingPolynomial:
+    logs = _memo(g).grown("orbit_logs", n + 1, lambda m, _: _orbit_log(g, m))
+    known = (PolyQ([1]),) + tuple(cp.value for cp in lower)
+    poly = exp_coefficients(logs[: n + 1], known)[n]
+    _check_prime_power_positivity("M", g, n, poly)
+    return CountingPolynomial("M", g, n, poly)
 
 
 def orbit_count(g: int, n: int) -> CountingPolynomial:

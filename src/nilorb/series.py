@@ -7,7 +7,9 @@ integer numerators over closed-form denominators (the weight series over
 D_n, its log over q**n - 1), so it needs no rational-function arithmetic;
 ``exp_coefficients`` runs over any coefficient ring with exact ``+`` and
 ``*`` and division by a nonzero integer, such as ``PolyQ`` (the orbit
-counts).
+counts).  Each also takes a prefix ``known`` of its own result and
+computes only the coefficients after it, so the chain grows a log or an
+exp one order at a time.
 """
 
 from __future__ import annotations
@@ -57,19 +59,21 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
     return tuple(out)
 
 
-def exp_coefficients(h: Sequence) -> tuple:
+def exp_coefficients(h: Sequence, known: Sequence = ()) -> tuple:
     """Coefficients e_0..e_N of the formal exp of h_0 + h_1 X + ... + h_N X**N,
     where h_0 = 0.
 
     Uses the derivative recurrence n*e_n = sum k*h_k*e_{n-k}.  The
     coefficients keep the type of ``h``: the zero constant term supplies the
-    ring's zero, and e_0 = h_0 + 1 its one.
+    ring's zero, and e_0 = h_0 + 1 its one.  e_n depends only on h_0..h_n,
+    so the recurrence resumes after a prefix ``known`` of the same exp's
+    coefficients.
     """
     zero = h[0]
     if not zero.is_zero:
         raise ValueError("exp requires constant term 0")
-    e = [zero + 1]
-    for m in range(1, len(h)):
+    e = list(known) or [zero + 1]
+    for m in range(len(e), len(h)):
         acc = zero
         for k in range(1, m + 1):
             if not (h[k].is_zero or e[m - k].is_zero):

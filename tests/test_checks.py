@@ -97,8 +97,8 @@ elif check == "thm5-routes":
         tangled(pipeline, "monic_irreducible_count", lambda: pipeline.indecomposable_count(2, 1))
     calls = trace(checks.verify_product_routes, 2, 5)
     bad = [c for c in calls if c[0] == "indecomposable_count"
-           and "_log_orbit_product_route" in c[1]]
-    witness = (any(c[0] == "_log_orbit_product_route" for c in calls)
+           and "_log_orbit_product_coefficient" in c[1]]
+    witness = (sum(c[0] == "_log_orbit_product_coefficient" for c in calls) == 5
                and any(c[0] == "indecomposable_count" for c in calls))
 elif check == "kwi":
     # past fetching A's coefficients, the product side takes no log and no exp

@@ -248,19 +248,17 @@ def test_product_routes_agree():
 def test_product_routes_report_a_mismatch_in_reduced_form(monkeypatch):
     # coefficient n of the product route is a numerator over q^n - 1; off
     # by q^2 - 1 at X^4, its reduced form cancels the factors q - 1 and q + 1
-    route = pipeline._log_orbit_product_route
+    route = pipeline._log_orbit_product_coefficient
 
-    def perturbed(g, order):
-        coeffs = list(route(g, order))
-        coeffs[4] = coeffs[4] + PolyQ.q_power_minus_one(2)
-        return tuple(coeffs)
+    def perturbed(g, n):
+        return route(g, n) + (PolyQ.q_power_minus_one(2) if n == 4 else PolyQ())
 
-    monkeypatch.setattr(pipeline, "_log_orbit_product_route", perturbed)
+    monkeypatch.setattr(pipeline, "_log_orbit_product_coefficient", perturbed)
     mismatch = checks.verify_product_routes(2, 5).mismatch
-    reduced = RF(perturbed(2, 5)[4], PolyQ.q_power_minus_one(4))
+    reduced = RF(perturbed(2, 4), PolyQ.q_power_minus_one(4))
     assert reduced.den == PolyQ([4, 0, 4])
     assert mismatch == pipeline.Mismatch(
-        4, None, str(reduced), str(pipeline._log_orbit_component_route(2, 5)[4]))
+        4, None, str(reduced), str(pipeline._log_orbit_component_coefficient(2, 4)))
 
 
 def test_triple_product_identity_passes():
@@ -522,10 +520,10 @@ def test_shorter_orbit_count_reuses_the_longer_series(run_fresh):
     out = run_fresh("""
 from nilorb import pipeline
 series = pipeline.orbit_count_series(2, 6)
-def refuse(g, order):
+def refuse(g, n):
     raise AssertionError("an M route was built again")
-pipeline._log_orbit_product_route = refuse
-pipeline._log_orbit_component_route = refuse
+pipeline._log_orbit_product_coefficient = refuse
+pipeline._log_orbit_component_coefficient = refuse
 assert pipeline.orbit_count(2, 4) == series[3]
 assert pipeline.orbit_count_series(2, 5) == series[:5]
 print("ok")
@@ -533,10 +531,43 @@ print("ok")
     assert out == "ok"
 
 
+def test_a_longer_orbit_count_extends_the_shorter_series(run_fresh):
+    # M to X^9 after M to X^6 builds each route coefficient of X^7..X^9 once,
+    # and the exp takes up at X^7
+    out = run_fresh("""
+import json
+from nilorb import pipeline
+built = {"product": [], "component": [], "exp": []}
+def counted(name, route):
+    def call(g, n):
+        built[name].append(n)
+        return route(g, n)
+    return call
+pipeline._log_orbit_product_coefficient = counted(
+    "product", pipeline._log_orbit_product_coefficient)
+pipeline._log_orbit_component_coefficient = counted(
+    "component", pipeline._log_orbit_component_coefficient)
+exp = pipeline.exp_coefficients
+def exp_counted(h, known=()):
+    built["exp"].extend(range(max(len(known), 1), len(h)))
+    return exp(h, known)
+pipeline.exp_coefficients = exp_counted
+short = pipeline.orbit_count_series(2, 6)
+first = {name: list(ns) for name, ns in built.items()}
+for ns in built.values():
+    ns.clear()
+assert pipeline.orbit_count_series(2, 9)[:6] == short
+print(json.dumps([first, built]))
+""")
+    first, second = json.loads(out)
+    assert first == {name: list(range(1, 7)) for name in ("product", "component", "exp")}
+    assert second == {name: [7, 8, 9] for name in ("product", "component", "exp")}
+
+
 def test_orbit_count_routes_negative_control(run_fresh):
     # a wrong I(2, 3) reaches only the component route, first at X^3
     out = run_fresh("""
-from nilorb import pipeline
+from nilorb import checks, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
 count = pipeline.indecomposable_count
 def corrupted(g, n):
@@ -545,7 +576,7 @@ def corrupted(g, n):
         return cp
     return pipeline.CountingPolynomial("I", g, n, cp.value + PolyQ([0, 1]))
 pipeline.indecomposable_count = corrupted
-report = pipeline.verify_product_routes(2, 5)
+report = checks.verify_product_routes(2, 5)
 assert not report.passed and report.mismatch.q_degree is None
 try:
     pipeline.orbit_count_series(2, 5)
@@ -649,12 +680,12 @@ print(json.dumps([carried, raised, verify, compute, stdout.getvalue(), stderr.ge
 def test_late_shorter_build_keeps_the_longer_prefix():
     memo = pipeline._ChainMemo()
 
-    def short(have):
+    def step(k, have):
         # a longer build by another caller lands while this one runs
-        assert memo.prefix("orbits", 3, lambda _: ("m1", "m2", "m3")) == ("m1", "m2", "m3")
-        return ("m1",)
+        assert memo.grown("orbits", 3, lambda k, _: f"m{k + 1}") == ("m1", "m2", "m3")
+        return "m1"
 
-    assert memo.prefix("orbits", 1, short) == ("m1",)
+    assert memo.grown("orbits", 1, step) == ("m1",)
     assert memo.orbits == ("m1", "m2", "m3")
 
 

@@ -126,6 +126,21 @@ def test_exp_over_polynomials_matches_rational_functions():
         assert tuple(RF(c) for c in got) == exp_coefficients(tuple(RF(c) for c in h))
 
 
+def test_log_and_exp_resume_after_a_known_prefix():
+    # from any prefix of its own result, each recurrence gives the same
+    # series, and keeps the prefix's coefficients rather than computing them
+    # again
+    rng = random.Random(77)
+    h = (PolyQ(),) + tuple(random_poly(rng) for _ in range(6))
+    p = numerators(random_unit_series(rng, 6))
+    for f, series in ((exp_coefficients, h), (log_coefficients, p)):
+        full = f(series)
+        for length in range(1, len(full) + 1):
+            got = f(series, full[:length])
+            assert got == full
+            assert all(a is b for a, b in zip(got, full[:length]))
+
+
 def test_log_matches_alternating_sum_definition():
     rng = random.Random(20240)
     for _ in range(5):
