@@ -14,8 +14,9 @@ This module is the numeric tower the rest of the package sits on:
 * ``_Record``: the immutable value record that every record of the
   package (a partition, a count, a report, an orbit) subclasses.
 
-Nothing here ever rounds.  All values are immutable after construction and
-safe to share between threads.
+Nothing here ever rounds.  All values, ``PolyQ``, ``RationalFunctionQ`` and
+``FieldSpec`` included, are immutable after construction (assigning to a
+field raises ``AttributeError``) and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class _Record:
     whose fields are its constructor's arguments.  Its fields are its
     class's ``__slots__``, set once by ``__init__``; records of one class
     compare and hash by their field values, pickle by them, and assigning to
-    a field raises ``AttributeError``."""
+    a field raises ``AttributeError``.  A subclass whose constructor takes
+    other arguments than its fields pickles through ``_record_of`` or its
+    constructor's own arguments instead."""
 
     __slots__ = ()
 
@@ -80,6 +83,14 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
+def _record_of(cls, *values) -> _Record:
+    """The record of class ``cls`` with the field values ``values``, built
+    without running the class's constructor."""
+    record = object.__new__(cls)
+    _Record.__init__(record, *values)
+    return record
+
+
 def ratio_text(a: int, b: int) -> str:
     """The text of the rational a / b, for integers a and b > 0: ``"a"`` or
     ``"a/b"`` in lowest terms, the sign on the numerator."""
@@ -92,7 +103,7 @@ def ratio_text(a: int, b: int) -> str:
 # polynomials
 
 
-class PolyQ:
+class PolyQ(_Record):
     """Dense polynomial in q over the rationals.
 
     ``PolyQ(numerators, denominator)`` is the polynomial with the integer
@@ -113,7 +124,7 @@ class PolyQ:
                 raise TypeError(f"expected an int, got {type(x).__name__}")
         if denominator < 1:
             raise ValueError(f"the denominator must be >= 1, got {denominator}")
-        self.numerators, self.denominator = _reduced(nums, denominator)
+        super().__init__(*_reduced(nums, denominator))
 
     # -- constructors -------------------------------------------------
 
@@ -283,7 +294,9 @@ def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
 def _poly(nums: list[int], den: int = 1) -> PolyQ:
     """The PolyQ with numerators ``nums`` over ``den`` > 0 (``nums`` is consumed)."""
     p = object.__new__(PolyQ)
-    p.numerators, p.denominator = _reduced(nums, den)
+    nums, den = _reduced(nums, den)
+    object.__setattr__(p, "numerators", nums)
+    object.__setattr__(p, "denominator", den)
     return p
 
 
@@ -329,7 +342,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 # rational functions
 
 
-class RationalFunctionQ:
+class RationalFunctionQ(_Record):
     """A polynomial over q**n - 1, reduced to the quotient ``num / den`` that
     it prints as.
 
@@ -368,8 +381,7 @@ class RationalFunctionQ:
                 quot = _quotient(top, phi)
                 if quot is not None:
                     top, bottom = quot, _quotient(bottom, phi)
-        self.num = _poly(list(top))
-        self.den = _poly(_times(bottom, num.denominator))
+        super().__init__(_poly(list(top)), _poly(_times(bottom, num.denominator)))
 
     # -- comparisons and display ------------------------------------------
 
@@ -380,6 +392,9 @@ class RationalFunctionQ:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
+
+    def __reduce__(self):
+        return _record_of, (type(self), self.num, self.den)
 
     def __str__(self) -> str:
         return quotient_text([str(c) for c in self.num.numerators],

@@ -17,7 +17,7 @@ an integer q.  Nothing here uses the chain.
 from fractions import Fraction
 from math import gcd, lcm
 
-from nilorb.exactnum import InexactDivisionError, PolyQ, RationalFunctionQ
+from nilorb.exactnum import InexactDivisionError, PolyQ, RationalFunctionQ, _Record, _record_of
 
 
 def poly(coeffs) -> PolyQ:
@@ -85,14 +85,15 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
 
 
 class RF(RationalFunctionQ):
-    __slots__ = ()
+    # no __slots__ of its own, so that it keeps RationalFunctionQ's: a record
+    # reads its fields (num, den) from its class's __slots__
 
     def __init__(self, num, den=1):
         num, den = _poly_of(num), _poly_of(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
-            self.num, self.den = num, PolyQ([1])
+            _Record.__init__(self, num, PolyQ([1]))
             return
         g = poly_gcd(num, den)
         if g.degree() > 0:
@@ -105,8 +106,7 @@ class RF(RationalFunctionQ):
         c = gcd(*a, *b)
         if b[-1] < 0:
             c = -c
-        self.num = PolyQ([x // c for x in a])
-        self.den = PolyQ([x // c for x in b])
+        _Record.__init__(self, PolyQ([x // c for x in a]), PolyQ([x // c for x in b]))
 
     @property
     def is_zero(self) -> bool:
@@ -123,9 +123,7 @@ class RF(RationalFunctionQ):
         The substitution keeps the coefficients, so it keeps the canonical
         form, coprimality included, and no re-reduction is needed.
         """
-        rf = object.__new__(RF)
-        rf.num, rf.den = self.num.adams(d), self.den.adams(d)
-        return rf
+        return _record_of(RF, self.num.adams(d), self.den.adams(d))
 
     def __add__(self, other) -> "RF":
         other = _rf(other)

@@ -467,6 +467,33 @@ def test_oracle_total_count_control(capsys, monkeypatch):
                      "match": False}]
 
 
+# the oracle only counts, and each closed form is compared once, in the row
+# that reports it: a nilpotency test that misses the zero matrix makes a
+# MISMATCH row (exit 1), not an internal assertion (exit 3).  It runs in a
+# fresh interpreter, so that the enumeration the oracle caches stays out of
+# every other test
+
+_MISSES_ZERO = """
+import sys
+from nilorb import cli, fforacle
+nilpotent = fforacle.is_nilpotent
+fforacle.is_nilpotent = lambda field, m: any(map(any, m)) and nilpotent(field, m)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["nilcount-total", "--n", "2", "--q", "2"],
+     "nilpotent matrix count  engine=4  oracle=3  MISMATCH"),
+    (["nilcount", "--lambda", "2,1", "--f", "x", "--q", "3"],
+     "nilpotent commutant count  engine=27  oracle=26  MISMATCH"),
+])
+def test_oracle_nilpotent_miscount_is_a_mismatch(nilorb_env, argv, row):
+    proc = subprocess.run([sys.executable, "-c", _MISSES_ZERO, "oracle", "--check", *argv],
+                          capture_output=True, text=True, env=nilorb_env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, row + "\n", "")
+
+
 # negative controls on the engine side: a value that is not an integer at q
 # is a mismatch that shows it exactly, never a value cut to an integer
 
@@ -524,6 +551,15 @@ def test_oracle_guard_is_usage_error(capsys):
         assert code == 2
         assert err == f"nilorb: orbit enumeration at n={n}, q={q}, g={g} exceeds the guard\n"
         assert err == f"nilorb: {guard.value}\n"
+
+
+def test_oracle_commutant_guard_is_usage_error(capsys):
+    # M_4(F_3), the commutant of a scalar 4 x 4 matrix, has 3^16 elements
+    for f in ("x", "x+1", "x+2"):
+        code, out, err = run(capsys, "oracle", "--check", "nilcount", "--lambda", "1,1,1,1",
+                             "--f", f, "--q", "3")
+        assert (code, out, err) == (
+            2, "", "nilorb: commutant algebra with 3^16 elements exceeds the guard\n")
 
 
 def test_oracle_missing_arguments(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nilorb import pipeline
+from nilorb import fforacle, pipeline
 from nilorb.fforacle import (
     FieldSpec,
     SizeGuardError,
@@ -328,8 +328,38 @@ def test_nilpotent_commutant_guards():
         nilpotent_commutant_count(F2, (1, 0, 1), Partition((1,)))  # x^2+1 reducible
 
 
+def test_commutant_guard_refuses_only_m4_over_f3(monkeypatch):
+    # of every f and lambda that the order guard admits (q <= 3 and
+    # deg(f) |lambda| <= 4), the algebra guard refuses exactly the commutant
+    # M_4(F_3) of a scalar 4 x 4 matrix, whose 3^16 elements would take about
+    # an hour, and it refuses before enumerating any element
+    monkeypatch.setattr(fforacle, "_span", lambda *args: iter(()))
+    admitted, refused = 0, []
+    for field in (F2, F3):
+        for d in range(1, 5):
+            for f in monic_irreducibles(field, d, exclude_x=False):
+                for lam in (lam for weight in range(1, 4 // d + 1) for lam in _partitions(weight)):
+                    try:
+                        nilpotent_commutant_count(field, f, lam)
+                        admitted += 1
+                    except SizeGuardError as exc:
+                        refused.append((field.q, f, lam.parts, str(exc)))
+    message = "commutant algebra with 3^16 elements exceeds the guard"
+    assert refused == [(3, (c, 1), (1, 1, 1, 1), message) for c in range(3)]
+    assert admitted == 95
+
+
 # ---------------------------------------------------------------------------
 # classification
+
+
+def test_endomorphism_profiles_over_f2():
+    # the zero matrix's algebra M_2(F_2) is not local; the Jordan block's,
+    # F_2[x]/(x^2), is local with residue F_2; the companion matrix of
+    # x^2 + x + 1 generates the field F_4
+    assert _endomorphism_profile(F2, (zero_matrix(2),)) == (4, False, None)
+    assert _endomorphism_profile(F2, (((0, 1), (0, 0)),)) == (2, True, 2)
+    assert _endomorphism_profile(F2, (companion_matrix(F2, (1, 1, 1)),)) == (2, True, 4)
 
 
 def test_zero_tuple_is_decomposable():

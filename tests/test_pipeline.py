@@ -152,11 +152,20 @@ def test_single_matrix_counts_are_one():
         assert pipeline.absolutely_indecomposable_count(1, n).value == ONE
 
 
+def has_expected_shape(g: int, n: int, a: PolyQ, m: PolyQ) -> bool:
+    """True when A = a and M = m at (g, n) have the degree g(n^2 - n) -
+    (n^2 - 1), or 0 if that is negative, which is g times the dimension
+    n^2 - n of the nilpotent cone minus dim PGL_n = n^2 - 1, and A has the
+    leading coefficient 1, or 2 at A_2(2,q) = 2q."""
+    degree = max(g * (n * n - n) - (n * n - 1), 0)
+    lead = 2 if (g, n) == (2, 2) else 1
+    return a.degree() == m.degree() == degree and a.numerators[-1] == lead * a.denominator
+
+
 def test_counts_are_integral_with_bounded_degree():
     # deg A <= (g - 1) n^2 is a hard assertion of the engine.  The exact
-    # degree of A and M, g times the dimension n^2 - n of the nilpotent cone
-    # minus dim PGL_n = n^2 - 1, and A's leading coefficient 1 (2 only at
-    # A_2(2,q) = 2q) are tested facts: no written proof covers every (g, n)
+    # degree of A and M and A's leading coefficient are tested facts: no
+    # written proof covers every (g, n)
     for g in range(1, 6):
         orders = range(1, 13 if g <= 3 else 10)
         orbits = pipeline.orbit_count_series(g, orders[-1])
@@ -164,9 +173,21 @@ def test_counts_are_integral_with_bounded_degree():
             cp = pipeline.absolutely_indecomposable_count(g, n)
             assert cp.value.is_integral
             assert cp.value.degree() <= (g - 1) * n * n
-            degree = max(g * (n * n - n) - (n * n - 1), 0)
-            assert cp.value.degree() == orbits[n - 1].value.degree() == degree, (g, n)
-            assert cp.coefficient_list[-1] == (2 if (g, n) == (2, 2) else 1), (g, n)
+            assert has_expected_shape(g, n, cp.value, orbits[n - 1].value), (g, n)
+
+
+def test_expected_shape_negative_control():
+    # one degree too many in A and M, a leading coefficient of 2 in A away
+    # from (2, 2), and 1 at (2, 2), each fail the shape the counts have
+    for g, n in ((2, 2), (2, 3), (3, 2), (4, 3)):
+        a = pipeline.absolutely_indecomposable_count(g, n).value
+        m = pipeline.orbit_count(g, n).value
+        assert has_expected_shape(g, n, a, m), (g, n)
+        higher = PolyQ.q_power(a.degree() + 1)
+        assert not has_expected_shape(g, n, a + higher, m + higher), (g, n)
+        lead = PolyQ.q_power(a.degree())
+        wrong_lead = a - lead if (g, n) == (2, 2) else a + lead
+        assert not has_expected_shape(g, n, wrong_lead, m), (g, n)
 
 
 def test_moebius_inversion_round_trip():
@@ -373,8 +394,11 @@ def test_records_are_immutable_values():
         fforacle.OrbitRecord((zero,), 1, 4, True, None)
     with pytest.raises(InternalCheckError, match="residue size on a non-local orbit"):
         fforacle.OrbitRecord((zero,), 1, 4, False, 2)
+    # so are the engine's numbers and the oracle's finite fields
+    h = pipeline.log_weight_coefficient(2, 3)
     for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g"),
-                          (lam, "parts"), (orbit, "local")):
+                          (lam, "parts"), (orbit, "local"), (cp.value, "numerators"),
+                          (h, "num"), (fforacle.FieldSpec.of(9), "q")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -386,6 +410,32 @@ def test_records_are_immutable_values():
         pipeline.CountingPolynomial("Z", 2, 3, ONE)
     with pytest.raises(TypeError):
         pipeline.Mismatch(2, 1, "3")
+
+
+def test_shared_values_refuse_assignment(run_fresh):
+    # A(2, 3) is held by the memo and weight_denominator(1) by a cache that
+    # every g shares, and GF(2) keys the oracle's caches: an assignment to
+    # any of them that went through would change what later calls compute
+    out = run_fresh("""
+import json
+from nilorb import fforacle, partitions, pipeline
+from nilorb.exactnum import PolyQ
+field = fforacle.FieldSpec.of(2)
+refused = []
+for value, name, new in ((pipeline.absolutely_indecomposable_count(2, 3).value, "numerators", (0,)),
+                         (partitions.weight_denominator(1), "numerators", (0, 1)),
+                         (pipeline.log_weight_coefficient(2, 3), "den", PolyQ([1])),
+                         (field, "q", 3)):
+    try:
+        setattr(value, name, new)
+    except AttributeError:
+        refused.append(name)
+print(json.dumps([refused, str(pipeline.absolutely_indecomposable_count(2, 3)),
+                  str(pipeline.absolutely_indecomposable_count(3, 2)), repr(field)]))
+""")
+    assert json.loads(out) == [
+        ["numerators", "numerators", "den", "q"],
+        "A_2(3,q) = q^4 + 3q^2 + 2q", "A_3(2,q) = q^3 + q^2 + q", "FieldSpec(q=2)"]
 
 
 def test_positivity_check_on_integer_values():
