@@ -24,8 +24,8 @@ import argparse
 import re
 from typing import Optional
 
-from .exactnum import InternalCheckError, SizeGuardError, _Record, ratio_text
-from .partitions import column_weight, partition_count, weight_denominator
+from .exactnum import SizeGuardError, _Record, ratio_text
+from .partitions import column_weight, inner_product, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
     Mismatch,
@@ -46,13 +46,18 @@ _WEIGHT_ROUTES_PARTITIONS = 12_000
 
 
 class VerificationReport(_Record):
-    __slots__ = ("identity", "g", "x_order", "q_order", "passed", "mismatch")
+    """The outcome of one verifier: its first mismatch, or None when the two
+    sides agree throughout the window."""
+
+    __slots__ = ("identity", "g", "x_order", "q_order", "mismatch")
 
     def __init__(self, identity: str, g: int, x_order: int, q_order: Optional[int],
-                 passed: bool, mismatch: Optional[Mismatch]):
-        if not passed and mismatch is None:
-            raise InternalCheckError("failed report without a mismatch location")
-        super().__init__(identity, g, x_order, q_order, passed, mismatch)
+                 mismatch: Optional[Mismatch]):
+        super().__init__(identity, g, x_order, q_order, mismatch)
+
+    @property
+    def passed(self) -> bool:
+        return self.mismatch is None
 
 
 class ScanReport(_Record):
@@ -88,11 +93,10 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
             f"beyond the guard of {_WEIGHT_ROUTES_PARTITIONS}"
         )
     rows = _column_rows(g, order)
-    for n in range(1, order + 1):
-        mismatch = _weight_mismatch(g, n, column_weight(g, rows[n], n))
-        if mismatch is not None:
-            return VerificationReport("weight-routes", g, order, None, False, mismatch)
-    return VerificationReport("weight-routes", g, order, None, True, None)
+    mismatches = (_weight_mismatch(g, n, column_weight(g, rows[n], n))
+                  for n in range(1, order + 1))
+    return VerificationReport("weight-routes", g, order, None,
+                              next(filter(None, mismatches), None))
 
 
 def verify_product_routes(g: int, order: int) -> VerificationReport:
@@ -100,19 +104,10 @@ def verify_product_routes(g: int, order: int) -> VerificationReport:
     reporting the first X**n at which they differ rather than raising."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
-    for n in range(1, order + 1):
-        mismatch = _orbit_log_mismatch(g, n, _log_orbit_component_coefficient(g, n))
-        if mismatch is not None:
-            return VerificationReport("thm5-routes", g, order, None, False, mismatch)
-    return VerificationReport("thm5-routes", g, order, None, True, None)
-
-
-def _bi_one(x_order: int, q_order: int) -> list[list[int]]:
-    """The series 1 as rows: row m holds the coefficients of q**0..q**q_order
-    in the X**m coefficient."""
-    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
-    rows[0][0] = 1
-    return rows
+    mismatches = (_orbit_log_mismatch(g, n, _log_orbit_component_coefficient(g, n))
+                  for n in range(1, order + 1))
+    return VerificationReport("thm5-routes", g, order, None,
+                              next(filter(None, mismatches), None))
 
 
 def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
@@ -135,6 +130,21 @@ def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
             if shift > m:
                 break
             row[power:] = [x + b * y for x, y in zip(row[power:], rows[m - shift])]
+
+
+def _product_rows(tables: dict, x_order: int, q_order: int) -> list[list[int]]:
+    """The product over n <= x_order, s and 0 <= i <= q_order - s of
+    (1 - q**(s+i) X**n) ** tables[n][s], as rows: row m holds the
+    coefficients of q**0..q**q_order in the X**m coefficient."""
+    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
+    rows[0][0] = 1
+    for n in range(1, x_order + 1):
+        for s, a in enumerate(tables[n]):
+            if a == 0 or s > q_order:
+                continue
+            for i in range(q_order - s + 1):
+                _bi_mul_power(rows, n, s + i, a)
+    return rows
 
 
 def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]:
@@ -163,15 +173,9 @@ def _compare_rows(
     lhs: list[list[int]],
     rhs: list[list[int]],
 ) -> VerificationReport:
-    for n in range(x_order + 1):
-        if lhs[n] == rhs[n]:
-            continue
-        k = next(k for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
-        return VerificationReport(
-            identity, g, x_order, q_order, False,
-            Mismatch(n, k, str(lhs[n][k]), str(rhs[n][k])),
-        )
-    return VerificationReport(identity, g, x_order, q_order, True, None)
+    mismatches = (Mismatch(n, k, str(a), str(b)) for n in range(x_order + 1)
+                  for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
+    return VerificationReport(identity, g, x_order, q_order, next(mismatches, None))
 
 
 def verify_triple_product(
@@ -207,14 +211,7 @@ def verify_triple_product(
         table.extend([0] * (ps + 1 - len(table)))
         table[ps] += delta
 
-    rhs = _bi_one(x_order, q_order)
-    for n in range(1, x_order + 1):
-        for s, a in enumerate(tables[n]):
-            if a == 0 or s > q_order:
-                continue
-            for i in range(q_order - s + 1):
-                _bi_mul_power(rhs, n, s + i, a)
-
+    rhs = _product_rows(tables, x_order, q_order)
     lhs = _expand_weight_series(g, x_order, q_order)
     return _compare_rows("kwi", g, x_order, q_order, lhs, rhs)
 
@@ -222,13 +219,10 @@ def verify_triple_product(
 def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
     """At g = 1 the weight series equals the plain double product of
     (1 - q**i X**n); this builds that product directly, without going
-    through the counting polynomials."""
+    through the counting polynomials: every exponent table is (1,)."""
     if x_order < 1 or q_order < 1:
         raise ValueError("truncation orders must be >= 1")
-    rhs = _bi_one(x_order, q_order)
-    for n in range(1, x_order + 1):
-        for i in range(q_order + 1):
-            _bi_mul_power(rhs, n, i, 1)
+    rhs = _product_rows(dict.fromkeys(range(1, x_order + 1), (1,)), x_order, q_order)
     lhs = _expand_weight_series(1, x_order, q_order)
     return _compare_rows("g1-product", 1, x_order, q_order, lhs, rhs)
 
@@ -304,7 +298,7 @@ def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
 
 
 def _report_payload(report: VerificationReport) -> dict:
-    payload = dict(zip(report.__slots__, report._values()))
+    payload = dict(zip(report.__slots__, report._values()), passed=report.passed)
     if report.mismatch is not None:
         payload["mismatch"] = dict(zip(Mismatch.__slots__, report.mismatch._values()))
     return payload
@@ -350,10 +344,9 @@ def cmd_verify(args) -> tuple:
 _TERM_RE = re.compile(r"^(\d+)?(?:(x)(?:\^(\d+))?)?$")
 
 
-def _parse_poly_text(text: str, q: int) -> tuple[int, ...]:
-    """Parse e.g. 'x', 'x^2+x+1', 'x-1' into ascending coefficients mod p."""
-    from .fforacle import FieldSpec
-
+def _parse_poly_text(text: str) -> dict[int, int]:
+    """Parse e.g. 'x', 'x^2+x+1', 'x-1' into its integer coefficients by
+    degree, leaving out the degrees no term names."""
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial")
@@ -374,10 +367,7 @@ def _parse_poly_text(text: str, q: int) -> tuple[int, ...]:
         else:
             power = int(m.group(3)) if m.group(3) else 1
         coeffs[power] = coeffs.get(power, 0) + sign * coeff
-    degree = max(coeffs)
-    field = FieldSpec.of(q)
-    out = [coeffs.get(k, 0) % field.p for k in range(degree + 1)]
-    return tuple(out)
+    return coeffs
 
 
 def _value_at(cp: CountingPolynomial, q: int) -> int | str:
@@ -393,14 +383,14 @@ def _row(quantity: str, engine, oracle: int) -> dict:
 
 def _oracle_rows(args) -> tuple[list[dict], dict]:
     from . import fforacle, pipeline
-    from .partitions import inner_product
 
+    # in every check the oracle counts first, so that its guards refuse a
+    # size past its reach before the chain or a closed form does work that
+    # grows with the input
     field = fforacle.FieldSpec.of(args.q)
     if args.check in ("M", "IA"):
         if args.g is None or args.n is None:
             raise ValueError(f"--check {args.check} needs --g and --n")
-        # the oracle runs first, so that its guard refuses a size past its
-        # reach before the chain builds anything
         if args.check == "M":
             by_average = fforacle.burnside_orbit_count(field, args.n, args.g)
             by_listing = sum(1 for _ in fforacle.orbit_listing(field, args.n, args.g))
@@ -420,18 +410,21 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
     elif args.check == "nilcount":
         if args.lam is None or args.f is None:
             raise ValueError("--check nilcount needs --lambda and --f")
-        f = _parse_poly_text(args.f, args.q)
-        d = len(f) - 1
+        coeffs = _parse_poly_text(args.f)
+        # the oracle's order guard sees deg f before f is written out in full
+        d = max(coeffs)
+        fforacle._guard_commutant_order(field, d, args.lam)
+        count = fforacle.nilpotent_commutant_count(
+            field, tuple(coeffs.get(k, 0) % field.p for k in range(d + 1)), args.lam)
         formula = args.q ** (d * (inner_product(args.lam, args.lam) - args.lam.length))
-        rows = [_row("nilpotent commutant count", formula,
-                     fforacle.nilpotent_commutant_count(field, f, args.lam))]
+        rows = [_row("nilpotent commutant count", formula, count)]
         params = {"check": args.check, "lambda": list(args.lam.parts),
                   "f": args.f, "q": args.q}
     else:  # nilcount-total
         if args.n is None:
             raise ValueError("--check nilcount-total needs --n")
-        rows = [_row("nilpotent matrix count", args.q ** (args.n * args.n - args.n),
-                     len(fforacle.nilpotent_matrices(field, args.n)))]
+        count = len(fforacle.nilpotent_matrices(field, args.n))
+        rows = [_row("nilpotent matrix count", args.q ** (args.n * args.n - args.n), count)]
         params = {"check": args.check, "n": args.n, "q": args.q}
     return rows, params
 

@@ -5,9 +5,13 @@ matrices, enumerate the general linear group, count orbits of nilpotent
 tuples under simultaneous conjugation both by Burnside averaging and by
 explicit orbit construction, compute simultaneous commutants by linear
 algebra, and classify orbits through their endomorphism algebras.  Hard
-size guards keep every call honest about what can actually be enumerated.
-The oracle only counts: each closed form a count should equal is compared
-once, in the row of the ``oracle`` command that reports it (``checks``).
+size guards keep every call honest about what can actually be enumerated;
+each reads only the sizes it guards, so it runs before any work that grows
+with them.  The oracle only counts: each closed form a count should equal
+is compared once, in the row of the ``oracle`` command that reports it
+(``checks``).  Records hold no field that another determines: an
+``OrbitRecord`` is local exactly when it has a residue size, and a
+``FieldSpec`` compares by its fields, which ``(p, e)`` determine.
 
 Field elements are integers 0..q-1.  For prime fields the integer is the
 residue; for prime-power fields it encodes the coefficient vector of the
@@ -173,15 +177,6 @@ class FieldSpec(_Record):
     @property
     def elements(self) -> range:
         return range(self.q)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
 
     def __reduce__(self):
         return FieldSpec, (self.p, self.e)
@@ -350,17 +345,18 @@ def burnside_orbit_count(field: FieldSpec, n: int, g: int) -> int:
 
 class OrbitRecord(_Record):
     """One orbit of nilpotent g-tuples: its lexicographically minimal member,
-    size, and endomorphism-algebra profile."""
+    size, and endomorphism-algebra profile: the algebra's dimension, and its
+    residue field's size when it is local (None when it is not)."""
 
-    __slots__ = ("representative", "size", "endo_dim", "local", "residue_size")
+    __slots__ = ("representative", "size", "endo_dim", "residue_size")
 
-    def __init__(self, representative: MatrixTuple, size: int, endo_dim: int, local: bool,
+    def __init__(self, representative: MatrixTuple, size: int, endo_dim: int,
                  residue_size: Optional[int]):
-        if local and residue_size is None:
-            raise InternalCheckError("local orbit without residue size")
-        if not local and residue_size is not None:
-            raise InternalCheckError("residue size on a non-local orbit")
-        super().__init__(representative, size, endo_dim, local, residue_size)
+        super().__init__(representative, size, endo_dim, residue_size)
+
+    @property
+    def local(self) -> bool:
+        return self.residue_size is not None
 
 
 @lru_cache(maxsize=None)
@@ -460,9 +456,9 @@ def _guard_algebra(field: FieldSpec, basis: list[Matrix]) -> None:
         )
 
 
-def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, bool, Optional[int]]:
-    """Dimension of the endomorphism algebra, whether it is local, and the
-    residue field size when local.
+def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, Optional[int]]:
+    """Dimension of the endomorphism algebra, and its residue field's size
+    when it is local (None when it is not).
 
     One pass counts the non-units and, among them, the nilpotents.  A finite
     dimensional algebra is local exactly when every non-unit is nilpotent
@@ -479,7 +475,7 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
             nonunits += 1
             nilpotents += is_nilpotent(field, m)
     if nonunits != nilpotents:
-        return k, False, None
+        return k, None
     order = field.q ** k
     if order % nonunits:
         raise InternalCheckError("radical size does not divide the algebra order")
@@ -493,7 +489,7 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
         s += 1
     if s < 1:
         raise InternalCheckError("local algebra with trivial residue")
-    return k, True, residue
+    return k, residue
 
 
 def indecomposability_counts(field: FieldSpec, n: int, g: int) -> tuple[int, int]:
@@ -525,36 +521,22 @@ def companion_matrix(field: FieldSpec, f: Sequence[int]) -> Matrix:
     return tuple(tuple(r) for r in out)
 
 
-def block_jordan_matrix(field: FieldSpec, f: Sequence[int], m: int) -> Matrix:
-    """Jordan-style block of order m over the companion matrix of f:
-    companion blocks on the diagonal, identity blocks above it."""
-    if m < 1:
-        raise ValueError("block multiplicity must be >= 1")
+def jordan_type_matrix(field: FieldSpec, f: Sequence[int], lam: Partition) -> Matrix:
+    """The Jordan-type matrix of f and lam: for each part m of lam, a block
+    of m companion matrices of f on the diagonal with identity blocks above
+    them, these blocks summed directly."""
     c = companion_matrix(field, f)
     d = len(c)
-    size = m * d
+    size = d * lam.weight
     out = [[0] * size for _ in range(size)]
-    for blk in range(m):
-        for i in range(d):
-            for j in range(d):
-                out[blk * d + i][blk * d + j] = c[i][j]
-        if blk + 1 < m:
-            for i in range(d):
-                out[blk * d + i][(blk + 1) * d + i] = 1
-    return tuple(tuple(r) for r in out)
-
-
-def jordan_type_matrix(field: FieldSpec, f: Sequence[int], lam: Partition) -> Matrix:
-    """Direct sum of block_jordan_matrix(f, part) over the parts of lam."""
-    blocks = [block_jordan_matrix(field, f, part) for part in lam.parts]
-    size = sum(len(b) for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    pos = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[pos + i][pos + j] = x
-        pos += len(b)
+    top = 0
+    for m in lam.parts:
+        for blk in range(m):
+            for i, row in enumerate(c):
+                out[top + i][top:top + d] = row
+                if blk + 1 < m:
+                    out[top + i][top + d + i] = 1
+            top += d
     return tuple(tuple(r) for r in out)
 
 
@@ -613,24 +595,32 @@ def monic_irreducibles(field: FieldSpec, d: int, exclude_x: bool = True) -> list
     return out
 
 
+def _guard_commutant_order(field: FieldSpec, d: int, lam: Partition) -> None:
+    """Refuse a Jordan-type matrix of f and lam, deg f = d, past order 4 or
+    over a field past 3 elements; it reads only d and lam, so it runs before
+    f is checked for irreducibility, or written out at all."""
+    v = d * lam.weight
+    if field.q > 3 or v > 4:
+        raise SizeGuardError(
+            f"commutant enumeration at order {v} over q={field.q} exceeds the guard"
+        )
+
+
 def nilpotent_commutant_count(field: FieldSpec, f: Sequence[int], lam: Partition) -> int:
     """Count nilpotent matrices commuting with the Jordan-type block built
     from the monic irreducible f and the partition lam, by enumerating the
-    commutant algebra.  The guard refuses a commutant past
-    ``_ALGEBRA_LIMIT`` elements before any is enumerated."""
+    commutant algebra.  The order guard runs before f's trial division, and
+    the algebra guard refuses a commutant past ``_ALGEBRA_LIMIT`` elements
+    before any is enumerated."""
     f = tuple(f)
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         raise ValueError("f must be monic of degree >= 1")
     if any(not 0 <= c < field.q for c in f):
         raise ValueError("f has coefficients outside the field")
+    _guard_commutant_order(field, d, lam)
     if d > 1 and not is_irreducible(field, f):
         raise ValueError("f must be irreducible")
-    v = d * lam.weight
-    if field.q > 3 or v > 4:
-        raise SizeGuardError(
-            f"commutant enumeration at order {v} over q={field.q} exceeds the guard"
-        )
     basis = commutant_basis(field, (jordan_type_matrix(field, f, lam),))
     _guard_algebra(field, basis)
-    return sum(1 for m in _span(field, basis, v) if is_nilpotent(field, m))
+    return sum(1 for m in _span(field, basis, d * lam.weight) if is_nilpotent(field, m))

@@ -562,6 +562,38 @@ def test_oracle_commutant_guard_is_usage_error(capsys):
             2, "", "nilorb: commutant algebra with 3^16 elements exceeds the guard\n")
 
 
+@pytest.mark.parametrize("lam, f, q, order", [
+    ("1", "x^35+x^2+1", "2", 35),
+    ("4000000", "x", "3", 4000000),
+    ("1", "x^10000000", "2", 10000000),
+])
+def test_oracle_commutant_order_guard_runs_first(capsys, monkeypatch, lam, f, q, order):
+    # the closed form's inner product grows as the largest part, and f's
+    # coefficient list, which the count is given, as deg f; the order guard
+    # refuses before either is built (the count's own trial division of f is
+    # pinned in test_fforacle)
+    def reached(*args):
+        raise LookupError("work that grows with the input ran before the guard")
+
+    monkeypatch.setattr(checks, "inner_product", reached)
+    monkeypatch.setattr(fforacle, "nilpotent_commutant_count", reached)
+    code, out, err = run(capsys, "oracle", "--check", "nilcount", "--lambda", lam,
+                         "--f", f, "--q", q)
+    assert (code, out, err) == (
+        2, "", f"nilorb: commutant enumeration at order {order} over q={q} exceeds the guard\n")
+
+
+def test_oracle_matrix_guard_runs_before_the_closed_form(nilorb_env):
+    # 3^(n^2 - n) at n = 4000 has about 7.6 million digits; the matrix guard
+    # must refuse before it is computed, well within the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilorb", "oracle", "--check", "nilcount-total",
+         "--n", "4000", "--q", "3"],
+        capture_output=True, text=True, env=nilorb_env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "nilorb: enumerating 3^16000000 matrices exceeds the desk-scale guard\n")
+
+
 def test_oracle_missing_arguments(capsys):
     code, _, _ = run(capsys, "oracle", "--check", "nilcount", "--q", "2")
     assert code == 2

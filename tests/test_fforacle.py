@@ -9,7 +9,6 @@ from nilorb.fforacle import (
     _ORBIT_REACH,
     _ORBIT_REACH_N1,
     _endomorphism_profile,
-    block_jordan_matrix,
     burnside_orbit_count,
     commutant_basis,
     companion_matrix,
@@ -47,8 +46,8 @@ def classify_tuple(field, matrices) -> str:
     the algebra is local (Fitting), absolutely indecomposable iff the
     residue field is the base field itself.  These criteria are standard
     representation theory rather than anything specific to this package."""
-    _, local, residue = _endomorphism_profile(field, matrices)
-    if not local:
+    _, residue = _endomorphism_profile(field, matrices)
+    if residue is None:
         return DECOMPOSABLE
     if residue == field.q:
         return ABSOLUTELY_INDECOMPOSABLE
@@ -254,7 +253,7 @@ def test_commutant_of_zero_tuple_is_everything():
 
 
 def test_commutant_of_regular_nilpotent_block():
-    j = block_jordan_matrix(F2, (0, 1), 2)
+    j = jordan_type_matrix(F2, (0, 1), Partition((2,)))
     assert j == ((0, 1), (0, 0))
     basis = commutant_basis(F2, (j,))
     assert len(basis) == 2
@@ -349,6 +348,18 @@ def test_commutant_guard_refuses_only_m4_over_f3(monkeypatch):
     assert admitted == 95
 
 
+def test_commutant_order_guard_runs_before_trial_division(monkeypatch):
+    # trial division of f takes about q^(deg f / 2) divisions: at
+    # x^35 + x^2 + 1 over F_2 the order guard refuses before any of them
+    def reached(*args):
+        raise LookupError("f was tested for irreducibility before the guard")
+
+    monkeypatch.setattr(fforacle, "is_irreducible", reached)
+    f = tuple(int(k in (0, 2, 35)) for k in range(36))
+    with pytest.raises(SizeGuardError, match="at order 35 over q=2 exceeds the guard"):
+        nilpotent_commutant_count(F2, f, Partition((1,)))
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -357,9 +368,9 @@ def test_endomorphism_profiles_over_f2():
     # the zero matrix's algebra M_2(F_2) is not local; the Jordan block's,
     # F_2[x]/(x^2), is local with residue F_2; the companion matrix of
     # x^2 + x + 1 generates the field F_4
-    assert _endomorphism_profile(F2, (zero_matrix(2),)) == (4, False, None)
-    assert _endomorphism_profile(F2, (((0, 1), (0, 0)),)) == (2, True, 2)
-    assert _endomorphism_profile(F2, (companion_matrix(F2, (1, 1, 1)),)) == (2, True, 4)
+    assert _endomorphism_profile(F2, (zero_matrix(2),)) == (4, None)
+    assert _endomorphism_profile(F2, (((0, 1), (0, 0)),)) == (2, 2)
+    assert _endomorphism_profile(F2, (companion_matrix(F2, (1, 1, 1)),)) == (2, 4)
 
 
 def test_zero_tuple_is_decomposable():
@@ -414,12 +425,27 @@ def test_companion_matrix_layout():
 
 
 def test_block_jordan_quadratic():
-    j = block_jordan_matrix(F2, (1, 1, 1), 2)
+    j = jordan_type_matrix(F2, (1, 1, 1), Partition((2,)))
     assert j == (
         (0, 1, 1, 0),
         (1, 1, 0, 1),
         (0, 0, 0, 1),
         (0, 0, 1, 1),
+    )
+
+
+def test_jordan_type_matrix_with_several_parts():
+    # x^2 + x + 1 and lambda = 2,1: the part 2 gives two companion blocks
+    # with an identity block above the second, the part 1 one block of its
+    # own, with nothing linking it to the first
+    j = jordan_type_matrix(F2, (1, 1, 1), Partition((2, 1)))
+    assert j == (
+        (0, 1, 1, 0, 0, 0),
+        (1, 1, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 1, 1, 0, 0),
+        (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 1, 1),
     )
 
 

@@ -338,11 +338,11 @@ def test_bi_mul_power_reads_each_row_before_it_changes():
     # (1 - X)^2 = 1 - 2X + X^2: row m gains rows m-1 and m-2 as they were
     # before the multiplication; read after their own update, rows 2 and 3
     # would come out as 5 and -12
-    rows = checks._bi_one(3, 1)
+    rows = [[1, 0], [0, 0], [0, 0], [0, 0]]
     checks._bi_mul_power(rows, 1, 0, 2)
     assert rows == [[1, 0], [-2, 0], [1, 0], [0, 0]]
     # (1 - q X)^-1 = sum of q^m X^m, truncated at q^2
-    rows = checks._bi_one(3, 2)
+    rows = [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
     checks._bi_mul_power(rows, 1, 1, -1)
     assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
 
@@ -365,18 +365,15 @@ def test_g1_product_control_fails_on_a_corrupted_weight_series(monkeypatch, caps
     assert out.startswith("g1-product (g=1, N=6, Q=12): FAIL  first mismatch at X^3, q^5: ")
 
 
-def test_failed_report_requires_mismatch():
-    with pytest.raises(InternalCheckError):
-        checks.VerificationReport("kwi", 2, 3, 12, False, None)
-
-
 def test_records_are_immutable_values():
     mismatch = pipeline.Mismatch(2, 1, "3", "4")
-    report = checks.VerificationReport("kwi", 2, 3, 12, False, mismatch)
+    report = checks.VerificationReport("kwi", 2, 3, 12, mismatch)
     same = checks.VerificationReport(identity="kwi", g=2, x_order=3, q_order=12,
-                                     passed=False, mismatch=pipeline.Mismatch(2, 1, "3", "4"))
+                                     mismatch=pipeline.Mismatch(2, 1, "3", "4"))
     assert report == same and hash(report) == hash(same)
-    assert report != checks.VerificationReport("kwi", 2, 3, 13, False, mismatch)
+    assert report != checks.VerificationReport("kwi", 2, 3, 13, mismatch)
+    # passed is read off the mismatch, so no report can fail without one
+    assert not report.passed and checks.VerificationReport("kwi", 2, 3, 12, None).passed
     assert mismatch != (2, 1, "3", "4")
     assert repr(mismatch) == "Mismatch(x_degree=2, q_degree=1, lhs='3', rhs='4')"
     cp = pipeline.CountingPolynomial("A", 2, 3, PolyQ([0, 2, 3, 0, 1]))
@@ -386,18 +383,16 @@ def test_records_are_immutable_values():
     assert repr(lam) == "Partition(2, 1)"
     assert lam == Partition([2, 1]) and hash(lam) == hash(Partition([2, 1]))
     zero = ((0, 0), (0, 0))
-    orbit = fforacle.OrbitRecord((zero,), 1, 4, False, None)
+    orbit = fforacle.OrbitRecord((zero,), 1, 4, None)
     same_orbit = fforacle.OrbitRecord(representative=(zero,), size=1, endo_dim=4,
-                                      local=False, residue_size=None)
+                                      residue_size=None)
     assert orbit == same_orbit and hash(orbit) == hash(same_orbit)
-    with pytest.raises(InternalCheckError, match="local orbit without residue size"):
-        fforacle.OrbitRecord((zero,), 1, 4, True, None)
-    with pytest.raises(InternalCheckError, match="residue size on a non-local orbit"):
-        fforacle.OrbitRecord((zero,), 1, 4, False, 2)
+    # local is read off the residue size, so neither can contradict the other
+    assert not orbit.local and fforacle.OrbitRecord((zero,), 1, 4, 2).local
     # so are the engine's numbers and the oracle's finite fields
     h = pipeline.log_weight_coefficient(2, 3)
-    for record, field in ((mismatch, "lhs"), (report, "passed"), (cp, "value"), (scan, "g"),
-                          (lam, "parts"), (orbit, "local"), (cp.value, "numerators"),
+    for record, field in ((mismatch, "lhs"), (report, "mismatch"), (cp, "value"), (scan, "g"),
+                          (lam, "parts"), (orbit, "residue_size"), (cp.value, "numerators"),
                           (h, "num"), (fforacle.FieldSpec.of(9), "q")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
