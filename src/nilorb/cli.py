@@ -138,7 +138,11 @@ def _cache_root(explicit: str | None) -> Path:
 
 
 def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
-    return root / f"v{ENGINE_VERSION}__{kind}_g{g}_{mode}{value}.json"
+    """The entry of ``--n value`` (``..._n3.json``) or ``--N value``
+    (``..._upto3.json``): the two names differ in more than letter case, so
+    a case-insensitive file system keeps both."""
+    token = "upto" if mode == "N" else "n"
+    return root / f"v{ENGINE_VERSION}__{kind}_g{g}_{token}{value}.json"
 
 
 # the names ``_cache_file`` gives, for every engine version: ``cache list``

@@ -7,16 +7,21 @@ explicit orbit construction, compute simultaneous commutants by linear
 algebra, and classify orbits through their endomorphism algebras.  Hard
 size guards keep every call honest about what can actually be enumerated;
 each reads only the sizes it guards, so it runs before any work that grows
-with them.  The oracle only counts: each closed form a count should equal
-is compared once, in the row of the ``oracle`` command that reports it
-(``checks``).  Records hold no field that another determines: an
-``OrbitRecord`` is local exactly when it has a residue size, and a
-``FieldSpec`` compares by its fields, which ``(p, e)`` determine.
+with them.  The algebra guard sits in ``_span``, the one enumeration of a
+commutant, so no caller can enumerate one unguarded.  The oracle only
+counts: each closed form a count should equal is compared once, in the row
+of the ``oracle`` command that reports it (``checks``).  Records hold no
+field that another determines: an ``OrbitRecord`` is local exactly when it
+has a residue size, and a ``FieldSpec`` compares by its fields, which
+``(p, e)`` determine.
 
-Field elements are integers 0..q-1.  For prime fields the integer is the
+The one table ``_FIELDS`` lists the supported fields, each with p, e and a
+fixed monic irreducible modulus, so results are reproducible; any other q
+is refused by a table lookup, before any work that grows with q.  Field
+elements are integers 0..q-1.  For prime fields the integer is the
 residue; for prime-power fields it encodes the coefficient vector of the
-polynomial representative in base p (little-endian), with a fixed modulus
-per field so results are reproducible.  Matrices are tuples of row tuples.
+polynomial representative in base p (little-endian) modulo the field's
+modulus.  Matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -32,11 +37,17 @@ Matrix = tuple[tuple[int, ...], ...]
 MatrixTuple = tuple[Matrix, ...]
 
 
-#: fixed monic irreducible moduli (ascending coefficients, leading 1)
-_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),      # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),   # x^3 + x + 1
-    (3, 2): (1, 0, 1),      # x^2 + 1
+#: the supported fields, by size q: the characteristic p, the degree e with
+#: q = p**e, and a fixed monic irreducible modulus (ascending coefficients,
+#: leading 1; x for a prime field), so every result is reproducible
+_FIELDS: dict[int, tuple[int, int, tuple[int, ...]]] = {
+    2: (2, 1, (0, 1)),
+    3: (3, 1, (0, 1)),
+    4: (2, 2, (1, 1, 1)),      # x^2 + x + 1
+    5: (5, 1, (0, 1)),
+    7: (7, 1, (0, 1)),
+    8: (2, 3, (1, 1, 0, 1)),   # x^3 + x + 1
+    9: (3, 2, (1, 0, 1)),      # x^2 + 1
 }
 
 #: the largest tuple length g whose orbits are enumerated, per (n, q).  At
@@ -56,7 +67,7 @@ _ORBIT_REACH_N1 = 400_000
 _ALGEBRA_LIMIT = 2 ** 16
 
 
-def _field_tables(p: int, e: int, modulus: Optional[tuple[int, ...]]) -> tuple:
+def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> tuple:
     """The addition, multiplication, negation and inversion tables of the
     field with p**e elements, each element encoded by the base-p digits
     (little-endian) of its polynomial representative modulo ``modulus``."""
@@ -97,43 +108,32 @@ def _field_tables(p: int, e: int, modulus: Optional[tuple[int, ...]]) -> tuple:
 
 
 class FieldSpec(_Record):
-    """A finite field with at most 9 elements, fully tabled arithmetic.
+    """A finite field of ``_FIELDS``, with fully tabled arithmetic.
 
-    The multiplication/addition tables are verified against the field
-    axioms exhaustively at construction, so a bad modulus cannot produce
-    silently wrong counts downstream.
+    The field is looked up in the table before anything is built, so an
+    unsupported one is refused whatever its size.  The multiplication and
+    addition tables are verified against the field axioms exhaustively at
+    construction, so a bad modulus cannot produce silently wrong counts
+    downstream.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "e", "q", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, e: int):
-        if p < 2 or any(p % d == 0 for d in range(2, p)):
-            raise ValueError(f"characteristic {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree must be >= 1")
-        q = p ** e
-        if q > 9:
-            raise SizeGuardError(f"fields beyond 9 elements are not supported (q={q})")
-        modulus = _MODULI.get((p, e)) if e > 1 else None
-        if e > 1 and modulus is None:
-            raise ValueError(f"no modulus on record for GF({p}^{e})")
-        super().__init__(p, e, q, modulus, *_field_tables(p, e, modulus))
+        q = next((q for q, entry in _FIELDS.items() if entry[:2] == (p, e)), None)
+        if q is None:
+            raise ValueError(f"GF({p}^{e}) is not a supported field")
+        super().__init__(p, e, q, *_field_tables(*_FIELDS[q]))
         self._verify_axioms()
 
     @classmethod
     def of(cls, q: int) -> "FieldSpec":
-        """Field with exactly q elements (q a prime power <= 9)."""
-        if q < 2:
-            raise ValueError(f"{q} is not a prime power")
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(p, e)
+        """Field with exactly q elements: a q of ``_FIELDS``."""
+        if q in _FIELDS:
+            return cls(*_FIELDS[q][:2])
+        if q > max(_FIELDS):
+            raise SizeGuardError(f"fields beyond {max(_FIELDS)} elements are not supported (q={q})")
+        raise ValueError(f"{q} is not a prime power")
 
     def _verify_axioms(self) -> None:
         q = self.q
@@ -437,9 +437,16 @@ def commutant_basis(field: FieldSpec, matrices: MatrixTuple) -> list[Matrix]:
     return [tuple(vec[i * n : (i + 1) * n] for i in range(n)) for vec in basis]
 
 
-def _span(field: FieldSpec, basis: list[Matrix], n: int):
-    """Every linear combination of the n x n matrices in ``basis``, one for
-    each coefficient vector over the field."""
+def _span(field: FieldSpec, basis: list[Matrix]):
+    """Every linear combination of the square matrices in ``basis``, one for
+    each coefficient vector over the field.  An algebra of more than
+    ``_ALGEBRA_LIMIT`` elements is refused before its first element is
+    built."""
+    if field.q ** len(basis) > _ALGEBRA_LIMIT:
+        raise SizeGuardError(
+            f"commutant algebra with {field.q}^{len(basis)} elements exceeds the guard"
+        )
+    n = len(basis[0])
     for combo in itertools.product(field.elements, repeat=len(basis)):
         acc = zero_matrix(n)
         for coeff, bmat in zip(combo, basis):
@@ -447,13 +454,6 @@ def _span(field: FieldSpec, basis: list[Matrix], n: int):
                 acc = mat_add(field, acc, tuple(
                     tuple(field.mul(coeff, x) for x in row) for row in bmat))
         yield acc
-
-
-def _guard_algebra(field: FieldSpec, basis: list[Matrix]) -> None:
-    if field.q ** len(basis) > _ALGEBRA_LIMIT:
-        raise SizeGuardError(
-            f"commutant algebra with {field.q}^{len(basis)} elements exceeds the guard"
-        )
 
 
 def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, Optional[int]]:
@@ -466,11 +466,10 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
     nilpotent is never a unit, so the algebra is local exactly when the two
     counts agree."""
     basis = commutant_basis(field, matrices)
-    _guard_algebra(field, basis)
     k = len(basis)
     n = len(matrices[0])
     nonunits = nilpotents = 0
-    for m in _span(field, basis, n):
+    for m in _span(field, basis):
         if mat_rank(field, m) < n:
             nonunits += 1
             nilpotents += is_nilpotent(field, m)
@@ -540,31 +539,22 @@ def jordan_type_matrix(field: FieldSpec, f: Sequence[int], lam: Partition) -> Ma
     return tuple(tuple(r) for r in out)
 
 
-def poly_divmod(field: FieldSpec, a: Sequence[int], b: Sequence[int]):
-    """Polynomial division over the field, coefficients ascending."""
+def _monic_remainder(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of a by the monic b over the field, coefficients
+    ascending: its deg b lowest coefficients, zeros included."""
     a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    lead_inv = field.inv(b[-1])
-    while len(a) >= len(b):
-        factor = field.mul(a[-1], lead_inv)
-        shift = len(a) - len(b)
-        quot[shift] = factor
-        for i, y in enumerate(b):
-            a[shift + i] = field.sub(a[shift + i], field.mul(factor, y))
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
+    d = len(b) - 1
+    while len(a) > d:
+        c = a.pop()
+        top = len(a) - d
+        for i in range(d):
+            a[top + i] = field.sub(a[top + i], field.mul(c, b[i]))
+    return a
 
 
 def is_irreducible(field: FieldSpec, f: Sequence[int]) -> bool:
-    """Trial-division irreducibility for a monic polynomial over the field."""
+    """Trial-division irreducibility for a monic polynomial over the field:
+    no monic polynomial of degree 1 to deg f / 2 leaves remainder 0."""
     f = list(f)
     while f and f[-1] == 0:
         f.pop()
@@ -575,9 +565,7 @@ def is_irreducible(field: FieldSpec, f: Sequence[int]) -> bool:
         return True
     for e in range(1, d // 2 + 1):
         for tail in itertools.product(field.elements, repeat=e):
-            divisor = list(tail) + [1]
-            _, rem = poly_divmod(field, f, divisor)
-            if not rem:
+            if not any(_monic_remainder(field, f, tail + (1,))):
                 return False
     return True
 
@@ -610,8 +598,8 @@ def nilpotent_commutant_count(field: FieldSpec, f: Sequence[int], lam: Partition
     """Count nilpotent matrices commuting with the Jordan-type block built
     from the monic irreducible f and the partition lam, by enumerating the
     commutant algebra.  The order guard runs before f's trial division, and
-    the algebra guard refuses a commutant past ``_ALGEBRA_LIMIT`` elements
-    before any is enumerated."""
+    ``_span`` refuses a commutant past ``_ALGEBRA_LIMIT`` elements before
+    any is enumerated."""
     f = tuple(f)
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
@@ -622,5 +610,4 @@ def nilpotent_commutant_count(field: FieldSpec, f: Sequence[int], lam: Partition
     if d > 1 and not is_irreducible(field, f):
         raise ValueError("f must be irreducible")
     basis = commutant_basis(field, (jordan_type_matrix(field, f, lam),))
-    _guard_algebra(field, basis)
-    return sum(1 for m in _span(field, basis, d * lam.weight) if is_nilpotent(field, m))
+    return sum(1 for m in _span(field, basis) if is_nilpotent(field, m))

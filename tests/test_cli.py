@@ -187,6 +187,14 @@ def test_directory_at_an_entry_path_is_a_miss(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
 
 
+def test_cache_entry_names_differ_in_more_than_case(tmp_path):
+    # a case-insensitive file system (the macOS and Windows defaults) would
+    # store --n 3 and --N 3 as one file, and each would evict the other
+    for kind in KINDS:
+        names = {cli._cache_file(tmp_path, kind, 2, mode, 3).name.lower() for mode in "nN"}
+        assert len(names) == 2, kind
+
+
 def test_cache_version_bump_is_miss(tmp_path):
     cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
     entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
@@ -592,6 +600,17 @@ def test_oracle_matrix_guard_runs_before_the_closed_form(nilorb_env):
         capture_output=True, text=True, env=nilorb_env, timeout=5)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "nilorb: enumerating 3^16000000 matrices exceeds the desk-scale guard\n")
+
+
+def test_oracle_field_guard_runs_before_any_work(nilorb_env):
+    # 1,000,000,007 is a prime: the field table refuses it by lookup, where
+    # a search for its smallest divisor would run past the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilorb", "oracle", "--check", "nilcount-total",
+         "--n", "1", "--q", "1000000007"],
+        capture_output=True, text=True, env=nilorb_env, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "nilorb: fields beyond 9 elements are not supported (q=1000000007)\n")
 
 
 def test_oracle_missing_arguments(capsys):

@@ -1,10 +1,13 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from nilorb import fforacle, pipeline
 from nilorb.fforacle import (
     FieldSpec,
+    InternalCheckError,
     SizeGuardError,
     _ORBIT_REACH,
     _ORBIT_REACH_N1,
@@ -87,6 +90,28 @@ def test_unsupported_fields_rejected():
         FieldSpec.of(16)
     with pytest.raises(SizeGuardError):
         FieldSpec.of(11)
+
+
+def test_unsupported_fields_are_refused_before_any_work(nilorb_env):
+    # a table lookup refuses each: finding a divisor of 1,000,000,007 (a
+    # prime) by trial division would run far past the timeout
+    for construct, error in (
+        ("FieldSpec.of(1_000_000_007)", "nilorb.exactnum.SizeGuardError: "
+         "fields beyond 9 elements are not supported (q=1000000007)"),
+        ("FieldSpec(1_000_000_007, 1)", "ValueError: GF(1000000007^1) is not a supported field"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"from nilorb.fforacle import FieldSpec; {construct}"],
+            capture_output=True, text=True, env=nilorb_env, timeout=5)
+        assert (proc.returncode, proc.stderr.splitlines()[-1]) == (1, error)
+
+
+def test_reducible_modulus_fails_the_field_axioms(monkeypatch):
+    # negative control for the table: x^2 + 2 = (x + 1)(x + 2) over F_3
+    # gives a ring with zero divisors, which the axiom check must refuse
+    monkeypatch.setitem(fforacle._FIELDS, 9, (3, 2, (2, 0, 1)))
+    with pytest.raises(InternalCheckError, match="no multiplicative inverse"):
+        FieldSpec.of(9)
 
 
 def test_extension_field_arithmetic():
@@ -327,12 +352,19 @@ def test_nilpotent_commutant_guards():
         nilpotent_commutant_count(F2, (1, 0, 1), Partition((1,)))  # x^2+1 reducible
 
 
+def first_element(n):
+    """Stands in for ``zero_matrix``, which ``_span`` calls to build each
+    element: reaching it means the algebra guard let the algebra through."""
+    raise LookupError("an element was built")
+
+
 def test_commutant_guard_refuses_only_m4_over_f3(monkeypatch):
     # of every f and lambda that the order guard admits (q <= 3 and
     # deg(f) |lambda| <= 4), the algebra guard refuses exactly the commutant
     # M_4(F_3) of a scalar 4 x 4 matrix, whose 3^16 elements would take about
-    # an hour, and it refuses before enumerating any element
-    monkeypatch.setattr(fforacle, "_span", lambda *args: iter(()))
+    # an hour, and it refuses before enumerating any element: building the
+    # first element raises LookupError, which counts as admitted
+    monkeypatch.setattr(fforacle, "zero_matrix", first_element)
     admitted, refused = 0, []
     for field in (F2, F3):
         for d in range(1, 5):
@@ -340,12 +372,23 @@ def test_commutant_guard_refuses_only_m4_over_f3(monkeypatch):
                 for lam in (lam for weight in range(1, 4 // d + 1) for lam in _partitions(weight)):
                     try:
                         nilpotent_commutant_count(field, f, lam)
+                    except LookupError:
                         admitted += 1
                     except SizeGuardError as exc:
                         refused.append((field.q, f, lam.parts, str(exc)))
     message = "commutant algebra with 3^16 elements exceeds the guard"
     assert refused == [(3, (c, 1), (1, 1, 1, 1), message) for c in range(3)]
     assert admitted == 95
+
+
+def test_classification_algebra_guard_refuses_before_any_element(monkeypatch):
+    # the commutant of the zero 2 x 2 matrix over F_2 is M_2(F_2), with 2^4
+    # elements; under a limit of 2^3 classifying it must be refused before
+    # its first element is built
+    monkeypatch.setattr(fforacle, "_ALGEBRA_LIMIT", 2 ** 3)
+    monkeypatch.setattr(fforacle, "zero_matrix", first_element)
+    with pytest.raises(SizeGuardError, match="commutant algebra with 2\\^4 elements exceeds the guard"):
+        _endomorphism_profile(F2, (((0, 0), (0, 0)),))
 
 
 def test_commutant_order_guard_runs_before_trial_division(monkeypatch):
