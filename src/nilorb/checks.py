@@ -51,21 +51,16 @@ class VerificationReport(_Record):
 
     __slots__ = ("identity", "g", "x_order", "q_order", "mismatch")
 
-    def __init__(self, identity: str, g: int, x_order: int, q_order: Optional[int],
-                 mismatch: Optional[Mismatch]):
-        super().__init__(identity, g, x_order, q_order, mismatch)
-
     @property
     def passed(self) -> bool:
         return self.mismatch is None
 
 
 class ScanReport(_Record):
-    __slots__ = ("g", "n_max", "negative_terms", "polynomials")
+    """The negative coefficients ``(n, s, c)`` of A_g(n, q) for n <= n_max,
+    with the polynomials scanned."""
 
-    def __init__(self, g: int, n_max: int, negative_terms: tuple[tuple[int, int, int], ...],
-                 polynomials: tuple[CountingPolynomial, ...]):
-        super().__init__(g, n_max, negative_terms, polynomials)
+    __slots__ = ("g", "n_max", "negative_terms", "polynomials")
 
     @property
     def all_nonnegative(self) -> bool:
@@ -272,7 +267,8 @@ def _parse_perturb(text: str) -> tuple[int, int, int]:
 
 def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
     """Declare the arguments of ``verify``, ``oracle`` or ``conjecture-scan``
-    on its subparser ``p``."""
+    on its subparser ``p``, with its handler and canonical name as the
+    defaults ``handler`` and ``command``."""
     from .cli import _positive_int
 
     if command == "verify":
@@ -282,6 +278,7 @@ def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--Q", type=_positive_int, help="q truncation order")
         p.add_argument("--perturb", type=_parse_perturb, metavar="n,s,delta",
                        help="deliberately corrupt one exponent (negative control)")
+        p.set_defaults(handler=cmd_verify)
     elif command == "oracle":
         p.add_argument("--check", required=True,
                        choices=("M", "IA", "nilcount", "nilcount-total"))
@@ -291,10 +288,13 @@ def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--lambda", dest="lam", type=_parse_partition,
                        help="partition as comma-separated parts, e.g. 2,1")
         p.add_argument("--f", help="monic polynomial over the field, e.g. x or x^2+x+1")
+        p.set_defaults(handler=cmd_oracle)
     else:  # conjecture-scan
         p.add_argument("--g", required=True, type=_positive_int)
         p.add_argument("--Nmax", required=True, type=_positive_int, dest="n_max")
+        p.set_defaults(handler=cmd_scan)
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
+    p.set_defaults(command=command)
 
 
 def _report_payload(report: VerificationReport) -> dict:
@@ -464,10 +464,3 @@ def cmd_scan(args) -> tuple:
     params = {"g": args.g, "Nmax": args.n_max}
     return report.all_nonnegative, params, {"scan": payload}, [], text
 
-
-#: the handler of each check command, by its canonical name
-HANDLERS = {
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "conjecture-scan": cmd_scan,
-}

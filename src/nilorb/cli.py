@@ -14,11 +14,12 @@ and runs the other three, and no other command loads it.  So a ``compute``
 hit or ``--version`` loads no module of the engine, and a miss only the chain.
 
 Every handler returns its result as ``(passed, parameters, outputs,
-reports, text)`` and raises ``ValueError`` on a usage error; ``main`` alone
-prints it and picks the exit code: 0 success/pass, 1 verification failure,
-2 usage error or size-guard violation, 3 internal assertion failure.  A
-``text`` of None means ``--format json``, printed as the envelope.  Results
-go to standard output; diagnostics go to standard error.
+reports, text)`` and raises ``ValueError`` on a usage error, or lets an
+``OSError`` of the cache directory through; ``main`` alone prints it and
+picks the exit code: 0 success/pass, 1 verification failure, 2 usage error,
+size-guard violation or cache directory error, 3 internal assertion
+failure.  A ``text`` of None means ``--format json``, printed as the
+envelope.  Results go to standard output; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ def _cache_root(explicit: str | None) -> Path:
     env = os.environ.get("NILORB_CACHE")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "nilorb"
+    try:
+        return Path.home() / ".cache" / "nilorb"
+    except RuntimeError:  # no HOME and no account entry for the user
+        raise ValueError("no home directory to keep the cache in: "
+                         "give --cache-dir or set NILORB_CACHE") from None
 
 
 def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
@@ -270,16 +275,20 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
         p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
         p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
+        p.set_defaults(handler=cmd_compute, command=command)
     else:  # cache
         p.add_argument("action", choices=("path", "list", "clear"))
         p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
+        p.set_defaults(handler=cmd_cache, command=command)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The command-line parser.  Every subcommand is registered, but only
     ``command`` (a name or an alias) gets its arguments: parsing one command
     builds none of the others' and, unless it is a check, loads no
-    ``checks``."""
+    ``checks``.  The command's subparser sets its handler and its canonical
+    name as the defaults ``handler`` and ``command``, so the alias it was
+    given as is overwritten."""
     parser = argparse.ArgumentParser(
         prog="nilorb",
         description="Exact orbit counting for tuples of nilpotent matrices "
@@ -309,15 +318,16 @@ def cmd_compute(args) -> tuple:
     if args.kind == "H" and args.format == "csv":
         raise ValueError("csv output is only defined for polynomial kinds")
 
-    outputs = None
-    root = _cache_root(args.cache_dir)
-    if not args.no_cache:
-        outputs = cache_load(root, args.kind, args.g, mode, value)
-    if outputs is None:
-        outputs = _compute_outputs(args.kind, args.g, mode, value)
-        if not args.no_cache:
+    key = (args.kind, args.g, mode, value)
+    if args.no_cache:
+        outputs = _compute_outputs(*key)
+    else:
+        root = _cache_root(args.cache_dir)
+        outputs = cache_load(root, *key)
+        if outputs is None:
+            outputs = _compute_outputs(*key)
             try:
-                cache_store(root, args.kind, args.g, mode, value, outputs)
+                cache_store(root, *key, outputs)
             except OSError as exc:
                 print(f"nilorb: result not cached in {root}: {exc}", file=sys.stderr)
 
@@ -351,18 +361,10 @@ def main(argv=None) -> int:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the canonical name, whichever alias the command was given as
-    command = next(name for name, aliases, _ in _COMMANDS if args.command in (name, *aliases))
     t0 = time.perf_counter()
     try:
-        if command in _CHECK_COMMANDS:
-            from . import checks
-
-            handler = checks.HANDLERS[command]
-        else:
-            handler = cmd_compute if command == "compute" else cmd_cache
-        passed, parameters, outputs, reports, text = handler(args)
-    except (ValueError, ZeroDivisionError) as exc:  # a SizeGuardError too
+        passed, parameters, outputs, reports, text = args.handler(args)
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # a SizeGuardError too
         print(f"nilorb: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ArithmeticError) as exc:  # an InternalCheckError too
@@ -370,7 +372,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     if text is None:
         print(canonical_json({
-            "command": command,
+            "command": args.command,
             "engine_version": ENGINE_VERSION,
             "parameters": parameters,
             "outputs": outputs,

@@ -46,16 +46,21 @@ class SizeGuardError(ValueError):
 class _Record:
     """An immutable value record, the package's one way to declare a value
     whose fields are its constructor's arguments.  Its fields are its
-    class's ``__slots__``, set once by ``__init__``; records of one class
-    compare and hash by their field values, pickle by them, and assigning to
-    a field raises ``AttributeError``.  A subclass whose constructor takes
-    other arguments than its fields pickles through ``_record_of`` or its
-    constructor's own arguments instead."""
+    class's ``__slots__``, set once by ``__init__`` by position or by name
+    (a wrong count or an unknown name raises ``TypeError``); records of one
+    class compare and hash by their field values, pickle by them, and
+    assigning to a field raises ``AttributeError``.  A subclass whose
+    constructor takes other arguments than its fields pickles through
+    ``_record_of`` or its constructor's own arguments instead."""
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if (len(values) + len(named) != len(names)
+                or named and not named.keys() <= set(names[len(values):])):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, values), *named.items()):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -265,8 +270,7 @@ class PolyQ(_Record):
         return (self.numerators == other.numerators
                 and self.denominator == other.denominator)
 
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
+    __hash__ = _Record.__hash__
 
     def __bool__(self) -> bool:
         return bool(self.numerators)

@@ -350,10 +350,6 @@ class OrbitRecord(_Record):
 
     __slots__ = ("representative", "size", "endo_dim", "residue_size")
 
-    def __init__(self, representative: MatrixTuple, size: int, endo_dim: int,
-                 residue_size: Optional[int]):
-        super().__init__(representative, size, endo_dim, residue_size)
-
     @property
     def local(self) -> bool:
         return self.residue_size is not None

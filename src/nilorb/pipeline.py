@@ -80,10 +80,10 @@ class CountingPolynomial(_Record):
 
 
 class Mismatch(_Record):
-    __slots__ = ("x_degree", "q_degree", "lhs", "rhs")
+    """The first disagreement of two routes: at X**x_degree (and q**q_degree,
+    or None), the two sides' texts."""
 
-    def __init__(self, x_degree: int, q_degree: Optional[int], lhs: str, rhs: str):
-        super().__init__(x_degree, q_degree, lhs, rhs)
+    __slots__ = ("x_degree", "q_degree", "lhs", "rhs")
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,31 @@ def test_directory_at_an_entry_path_is_a_miss(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]  # no temporary file left
 
 
+def test_no_home_directory_needs_a_cache_dir_only_when_caching(capsys, monkeypatch):
+    # Path.home raises RuntimeError when HOME is unset and the user id has no
+    # account entry; --no-cache never asks for it, the cache is a usage error
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("NILORB_CACHE", raising=False)
+    monkeypatch.setattr(cli.Path, "home", classmethod(no_home))
+    compute = ["compute", "--kind", "A", "--g", "2", "--n", "3"]
+    assert run(capsys, *compute, "--no-cache") == (0, GOLDEN_PRETTY[3] + "\n", "")
+    message = ("nilorb: no home directory to keep the cache in: "
+               "give --cache-dir or set NILORB_CACHE\n")
+    for argv in (compute, ["cache", "path"], ["cache", "list"], ["cache", "clear"]):
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
+def test_cache_clear_reports_an_entry_it_cannot_remove(tmp_path, capsys):
+    entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    entry.mkdir()
+    code, out, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("nilorb: ") and str(entry) in err and len(err.splitlines()) == 1
+    assert entry.is_dir()
+
+
 def test_cache_entry_names_differ_in_more_than_case(tmp_path):
     # a case-insensitive file system (the macOS and Windows defaults) would
     # store --n 3 and --N 3 as one file, and each would evict the other

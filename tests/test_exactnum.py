@@ -246,6 +246,36 @@ polys = st.lists(small_fracs, min_size=0, max_size=5).map(poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 
 
+def schoolbook_product(a, b):
+    """The coefficients of a * b as Fractions, by a plain convolution that
+    shares no code with ``PolyQ.__mul__``, trailing zeros stripped."""
+    out = [Fraction(0)] * (len(a.numerators) + len(b.numerators))
+    for i, x in enumerate(fractions_of(a)):
+        for j, y in enumerate(fractions_of(b)):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# zero, small and large coefficients; a saturated operand repeats one +-c,
+# so that a product coefficient reaches max|a| * max|b| * min(len), the bound
+# that a packed product's digit width must hold
+coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**100, 2**100))
+saturated = st.builds(lambda c, k: [c] * k,
+                      st.one_of(st.sampled_from((2**64, -2**64)), st.integers(-2**64, 2**64)),
+                      st.integers(0, 40))
+operands = st.builds(PolyQ, st.one_of(st.lists(coefficients, max_size=40), saturated),
+                     st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands, operands)
+def test_product_equals_the_schoolbook_product(a, b):
+    assert fractions_of(a * b) == schoolbook_product(a, b)
+    assert b * a == a * b
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, polys, polys)
 def test_distributivity(a, b, c):

@@ -403,8 +403,12 @@ def test_records_are_immutable_values():
         assert pickle.loads(pickle.dumps(record)) == record
     with pytest.raises(ValueError, match="no counting polynomial of kind 'Z'"):
         pipeline.CountingPolynomial("Z", 2, 3, ONE)
-    with pytest.raises(TypeError):
-        pipeline.Mismatch(2, 1, "3")
+    # a record takes its fields by position or by name, each exactly once
+    for args, named in (((2, 1, "3"), {}), ((2, 1, "3"), {"side": "4"}),
+                        ((2, 1, "3"), {"lhs": "4"})):
+        with pytest.raises(TypeError, match="Mismatch takes the fields x_degree, q_degree, lhs, rhs"):
+            pipeline.Mismatch(*args, **named)
+    assert pipeline.Mismatch(2, 1, rhs="4", lhs="3") == mismatch
 
 
 def test_shared_values_refuse_assignment(run_fresh):
