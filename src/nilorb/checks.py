@@ -20,7 +20,6 @@ that ``compute`` loads none of this module.
 
 from __future__ import annotations
 
-import argparse
 import re
 from typing import Optional
 
@@ -242,8 +241,8 @@ def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
 
 
 # ---------------------------------------------------------------------------
-# the commands: their arguments, declared on the subparsers ``cli`` registers,
-# and their handlers, called from ``cli.main``
+# the commands: their arguments, as rows of the command table that ``cli``
+# parses, and their handlers, called from ``cli.main``
 
 
 def _parse_partition(text: str):
@@ -252,49 +251,51 @@ def _parse_partition(text: str):
     try:
         return Partition(sorted((int(p) for p in text.split(",")), reverse=True))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
+        raise ValueError(f"bad partition {text!r}: {exc}") from None
 
 
 def _parse_perturb(text: str) -> tuple[int, int, int]:
     try:
         n, s, delta = (int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"perturbation must be 'n,s,delta', got {text!r}"
-        )
+        raise ValueError(f"perturbation must be 'n,s,delta', got {text!r}") from None
     return n, s, delta
 
 
-def add_arguments(command: str, p: argparse.ArgumentParser) -> None:
-    """Declare the arguments of ``verify``, ``oracle`` or ``conjecture-scan``
-    on its subparser ``p``, with its handler and canonical name as the
-    defaults ``handler`` and ``command``."""
-    from .cli import _positive_int
+def arguments(command: str) -> tuple:
+    """The handler and the arguments (``cli._option``) of ``verify``,
+    ``oracle`` or ``conjecture-scan``."""
+    from .cli import _option as option, _positive_int
 
+    formats = option("--format", choices=("json", "pretty"), default="pretty",
+                     help="output format (default pretty)")
     if command == "verify":
-        p.add_argument("identity", choices=("thm5-routes", "weight-routes", "kwi", "g1-product"))
-        p.add_argument("--g", type=_positive_int, default=1)
-        p.add_argument("--N", required=True, type=_positive_int, help="X truncation order")
-        p.add_argument("--Q", type=_positive_int, help="q truncation order")
-        p.add_argument("--perturb", type=_parse_perturb, metavar="n,s,delta",
-                       help="deliberately corrupt one exponent (negative control)")
-        p.set_defaults(handler=cmd_verify)
-    elif command == "oracle":
-        p.add_argument("--check", required=True,
-                       choices=("M", "IA", "nilcount", "nilcount-total"))
-        p.add_argument("--g", type=_positive_int)
-        p.add_argument("--n", type=_positive_int)
-        p.add_argument("--q", required=True, type=_positive_int, help="field size")
-        p.add_argument("--lambda", dest="lam", type=_parse_partition,
-                       help="partition as comma-separated parts, e.g. 2,1")
-        p.add_argument("--f", help="monic polynomial over the field, e.g. x or x^2+x+1")
-        p.set_defaults(handler=cmd_oracle)
-    else:  # conjecture-scan
-        p.add_argument("--g", required=True, type=_positive_int)
-        p.add_argument("--Nmax", required=True, type=_positive_int, dest="n_max")
-        p.set_defaults(handler=cmd_scan)
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.set_defaults(command=command)
+        return cmd_verify, (
+            option("identity", choices=("thm5-routes", "weight-routes", "kwi", "g1-product"),
+                   required=True, help="the identity to verify"),
+            option("--g", _positive_int, default=1, help="tuple length (default 1)"),
+            option("--N", _positive_int, required=True, help="X truncation order"),
+            option("--Q", _positive_int, help="q truncation order"),
+            option("--perturb", _parse_perturb,
+                   help="n,s,delta: deliberately corrupt one exponent (negative control)"),
+            formats)
+    if command == "oracle":
+        return cmd_oracle, (
+            option("--check", choices=("M", "IA", "nilcount", "nilcount-total"), required=True,
+                   help="the count to compare: M and IA take --g and --n, nilcount "
+                        "--lambda and --f, nilcount-total --n"),
+            option("--g", _positive_int, help="tuple length"),
+            option("--n", _positive_int, help="matrix order"),
+            option("--q", _positive_int, required=True, help="field size"),
+            option("--lambda", _parse_partition, dest="lam",
+                   help="partition as comma-separated parts, e.g. 2,1"),
+            option("--f", help="monic polynomial over the field, e.g. x or x^2+x+1"),
+            formats)
+    return cmd_scan, (  # conjecture-scan
+        option("--g", _positive_int, required=True, help="tuple length"),
+        option("--Nmax", _positive_int, required=True, dest="n_max",
+               help="largest matrix order"),
+        formats)
 
 
 def _report_payload(report: VerificationReport) -> dict:

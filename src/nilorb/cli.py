@@ -12,6 +12,9 @@ Subcommands:
 This module declares and runs ``compute`` and ``cache``; ``checks`` declares
 and runs the other three, and no other command loads it.  So a ``compute``
 hit or ``--version`` loads no module of the engine, and a miss only the chain.
+``_parse`` reads the command line from the command table by hand, with no
+option-parsing library (none loads ``gettext`` or ``locale`` either), and
+``clihelp`` writes ``--help`` from the same table.
 
 Every handler returns its result as ``(passed, parameters, outputs,
 reports, text)`` and raises ``ValueError`` on a usage error, or lets an
@@ -24,7 +27,6 @@ envelope.  Results go to standard output; diagnostics go to standard error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -32,6 +34,7 @@ import tempfile
 import time
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 # engine modules are imported where they are used, so that a command loads
 # only what it needs: a cache hit loads none of them
@@ -237,82 +240,12 @@ def cache_store(root: Path, kind: str, g: int, mode: str, value: int, outputs: d
 
 
 # ---------------------------------------------------------------------------
-# argument parsing helpers
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-#: every subcommand, in the order ``--help`` lists them: (name, aliases, help)
-_COMMANDS = (
-    ("compute", (), "compute a counting polynomial"),
-    ("verify", (), "verify a series identity at truncation"),
-    ("oracle", (), "compare against brute-force enumeration"),
-    ("conjecture-scan", ("conjecture_scan",),
-     "scan counting polynomials for negative coefficients"),
-    ("cache", (), "inspect or clear the result cache"),
-)
-#: the subcommands that ``checks`` declares and runs; no other loads it
-_CHECK_COMMANDS = ("verify", "oracle", "conjecture-scan")
-
-
-def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
-    if command == "compute":
-        p.add_argument("--kind", required=True, choices=KINDS,
-                       help="A: absolutely indecomposable, I: indecomposable, "
-                            "M: all orbits, H: log-series coefficient")
-        p.add_argument("--g", required=True, type=_positive_int, help="tuple length")
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=_positive_int, help="single matrix order")
-        group.add_argument("--N", type=_positive_int, help="all matrix orders 1..N")
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-        p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
-        p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
-        p.set_defaults(handler=cmd_compute, command=command)
-    else:  # cache
-        p.add_argument("action", choices=("path", "list", "clear"))
-        p.add_argument("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
-        p.set_defaults(handler=cmd_cache, command=command)
-
-
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The command-line parser.  Every subcommand is registered, but only
-    ``command`` (a name or an alias) gets its arguments: parsing one command
-    builds none of the others' and, unless it is a check, loads no
-    ``checks``.  The command's subparser sets its handler and its canonical
-    name as the defaults ``handler`` and ``command``, so the alias it was
-    given as is overwritten."""
-    parser = argparse.ArgumentParser(
-        prog="nilorb",
-        description="Exact orbit counting for tuples of nilpotent matrices "
-        "over finite fields under simultaneous conjugation.",
-    )
-    parser.add_argument("--version", action="version", version=f"nilorb {ENGINE_VERSION}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, aliases, text in _COMMANDS:
-        p = sub.add_parser(name, aliases=list(aliases), help=text)
-        if command == name or command in aliases:
-            if name in _CHECK_COMMANDS:
-                from . import checks
-
-                checks.add_arguments(name, p)
-            else:
-                _add_arguments(name, p)
-    return parser
-
-
-# ---------------------------------------------------------------------------
 # command handlers
 
 
 def cmd_compute(args) -> tuple:
+    if (args.n is None) == (args.N is None):
+        raise ValueError("give exactly one of --n and --N")
     mode = "n" if args.n is not None else "N"
     value = args.n if args.n is not None else args.N
     if args.kind == "H" and args.format == "csv":
@@ -346,26 +279,163 @@ def cmd_cache(args) -> tuple:
     entries = sorted(root.glob(_CACHE_ENTRY_GLOB)) if root.is_dir() else []
     if args.action == "list":
         return True, {}, {}, [], "\n".join(path.name for path in entries)
+    # one entry that cannot be removed stops no other; each is named after
+    # the count of those removed
+    failures = []
     for path in entries:
-        path.unlink()
-    print(f"removed {len(entries)} cache entries", file=sys.stderr)
+        try:
+            path.unlink()
+        except OSError as exc:
+            failures.append(str(exc))
+    print(f"removed {len(entries) - len(failures)} cache entries", file=sys.stderr)
+    if failures:
+        raise OSError("\n".join(failures))
     return True, {}, {}, [], ""
 
 
+# ---------------------------------------------------------------------------
+# the command table and its parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _option(flag: str, type=str, *, choices=None, required=False, default=None,
+            dest=None, help="") -> SimpleNamespace:
+    """One argument of a command: an option, given as ``flag value`` or
+    ``flag=value``, or, where ``flag`` has no leading ``--``, the command's
+    positional argument, given as a bare word.  ``type`` converts the value
+    (raising ``ValueError`` on a bad one) and ``choices``, if given, limits
+    it; the type ``bool`` makes a switch, which takes no value.  The value
+    is the attribute ``dest`` of the parsed namespace, by default the flag's
+    name with ``_`` for ``-``."""
+    return SimpleNamespace(flag=flag, type=type, choices=choices, required=required,
+                           default=default, help=help,
+                           dest=dest or flag.lstrip("-").replace("-", "_"))
+
+
+#: every command, in the order ``--help`` lists them: (name, aliases, help)
+_COMMANDS = (
+    ("compute", (), "compute a counting polynomial"),
+    ("verify", (), "verify a series identity at truncation"),
+    ("oracle", (), "compare against brute-force enumeration"),
+    ("conjecture-scan", ("conjecture_scan",),
+     "scan counting polynomials for negative coefficients"),
+    ("cache", (), "inspect or clear the result cache"),
+)
+#: the commands whose handlers and arguments ``checks.arguments`` gives; no
+#: other command loads it
+_CHECK_COMMANDS = ("verify", "oracle", "conjecture-scan")
+
+_CACHE_DIR = _option("--cache-dir", help="cache directory (default: $NILORB_CACHE)")
+#: the handler and the arguments of each other command
+_ARGUMENTS = {
+    "compute": (cmd_compute, (
+        _option("--kind", choices=KINDS, required=True,
+                help="A: absolutely indecomposable, I: indecomposable, "
+                     "M: all orbits, H: log-series coefficient"),
+        _option("--g", _positive_int, required=True, help="tuple length"),
+        _option("--n", _positive_int, help="single matrix order (give --n or --N)"),
+        _option("--N", _positive_int, help="all matrix orders 1..N (give --n or --N)"),
+        _option("--format", choices=("json", "csv", "pretty"), default="pretty",
+                help="output format (default pretty)"),
+        _CACHE_DIR,
+        _option("--no-cache", bool, default=False, help="bypass the disk cache"),
+    )),
+    "cache": (cmd_cache, (
+        _option("action", choices=("path", "list", "clear"), required=True,
+                help="print the directory, list its entries or remove them"),
+        _CACHE_DIR,
+    )),
+}
+
+
+def _printing(text: str) -> SimpleNamespace:
+    """The parse of ``--help`` or ``--version``: its handler passes with
+    ``text`` to print."""
+    return SimpleNamespace(handler=lambda args: (True, {}, {}, [], text))
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command line ``argv`` as a namespace: the value of each argument
+    of its command (the default where none is given), the ``handler`` that
+    runs it and the command's canonical name ``command``.  An option is
+    named exactly, never by a prefix, and its last occurrence wins.  Every
+    usage error raises ``ValueError``."""
+    word = argv[0] if argv else None
+    if word == "--version":
+        return _printing(f"nilorb {ENGINE_VERSION}")
+    if word in ("-h", "--help"):
+        from .clihelp import top_help
+
+        return _printing(top_help(_COMMANDS))
+    row = next((row for row in _COMMANDS if word == row[0] or word in row[1]), None)
+    if row is None:
+        raise ValueError(("missing command" if word is None else f"unknown command {word!r}")
+                         + f": choose from {', '.join(name for name, _, _ in _COMMANDS)}")
+    if row[0] in _CHECK_COMMANDS:
+        from . import checks
+
+        handler, arguments = checks.arguments(row[0])
+    else:
+        handler, arguments = _ARGUMENTS[row[0]]
+    args = SimpleNamespace(handler=handler, command=row[0],
+                           **{a.dest: a.default for a in arguments})
+    by_flag = {a.flag: a for a in arguments}
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            from .clihelp import command_help
+
+            return _printing(command_help(row, arguments))
+        if word.startswith("-"):
+            flag, has_value, value = word.partition("=")
+            arg = by_flag.get(flag)
+            if arg is None:
+                raise ValueError(f"unknown option {flag!r}")
+            if arg.type is bool:
+                if has_value:
+                    raise ValueError(f"{flag} takes no value")
+                setattr(args, arg.dest, True)
+                continue
+            if not has_value:
+                value = next(words, None)
+                if value is None or value.startswith("--"):
+                    raise ValueError(f"{flag} needs a value")
+        else:
+            arg, value = next((a for a in arguments if a.flag[0] != "-"), None), word
+            if arg is None or getattr(args, arg.dest) is not None:
+                raise ValueError(f"unexpected argument {word!r}")
+        try:
+            converted = arg.type(value)
+        except ValueError as exc:
+            raise ValueError(f"argument {arg.flag}: {exc}") from None
+        if arg.choices is not None and converted not in arg.choices:
+            raise ValueError(f"argument {arg.flag}: invalid choice {value!r} "
+                             f"(choose from {', '.join(arg.choices)})")
+        setattr(args, arg.dest, converted)
+    missing = [a.flag for a in arguments if a.required and getattr(args, a.dest) is None]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    return args
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option values, so its first other word is the
-    # subcommand
-    command = next((word for word in argv if not word.startswith("-")), None)
     try:
-        args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    t0 = time.perf_counter()
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        t0 = time.perf_counter()
         passed, parameters, outputs, reports, text = args.handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:  # a SizeGuardError too
-        print(f"nilorb: {exc}", file=sys.stderr)
+        # a line for each problem: ``cache clear`` names every entry it left
+        for line in str(exc).split("\n"):
+            print(f"nilorb: {line}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ArithmeticError) as exc:  # an InternalCheckError too
         print(f"nilorb: internal assertion failed: {exc}", file=sys.stderr)

@@ -111,7 +111,7 @@ elif check == "kwi":
 elif check in ("oracle-M", "oracle-IA"):
     # no oracle function reaches the chain: the chain runs only where
     # _oracle_rows fetches the engine's value that it compares
-    import argparse, types
+    import types
     from nilorb import fforacle
     kind = check[len("oracle-"):]
     fetches = {"orbit_count"} if kind == "M" else {"indecomposable_count",
@@ -122,7 +122,7 @@ elif check in ("oracle-M", "oracle-IA"):
         tangled(fforacle, "nilpotent_matrices", lambda: pipeline.weight_series(2, 1))
 
     def oracle():
-        rows, _ = checks._oracle_rows(argparse.Namespace(check=kind, g=2, n=2, q=2))
+        rows, _ = checks._oracle_rows(types.SimpleNamespace(check=kind, g=2, n=2, q=2))
         return types.SimpleNamespace(passed=all(row["match"] for row in rows))
 
     calls = trace(oracle)

@@ -204,12 +204,17 @@ def test_no_home_directory_needs_a_cache_dir_only_when_caching(capsys, monkeypat
 
 
 def test_cache_clear_reports_an_entry_it_cannot_remove(tmp_path, capsys):
-    entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
-    entry.mkdir()
+    # an entry that cannot be removed (a directory at n3) stops no other
+    n2, n3, n4 = (cli._cache_file(tmp_path, "A", 2, "n", n) for n in (2, 3, 4))
+    n2.write_text("{}")
+    n3.mkdir()
+    n4.write_text("{}")
     code, out, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert (code, out) == (2, "")
-    assert err.startswith("nilorb: ") and str(entry) in err and len(err.splitlines()) == 1
-    assert entry.is_dir()
+    removed, failure = err.splitlines()
+    assert removed == "removed 2 cache entries"
+    assert failure.startswith("nilorb: ") and str(n3) in failure
+    assert [p.name for p in tmp_path.iterdir()] == [n3.name] and n3.is_dir()
 
 
 def test_cache_entry_names_differ_in_more_than_case(tmp_path):
@@ -687,6 +692,75 @@ def test_json_envelope_has_six_keys_under_the_canonical_name(capsys, given):
 
 
 # ---------------------------------------------------------------------------
+# the parser: every usage error is one line on standard error and exit 2
+
+
+COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    ([], "missing command"),
+    (["frobnicate"], "unknown command 'frobnicate'"),
+    (["comptue", *COMPUTE[1:]], "unknown command 'comptue'"),
+    ([*COMPUTE, "--colour", "red"], "unknown option '--colour'"),
+    ([*COMPUTE, "--form", "json"], "unknown option '--form'"),
+    (["compute", "--kind", "A", "--n", "3", "--g"], "--g needs a value"),
+    (["compute", "--kind", "A", "--g", "x", "--n", "3"], "--g: not an integer: 'x'"),
+    (["compute", "--kind", "A", "--g", "0", "--n", "3"], "--g: must be >= 1, got 0"),
+    (["compute", "--kind", "B", "--g", "2", "--n", "3"], "--kind: invalid choice 'B'"),
+    ([*COMPUTE, "--format", "xml"], "--format: invalid choice 'xml'"),
+    (["verify", "nonsense", "--N", "3"], "identity: invalid choice 'nonsense'"),
+    (["verify", "--N", "3"], "missing identity"),
+    (["cache", "list", "clear"], "unexpected argument 'clear'"),
+    ([*COMPUTE, "--N", "3"], "give exactly one of --n and --N"),
+    (["compute", "--kind", "A", "--g", "2"], "give exactly one of --n and --N"),
+    (["compute", "--g", "2", "--n", "3"], "missing --kind"),
+    (["oracle", "--check", "nilcount", "--lambda", "2,x", "--f", "x", "--q", "3"],
+     "--lambda: bad partition '2,x'"),
+    (["verify", "kwi", "--g", "2", "--N", "3", "--Q", "6", "--perturb", "1,2"],
+     "--perturb: perturbation must be 'n,s,delta'"),
+])
+def test_usage_errors_are_one_line_and_exit_2(capsys, argv, problem):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("nilorb: ") and problem in err and len(err.splitlines()) == 1
+
+
+def test_option_forms_and_the_canonical_name(capsys):
+    spaced = run(capsys, *COMPUTE, "--format", "csv")
+    assert spaced[0] == 0
+    joined = ["compute", "--kind=A", "--g=2", "--n=3", "--no-cache", "--format=csv"]
+    assert run(capsys, *joined) == spaced
+    assert run(capsys, "compute", "--kind", "A", "--g", "5", *COMPUTE[3:], "--format", "csv") \
+        == spaced  # the last --g wins
+    verify = ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "6"]
+    assert run(capsys, "verify", "kwi", "--g=2", "--N=3", "--Q=6") == run(capsys, *verify)
+    assert cli._parse(["conjecture_scan", "--g", "2", "--Nmax", "3"]).command == "conjecture-scan"
+
+
+def test_help_lists_every_command_and_option(capsys):
+    code, top, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    for name, aliases, _ in cli._COMMANDS:
+        assert all(word in top for word in (name, *aliases)), name
+        if name in cli._CHECK_COMMANDS:
+            _, arguments = checks.arguments(name)
+        else:
+            _, arguments = cli._ARGUMENTS[name]
+        # every option by its flag, and the positional by its choices
+        words = [a.flag if a.flag.startswith("--") else "{" + ",".join(a.choices) + "}"
+                 for a in arguments]
+        for given in (name, *aliases):
+            for flag in ("--help", "-h"):
+                code, out, err = run(capsys, given, flag)
+                assert (code, err) == (0, ""), (given, flag)
+                assert out.startswith(f"usage: nilorb {name} "), (given, flag)
+                assert all(word in out for word in words), (given, flag)
+    assert run(capsys, "--version") == (0, f"nilorb {nilorb.__version__}\n", "")
+    assert nilorb.__version__ == "0.1.0"
+
+
+# ---------------------------------------------------------------------------
 # packaging smoke
 
 
@@ -729,12 +803,17 @@ print(code, *sorted(sys.modules))
 """
 
 
-def engine_modules_loaded(env, *argv) -> set:
+def modules_loaded(env, *argv) -> tuple[int, set]:
     proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
                           capture_output=True, text=True, env=env, check=True)
     code, *modules = proc.stdout.split()
-    assert code == "0", proc.stderr
-    return set(modules) & ENGINE_MODULES
+    return int(code), set(modules)
+
+
+def engine_modules_loaded(env, *argv) -> set:
+    code, modules = modules_loaded(env, *argv)
+    assert code == 0, argv
+    return modules & ENGINE_MODULES
 
 
 def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
@@ -767,6 +846,36 @@ def test_commands_load_only_the_engine_modules_they_need(tmp_path, nilorb_env):
         oracle = engine_modules_loaded(nilorb_env, "oracle", "--check", check, "--g", "2",
                                        "--n", "2", "--q", "2")
         assert oracle == with_checks | {"nilorb.fforacle"}, check
+
+
+# the parser's stdlib modules: argparse imports gettext, whose first
+# translation imports locale
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_no_command_loads_the_parser_modules(tmp_path, nilorb_env):
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=nilorb_env, check=True)
+    compute = ["compute", "--kind", "M", "--g", "2", "--N", "3",
+               "--cache-dir", str(tmp_path), "--format"]
+    runs = [
+        (0, ["--version"]),
+        (0, ["--help"]),
+        (0, ["compute", "--help"]),
+        (0, [*compute, "json"]),  # the miss that stores the entry
+        *((0, [*compute, fmt]) for fmt in ("json", "csv", "pretty")),
+        (0, ["cache", "list", "--cache-dir", str(tmp_path)]),
+        (0, ["verify", "weight-routes", "--g", "2", "--N", "3"]),
+        (0, ["oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2"]),
+        (0, ["conjecture-scan", "--g", "2", "--Nmax", "3"]),
+        (2, ["compute", "--kind", "A", "--g", "0", "--n", "3"]),
+    ]
+    for expected, argv in runs:
+        code, modules = modules_loaded(nilorb_env, *argv)
+        assert code == expected, argv
+        assert not PARSER_MODULES & (modules - set(bare.stdout.split())), argv
+        # and only help compiles the help text's module
+        assert ("nilorb.clihelp" in modules) == ("--help" in argv), argv
 
 
 def test_moved_checks_resolve_to_the_checks_module():
