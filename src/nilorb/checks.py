@@ -339,6 +339,8 @@ def cmd_verify(args) -> tuple:
                 + (f", Q={report.q_order}" if report.q_order is not None else "")
                 + f"): {status}{detail}")
     parameters = {"identity": identity, "g": report.g, "N": args.N, "Q": args.Q}
+    if args.perturb is not None:
+        parameters["perturb"] = list(args.perturb)
     return report.passed, parameters, {"report": payload}, [payload], text
 
 

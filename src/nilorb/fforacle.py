@@ -4,7 +4,12 @@ Everything here is desk-scale and exhaustive by design: enumerate nilpotent
 matrices, enumerate the general linear group, count orbits of nilpotent
 tuples under simultaneous conjugation both by Burnside averaging and by
 explicit orbit construction, compute simultaneous commutants by linear
-algebra, and classify orbits through their endomorphism algebras.  Hard
+algebra, and classify orbits through their endomorphism algebras.  The two
+orbit counts read one cached table of the permutations that conjugation
+by each group element induces on the nilpotent matrices: Burnside counts
+their fixed points, the listing applies them.  They share that table as
+they share ``mat_mul`` and the two enumerations; each is still compared
+with the engine, which shares none of this code.  Hard
 size guards keep every call honest about what can actually be enumerated;
 each reads only the sizes it guards, so it runs before any work that grows
 with them.  The algebra guard sits in ``_span``, the one enumeration of a
@@ -52,11 +57,12 @@ _FIELDS: dict[int, tuple[int, int, tuple[int, ...]]] = {
 
 #: the largest tuple length g whose orbits are enumerated, per (n, q).  At
 #: each, the CLI's ``oracle --check M`` and ``--check IA`` take at most 1.6 s
-#: (2 cores, Python 3.11.7); the work grows as (q**(n*n - n))**g.
+#: (best of 3, the slowest ``IA`` at (3, 2, 3) with 1.52 s; 2-vCPU Intel
+#: Xeon VM, Python 3.11.7); the work grows as (q**(n*n - n))**g.
 _ORBIT_REACH = {(2, 2): 7, (2, 3): 5, (2, 4): 4, (2, 5): 3, (2, 7): 2, (3, 2): 3}
 #: the largest g at n = 1, for every q.  n = 1 has one orbit, but listing it
 #: builds g-tuples and the commutant solves g equations, so the work grows
-#: as g: at g = 400,000 and q = 9, ``oracle --check IA`` takes about 1.2 s
+#: as g: at g = 400,000 and q = 9, ``oracle --check IA`` takes 1.4 to 1.6 s
 #: and 100 MB, and ``--check M`` 0.4 s, on the same machine.
 _ORBIT_REACH_N1 = 400_000
 
@@ -253,15 +259,6 @@ def mat_rank(field: FieldSpec, m: Matrix) -> int:
     return len(_row_reduce(field, m, len(m[0]) if m else 0)[1])
 
 
-def mat_inverse(field: FieldSpec, m: Matrix) -> Matrix:
-    n = len(m)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m)]
-    reduced, pivots = _row_reduce(field, aug, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
 def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tuple[int, ...]]:
     """Basis of the solution space of the homogeneous system rows * x = 0."""
     m, pivots = _row_reduce(field, rows, n_cols)
@@ -327,20 +324,32 @@ def _guard_orbit_space(field: FieldSpec, n: int, g: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _conjugation_tables(field: FieldSpec, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Matrix, ...]]:
+    """For each group element t, the permutation m -> t^-1 m t it induces
+    on the (sorted) nilpotent matrices: i maps to the j with t m_j = m_i t,
+    read off the products t m and m t, so no inverse is built.  Nilpotents
+    are closed under conjugation, so these are genuine permutations, and i
+    is fixed exactly when t commutes with m_i."""
+    nil = nilpotent_matrices(field, n)  # already lex sorted
+    perms = []
+    for t in invertible_matrices(field, n):
+        left = {mat_mul(field, t, m): j for j, m in enumerate(nil)}
+        perms.append(tuple(left[mat_mul(field, m, t)] for m in nil))
+    return tuple(perms), nil
+
+
 def burnside_orbit_count(field: FieldSpec, n: int, g: int) -> int:
     """Number of orbits of nilpotent g-tuples under simultaneous conjugation,
     by averaging fixed-point counts over the whole group: each T fixes
-    (number of nilpotent matrices commuting with T) ** g tuples."""
+    (number of nilpotent matrices commuting with T) ** g tuples, and those
+    are the fixed points of T's permutation in ``_conjugation_tables``."""
     _guard_orbit_space(field, n, g)
-    nil = nilpotent_matrices(field, n)
-    group = invertible_matrices(field, n)
-    total = 0
-    for t in group:
-        fixed = sum(1 for m in nil if mat_mul(field, t, m) == mat_mul(field, m, t))
-        total += fixed ** g
-    if total % len(group):
+    perms, _ = _conjugation_tables(field, n)
+    total = sum(sum(i == j for i, j in enumerate(perm)) ** g for perm in perms)
+    if total % len(perms):
         raise InternalCheckError("Burnside sum is not divisible by the group order")
-    return total // len(group)
+    return total // len(perms)
 
 
 class OrbitRecord(_Record):
@@ -353,22 +362,6 @@ class OrbitRecord(_Record):
     @property
     def local(self) -> bool:
         return self.residue_size is not None
-
-
-@lru_cache(maxsize=None)
-def _conjugation_tables(field: FieldSpec, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Matrix, ...]]:
-    """For each group element, the permutation it induces on the (sorted)
-    nilpotent matrices by conjugation.  Nilpotents are closed under
-    conjugation, so these are genuine permutations."""
-    nil = nilpotent_matrices(field, n)  # already lex sorted
-    index = {m: i for i, m in enumerate(nil)}
-    perms = []
-    for t in invertible_matrices(field, n):
-        ti = mat_inverse(field, t)
-        perms.append(
-            tuple(index[mat_mul(field, mat_mul(field, ti, m), t)] for m in nil)
-        )
-    return tuple(perms), nil
 
 
 def orbit_listing(field: FieldSpec, n: int, g: int) -> Iterator[tuple[MatrixTuple, int]]:

@@ -350,6 +350,8 @@ def test_verify_json_mismatch_payload(capsys):
                          "--Q", "12", "--perturb", "2,1,1", "--format", "json")
     assert (code, err) == (1, "")
     envelope = json.loads(out)
+    assert envelope["parameters"] == {"identity": "kwi", "g": 2, "N": 3, "Q": 12,
+                                      "perturb": [2, 1, 1]}
     report = envelope["outputs"]["report"]
     assert envelope["reports"] == [report]
     assert report == {"identity": "kwi", "g": 2, "x_order": 3, "q_order": 12, "passed": False,
@@ -465,6 +467,28 @@ def test_oracle_orbit_count_control(capsys, monkeypatch):
         "orbit count (Burnside average)  engine=5  oracle=6  MISMATCH",
         "orbit count (explicit orbits)   engine=5  oracle=5  ok",
     ]
+
+
+def test_oracle_orbit_count_control_on_the_table(capsys, monkeypatch):
+    # Burnside reads its fixed points off the listing's table: undoing one
+    # 2-cycle of one permutation (2 -> 4 fixed points of 4) makes the sum at
+    # g = 1 indivisible by the group order 6, which Burnside checks first
+    tables = fforacle._conjugation_tables
+
+    def more_fixed_points(field, n):
+        perms, nil = tables(field, n)
+        k = next(k for k, perm in enumerate(perms) if perm != tuple(range(len(nil))))
+        perm = list(perms[k])
+        i = next(i for i, j in enumerate(perm) if i != j)
+        h = perm.index(i)
+        perm[i], perm[h] = i, perm[i]
+        return perms[:k] + (tuple(perm),) + perms[k + 1:], nil
+
+    monkeypatch.setattr(fforacle, "_conjugation_tables", more_fixed_points)
+    code, out, err = run(capsys, "oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2")
+    assert (code, out, err) == (
+        3, "", "nilorb: internal assertion failed: "
+               "Burnside sum is not divisible by the group order\n")
 
 
 def test_oracle_classification_control(capsys, monkeypatch):
