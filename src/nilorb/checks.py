@@ -351,9 +351,10 @@ def _parse_poly_text(text: str) -> dict[int, int]:
     """Parse e.g. 'x', 'x^2+x+1', 'x-1' into its integer coefficients by
     degree, leaving out the degrees no term names."""
     compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial")
     tokens = re.findall(r"[+-]?[^+-]+", compact)
+    # findall skips what no term matches, so the terms must make up the text
+    if not tokens or "".join(tokens) != compact:
+        raise ValueError(f"cannot parse polynomial {text!r}")
     coeffs: dict[int, int] = {}
     for tok in tokens:
         sign = 1

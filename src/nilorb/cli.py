@@ -367,8 +367,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     """The command line ``argv`` as a namespace: the value of each argument
     of its command (the default where none is given), the ``handler`` that
     runs it and the command's canonical name ``command``.  An option is
-    named exactly, never by a prefix, and its last occurrence wins.  Every
-    usage error raises ``ValueError``."""
+    named exactly, never by a prefix, an empty value is no value, and its
+    last occurrence wins.  Every usage error raises ``ValueError``."""
     word = argv[0] if argv else None
     if word == "--version":
         return _printing(f"nilorb {ENGINE_VERSION}")
@@ -406,9 +406,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                 setattr(args, arg.dest, True)
                 continue
             if not has_value:
-                value = next(words, None)
-                if value is None or value.startswith("--"):
-                    raise ValueError(f"{flag} needs a value")
+                value = next(words, "")
+            if not value or not has_value and value.startswith("--"):
+                raise ValueError(f"{flag} needs a value")
         else:
             arg, value = next((a for a in arguments if a.flag[0] != "-"), None), word
             if arg is None or getattr(args, arg.dest) is not None:
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         t0 = time.perf_counter()
         passed, parameters, outputs, reports, text = args.handler(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:  # a SizeGuardError too
+    except (ValueError, OSError) as exc:  # a SizeGuardError too
         # a line for each problem: ``cache clear`` names every entry it left
         for line in str(exc).split("\n"):
             print(f"nilorb: {line}", file=sys.stderr)

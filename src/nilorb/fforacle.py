@@ -17,8 +17,8 @@ commutant, so no caller can enumerate one unguarded.  The oracle only
 counts: each closed form a count should equal is compared once, in the row
 of the ``oracle`` command that reports it (``checks``).  Records hold no
 field that another determines: an ``OrbitRecord`` is local exactly when it
-has a residue size, and a ``FieldSpec`` compares by its fields, which
-``(p, e)`` determine.
+has a residue size, and a ``FieldSpec`` compares by its fields, which q
+determines.
 
 The one table ``_FIELDS`` lists the supported fields, each with p, e and a
 fixed monic irreducible modulus, so results are reproducible; any other q
@@ -26,7 +26,9 @@ is refused by a table lookup, before any work that grows with q.  Field
 elements are integers 0..q-1.  For prime fields the integer is the
 residue; for prime-power fields it encodes the coefficient vector of the
 polynomial representative in base p (little-endian) modulo the field's
-modulus.  Matrices are tuples of row tuples.
+modulus.  A ``FieldSpec`` is the field's addition, multiplication, negation
+and inversion tables, indexed by element, and every function here does its
+arithmetic by indexing them.  Matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ _FIELDS: dict[int, tuple[int, int, tuple[int, ...]]] = {
 #: Xeon VM, Python 3.11.7); the work grows as (q**(n*n - n))**g.
 _ORBIT_REACH = {(2, 2): 7, (2, 3): 5, (2, 4): 4, (2, 5): 3, (2, 7): 2, (3, 2): 3}
 #: the largest g at n = 1, for every q.  n = 1 has one orbit, but listing it
-#: builds g-tuples and the commutant solves g equations, so the work grows
-#: as g: at g = 400,000 and q = 9, ``oracle --check IA`` takes 1.4 to 1.6 s
-#: and 100 MB, and ``--check M`` 0.4 s, on the same machine.
+#: builds g-tuples, so the work grows as g (the commutant solves the one
+#: equation of the tuple's one distinct member, 0): at g = 400,000 and q = 9,
+#: ``oracle --check IA`` and ``--check M`` each take about 0.3 s and 34 MB
+#: (best of 5, 2-core Intel Xeon, Python 3.11.7).
 _ORBIT_REACH_N1 = 400_000
 
 #: the most elements a commutant may have for its elements to be enumerated,
@@ -76,7 +79,8 @@ _ALGEBRA_LIMIT = 2 ** 16
 def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> tuple:
     """The addition, multiplication, negation and inversion tables of the
     field with p**e elements, each element encoded by the base-p digits
-    (little-endian) of its polynomial representative modulo ``modulus``."""
+    (little-endian) of its polynomial representative modulo ``modulus``;
+    an element with no inverse (0 alone, in a field) has None."""
     q = p ** e
     digits = [[a // p ** i % p for i in range(e)] for a in range(q)]
 
@@ -102,7 +106,7 @@ def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> tuple:
                         prod[k - e + i] = (prod[k - e + i] - c * modulus[i]) % p
             mul[a][b] = encode(prod[:e])
     neg = [0] * q
-    inv = [0] * q
+    inv = [None] * q
     for a in range(q):
         for b in range(q):
             if add[a][b] == 0:
@@ -114,78 +118,52 @@ def _field_tables(p: int, e: int, modulus: tuple[int, ...]) -> tuple:
 
 
 class FieldSpec(_Record):
-    """A finite field of ``_FIELDS``, with fully tabled arithmetic.
+    """A finite field of ``_FIELDS``, as its tables: ``add[a][b]``,
+    ``mul[a][b]``, ``neg[a]`` and ``inv[a]`` (``inv[0]`` is None, so a
+    division by zero fails rather than reads a value), each indexed by
+    element; a - b is ``add[a][neg[b]]`` and the elements are ``range(q)``.
 
-    The field is looked up in the table before anything is built, so an
-    unsupported one is refused whatever its size.  The multiplication and
-    addition tables are verified against the field axioms exhaustively at
-    construction, so a bad modulus cannot produce silently wrong counts
-    downstream.
+    ``FieldSpec.of(q)`` is its constructor.  It looks q up in the table
+    before anything is built, so an unsupported field is refused whatever
+    its size, and verifies the tables against the field axioms exhaustively,
+    so a bad modulus cannot produce silently wrong counts downstream.
     """
 
-    __slots__ = ("p", "e", "q", "_add", "_mul", "_neg", "_inv")
-
-    def __init__(self, p: int, e: int):
-        q = next((q for q, entry in _FIELDS.items() if entry[:2] == (p, e)), None)
-        if q is None:
-            raise ValueError(f"GF({p}^{e}) is not a supported field")
-        super().__init__(p, e, q, *_field_tables(*_FIELDS[q]))
-        self._verify_axioms()
+    __slots__ = ("p", "q", "add", "mul", "neg", "inv")
 
     @classmethod
     def of(cls, q: int) -> "FieldSpec":
         """Field with exactly q elements: a q of ``_FIELDS``."""
-        if q in _FIELDS:
-            return cls(*_FIELDS[q][:2])
-        if q > max(_FIELDS):
-            raise SizeGuardError(f"fields beyond {max(_FIELDS)} elements are not supported (q={q})")
-        raise ValueError(f"{q} is not a prime power")
+        if q not in _FIELDS:
+            if q > max(_FIELDS):
+                raise SizeGuardError(f"fields beyond {max(_FIELDS)} elements are not supported (q={q})")
+            raise ValueError(f"{q} is not a prime power")
+        p, e, modulus = _FIELDS[q]
+        field = cls(p, q, *_field_tables(p, e, modulus))
+        field._verify_axioms()
+        return field
 
     def _verify_axioms(self) -> None:
-        q = self.q
-        rng = range(q)
+        add, mul, rng = self.add, self.mul, range(self.q)
         for a in rng:
-            if self._add[a][0] != a or self._mul[a][1] != a:
+            if add[a][0] != a or mul[a][1] != a:
                 raise InternalCheckError("identity axiom failed")
-            if a and self._mul[a][self._inv[a]] != 1:
+            if a and (self.inv[a] is None or mul[a][self.inv[a]] != 1):
                 raise InternalCheckError(f"no multiplicative inverse for {a}")
         for a in rng:
             for b in rng:
-                if self._add[a][b] != self._add[b][a] or self._mul[a][b] != self._mul[b][a]:
+                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
                     raise InternalCheckError("commutativity failed")
                 for c in rng:
-                    if self._add[self._add[a][b]][c] != self._add[a][self._add[b][c]]:
+                    if add[add[a][b]][c] != add[a][add[b][c]]:
                         raise InternalCheckError("additive associativity failed")
-                    if self._mul[self._mul[a][b]][c] != self._mul[a][self._mul[b][c]]:
+                    if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
                         raise InternalCheckError("multiplicative associativity failed")
-                    if self._mul[a][self._add[b][c]] != self._add[self._mul[a][b]][self._mul[a][c]]:
+                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
                         raise InternalCheckError("distributivity failed")
 
-    # -- scalar arithmetic -----------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
-
     def __reduce__(self):
-        return FieldSpec, (self.p, self.e)
+        return FieldSpec.of, (self.q,)
 
     def __repr__(self) -> str:
         return f"FieldSpec(q={self.q})"
@@ -200,16 +178,14 @@ def zero_matrix(n: int) -> Matrix:
 
 
 def mat_add(field: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
-    add = field._add
+    add = field.add
     return tuple(
         tuple(add[x][y] for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
 def mat_mul(field: FieldSpec, a: Matrix, b: Matrix) -> Matrix:
-    add = field._add
-    mul = field._mul
-    n = len(a)
+    add, mul = field.add, field.mul
     cols = tuple(zip(*b))
     out = []
     for row in a:
@@ -237,6 +213,7 @@ def _row_reduce(field: FieldSpec, rows, n_cols: int) -> tuple[list[list[int]], l
     """Gauss-Jordan elimination on the first ``n_cols`` columns: the reduced
     row echelon form of ``rows`` (pivot entries 1, zero elsewhere in their
     column) and the pivot columns in order."""
+    add, mul, neg = field.add, field.mul, field.neg
     m = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(n_cols):
@@ -245,12 +222,12 @@ def _row_reduce(field: FieldSpec, rows, n_cols: int) -> tuple[list[list[int]], l
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.mul(inv, x) for x in m[rank]]
+        scale = mul[field.inv[m[rank][col]]]
+        m[rank] = [scale[x] for x in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(m[r], m[rank])]
+                minus = mul[neg[m[r][col]]]
+                m[r] = [add[x][minus[y]] for x, y in zip(m[r], m[rank])]
         pivots.append(col)
     return m, pivots
 
@@ -269,7 +246,7 @@ def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tup
         vec = [0] * n_cols
         vec[f] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(m[r][f])
+            vec[pc] = field.neg[m[r][f]]
         basis.append(tuple(vec))
     return basis
 
@@ -288,7 +265,7 @@ def _guard_matrix_space(field: FieldSpec, n: int) -> None:
 
 
 def _all_matrices(field: FieldSpec, n: int):
-    for entries in itertools.product(field.elements, repeat=n * n):
+    for entries in itertools.product(range(field.q), repeat=n * n):
         yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
 
 
@@ -408,19 +385,21 @@ def orbits(field: FieldSpec, n: int, g: int) -> list[OrbitRecord]:
 
 def commutant_basis(field: FieldSpec, matrices: MatrixTuple) -> list[Matrix]:
     """Basis of the algebra of matrices commuting with every member of the
-    tuple, from the g * n^2 homogeneous equations E M = M E."""
+    tuple, from the n^2 homogeneous equations E M = M E of each distinct
+    member (a repeated member adds no equation the first did not)."""
     if not matrices:
         raise ValueError("commutant of an empty tuple is the full algebra; pass matrices")
+    add, neg = field.add, field.neg
     n = len(matrices[0])
     rows = []
-    for m in matrices:
+    for m in dict.fromkeys(matrices):
         for r in range(n):
             for c in range(n):
                 row = [0] * (n * n)
                 for b in range(n):
-                    row[r * n + b] = field.add(row[r * n + b], m[b][c])
+                    row[r * n + b] = add[row[r * n + b]][m[b][c]]
                 for a in range(n):
-                    row[a * n + c] = field.sub(row[a * n + c], m[r][a])
+                    row[a * n + c] = add[row[a * n + c]][neg[m[r][a]]]
                 rows.append(row)
     basis = _nullspace(field, rows, n * n)
     return [tuple(vec[i * n : (i + 1) * n] for i in range(n)) for vec in basis]
@@ -436,12 +415,12 @@ def _span(field: FieldSpec, basis: list[Matrix]):
             f"commutant algebra with {field.q}^{len(basis)} elements exceeds the guard"
         )
     n = len(basis[0])
-    for combo in itertools.product(field.elements, repeat=len(basis)):
+    for combo in itertools.product(range(field.q), repeat=len(basis)):
         acc = zero_matrix(n)
         for coeff, bmat in zip(combo, basis):
             if coeff:
-                acc = mat_add(field, acc, tuple(
-                    tuple(field.mul(coeff, x) for x in row) for row in bmat))
+                scale = field.mul[coeff]
+                acc = mat_add(field, acc, tuple(tuple(scale[x] for x in row) for row in bmat))
         yield acc
 
 
@@ -505,7 +484,7 @@ def companion_matrix(field: FieldSpec, f: Sequence[int]) -> Matrix:
     for i in range(d - 1):
         out[i][i + 1] = 1
     for j in range(d):
-        out[d - 1][j] = field.neg(f[j])
+        out[d - 1][j] = field.neg[f[j]]
     return tuple(tuple(r) for r in out)
 
 
@@ -531,13 +510,14 @@ def jordan_type_matrix(field: FieldSpec, f: Sequence[int], lam: Partition) -> Ma
 def _monic_remainder(field: FieldSpec, a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The remainder of a by the monic b over the field, coefficients
     ascending: its deg b lowest coefficients, zeros included."""
+    add = field.add
     a = list(a)
     d = len(b) - 1
     while len(a) > d:
-        c = a.pop()
+        minus = field.mul[field.neg[a.pop()]]
         top = len(a) - d
         for i in range(d):
-            a[top + i] = field.sub(a[top + i], field.mul(c, b[i]))
+            a[top + i] = add[a[top + i]][minus[b[i]]]
     return a
 
 
@@ -553,7 +533,7 @@ def is_irreducible(field: FieldSpec, f: Sequence[int]) -> bool:
     if d == 1:
         return True
     for e in range(1, d // 2 + 1):
-        for tail in itertools.product(field.elements, repeat=e):
+        for tail in itertools.product(range(field.q), repeat=e):
             if not any(_monic_remainder(field, f, tail + (1,))):
                 return False
     return True
@@ -563,7 +543,7 @@ def monic_irreducibles(field: FieldSpec, d: int, exclude_x: bool = True) -> list
     """Enumerate monic irreducible polynomials of degree d (ascending
     coefficients), excluding the monomial x by default."""
     out = []
-    for tail in itertools.product(field.elements, repeat=d):
+    for tail in itertools.product(range(field.q), repeat=d):
         f = tuple(tail) + (1,)
         if exclude_x and d == 1 and f[0] == 0:
             continue

@@ -81,14 +81,16 @@ def test_compute_h_csv_is_usage_error(capsys):
 
 
 def test_internal_check_failure_exits_3(capsys, monkeypatch):
-    def broken(kind, g, n):
-        raise InternalCheckError("routes disagree")
+    # every integer option is >= 1, so no input reaches a division by zero:
+    # one is an engine defect too (exit 3), never a usage error (exit 2)
+    for error in (InternalCheckError, ZeroDivisionError):
+        def broken(kind, g, n):
+            raise error("routes disagree")
 
-    monkeypatch.setattr(pipeline, "counting_value", broken)
-    code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2",
-                         "--n", "3", "--no-cache")
-    assert code == 3 and out == ""
-    assert err == "nilorb: internal assertion failed: routes disagree\n"
+        monkeypatch.setattr(pipeline, "counting_value", broken)
+        code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2",
+                             "--n", "3", "--no-cache")
+        assert (code, out, err) == (3, "", "nilorb: internal assertion failed: routes disagree\n")
 
 
 def test_compute_rejects_invalid_g(capsys):
@@ -743,11 +745,26 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
      "--lambda: bad partition '2,x'"),
     (["verify", "kwi", "--g", "2", "--N", "3", "--Q", "6", "--perturb", "1,2"],
      "--perturb: perturbation must be 'n,s,delta'"),
+    # an empty value is no value, so it never falls through to a default
+    (["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir="], "--cache-dir needs a value"),
+    (["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", ""],
+     "--cache-dir needs a value"),
+    (["compute", "--kind=", "A", "--g", "2", "--n", "3"], "--kind needs a value"),
+    # the terms must make up the whole text of --f: none is dropped unread
+    *((["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", f, "--q", "3"],
+       f"cannot parse polynomial {f!r}") for f in ("x+", "x--", "+", "x^2--1", "x^2++x", " ")),
 ])
-def test_usage_errors_are_one_line_and_exit_2(capsys, argv, problem):
+def test_usage_errors_are_one_line_and_exit_2(capsys, monkeypatch, tmp_path, argv, problem):
+    monkeypatch.setenv("NILORB_CACHE", str(tmp_path))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("nilorb: ") and problem in err and len(err.splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_polynomial_text_parses_term_by_term():
+    assert checks._parse_poly_text("x^2+x+1") == {2: 1, 1: 1, 0: 1}
+    assert checks._parse_poly_text(" 2x^3 - x + 4 - 1") == {3: 2, 1: -1, 0: 3}
 
 
 def test_option_forms_and_the_canonical_name(capsys):
