@@ -77,15 +77,16 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
 
     The partition route weighs every partition of 1..order, so its cost
     follows their number; past ``_WEIGHT_ROUTES_PARTITIONS`` of them this
-    raises ``SizeGuardError`` before any work."""
+    raises ``SizeGuardError`` before any work, counting them only up to the
+    first n that passes it."""
     if g < 1 or order < 1:
         raise ValueError("g and order must be >= 1")
-    count = sum(partition_count(n) for n in range(1, order + 1))
-    if count > _WEIGHT_ROUTES_PARTITIONS:
-        raise SizeGuardError(
-            f"weight-routes at N={order} weighs {count} partitions, "
-            f"beyond the guard of {_WEIGHT_ROUTES_PARTITIONS}"
-        )
+    count = 0
+    for n in range(1, order + 1):
+        count += partition_count(n)
+        if count > _WEIGHT_ROUTES_PARTITIONS:
+            raise SizeGuardError(f"weight-routes at N={order} weighs {count} partitions up "
+                                 f"to n={n}, beyond the guard of {_WEIGHT_ROUTES_PARTITIONS}")
     rows = _column_rows(g, order)
     mismatches = (_weight_mismatch(g, n, column_weight(g, rows[n], n))
                   for n in range(1, order + 1))
@@ -129,15 +130,17 @@ def _bi_mul_power(rows: list[list[int]], n: int, c: int, a: int) -> None:
 def _product_rows(tables: dict, x_order: int, q_order: int) -> list[list[int]]:
     """The product over n <= x_order, s and 0 <= i <= q_order - s of
     (1 - q**(s+i) X**n) ** tables[n][s], as rows: row m holds the
-    coefficients of q**0..q**q_order in the X**m coefficient."""
+    coefficients of q**0..q**q_order in the X**m coefficient.  The factors
+    with one c = s + i are powers of one binomial, so each (n, c) takes one
+    pass, with the exponent b(n, c) = the sum of tables[n][s] over s <= c."""
     rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
     rows[0][0] = 1
     for n in range(1, x_order + 1):
-        for s, a in enumerate(tables[n]):
-            if a == 0 or s > q_order:
-                continue
-            for i in range(q_order - s + 1):
-                _bi_mul_power(rows, n, s + i, a)
+        table, b = tables[n], 0
+        for c in range(q_order + 1):
+            b += table[c] if c < len(table) else 0
+            if b:
+                _bi_mul_power(rows, n, c, b)
     return rows
 
 
@@ -159,14 +162,13 @@ def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]
     return rows
 
 
-def _compare_rows(
-    identity: str,
-    g: int,
-    x_order: int,
-    q_order: int,
-    lhs: list[list[int]],
-    rhs: list[list[int]],
-) -> VerificationReport:
+def _product_check(identity: str, g: int, tables: dict, x_order: int,
+                   q_order: int) -> VerificationReport:
+    """Compare the product of the exponent tables (``_product_rows``) with
+    the weight series at g, both to X**x_order and q**q_order, reporting the
+    first (X**n, q**k) at which they differ."""
+    rhs = _product_rows(tables, x_order, q_order)
+    lhs = _expand_weight_series(g, x_order, q_order)
     mismatches = (Mismatch(n, k, str(a), str(b)) for n in range(x_order + 1)
                   for k, (a, b) in enumerate(zip(lhs[n], rhs[n])) if a != b)
     return VerificationReport(identity, g, x_order, q_order, next(mismatches, None))
@@ -184,8 +186,9 @@ def verify_triple_product(
 
     Both sides are expanded in X up to x_order and q up to q_order; factors
     with s + i > q_order are 1 modulo the q-truncation and are skipped.
-    Each factor is applied in one pass through its binomial series, so the
-    right side stays in integer arithmetic on rows of q-coefficients.
+    The factors of one (n, s + i) merge into one power of one binomial,
+    applied in one pass through its binomial series, so the right side
+    stays in integer arithmetic on rows of q-coefficients.
     ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
     deliberate-corruption hook for negative-control testing; it must lie
     inside the window (n <= x_order, s <= q_order) and have d != 0.
@@ -205,9 +208,7 @@ def verify_triple_product(
         table.extend([0] * (ps + 1 - len(table)))
         table[ps] += delta
 
-    rhs = _product_rows(tables, x_order, q_order)
-    lhs = _expand_weight_series(g, x_order, q_order)
-    return _compare_rows("kwi", g, x_order, q_order, lhs, rhs)
+    return _product_check("kwi", g, tables, x_order, q_order)
 
 
 def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
@@ -216,9 +217,8 @@ def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
     through the counting polynomials: every exponent table is (1,)."""
     if x_order < 1 or q_order < 1:
         raise ValueError("truncation orders must be >= 1")
-    rhs = _product_rows(dict.fromkeys(range(1, x_order + 1), (1,)), x_order, q_order)
-    lhs = _expand_weight_series(1, x_order, q_order)
-    return _compare_rows("g1-product", 1, x_order, q_order, lhs, rhs)
+    return _product_check("g1-product", 1, dict.fromkeys(range(1, x_order + 1), (1,)),
+                          x_order, q_order)
 
 
 def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
@@ -385,6 +385,13 @@ def _row(quantity: str, engine, oracle: int) -> dict:
     return {"quantity": quantity, "engine": engine, "oracle": oracle, "match": engine == oracle}
 
 
+#: the options that each oracle check takes, by their argument names; the
+#: flags of the others must be absent
+_ORACLE_TAKES = {"M": ("g", "n"), "IA": ("g", "n"), "nilcount": ("lam", "f"),
+                 "nilcount-total": ("n",)}
+_ORACLE_FLAGS = {"g": "--g", "n": "--n", "lam": "--lambda", "f": "--f"}
+
+
 def _oracle_rows(args) -> tuple[list[dict], dict]:
     from . import fforacle, pipeline
 
@@ -392,9 +399,14 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
     # size past its reach before the chain or a closed form does work that
     # grows with the input
     field = fforacle.FieldSpec.of(args.q)
+    takes = _ORACLE_TAKES[args.check]
+    if any(getattr(args, name, None) is None for name in takes):
+        raise ValueError(f"--check {args.check} needs "
+                         + " and ".join(_ORACLE_FLAGS[name] for name in takes))
+    for name, flag in _ORACLE_FLAGS.items():
+        if name not in takes and getattr(args, name, None) is not None:
+            raise ValueError(f"--check {args.check} takes no {flag}")
     if args.check in ("M", "IA"):
-        if args.g is None or args.n is None:
-            raise ValueError(f"--check {args.check} needs --g and --n")
         if args.check == "M":
             by_average = fforacle.burnside_orbit_count(field, args.n, args.g)
             by_listing = sum(1 for _ in fforacle.orbit_listing(field, args.n, args.g))
@@ -412,8 +424,6 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
             ]
         params = {"check": args.check, "g": args.g, "n": args.n, "q": args.q}
     elif args.check == "nilcount":
-        if args.lam is None or args.f is None:
-            raise ValueError("--check nilcount needs --lambda and --f")
         coeffs = _parse_poly_text(args.f)
         # the oracle's order guard sees deg f before f is written out in full
         d = max(coeffs)
@@ -425,8 +435,6 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
         params = {"check": args.check, "lambda": list(args.lam.parts),
                   "f": args.f, "q": args.q}
     else:  # nilcount-total
-        if args.n is None:
-            raise ValueError("--check nilcount-total needs --n")
         count = len(fforacle.nilpotent_matrices(field, args.n))
         rows = [_row("nilpotent matrix count", args.q ** (args.n * args.n - args.n), count)]
         params = {"check": args.check, "n": args.n, "q": args.q}

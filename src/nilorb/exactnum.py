@@ -48,10 +48,11 @@ class _Record:
     whose fields are its constructor's arguments.  Its fields are its
     class's ``__slots__``, set once by ``__init__`` by position or by name
     (a wrong count or an unknown name raises ``TypeError``); records of one
-    class compare and hash by their field values, pickle by them, and
-    assigning to a field raises ``AttributeError``.  A subclass whose
-    constructor takes other arguments than its fields pickles through
-    ``_record_of`` or its constructor's own arguments instead."""
+    class, or of a class and its subclass, compare and hash by their field
+    values and pickle by them, and assigning to a field raises
+    ``AttributeError``.  A subclass whose constructor takes other arguments
+    than its fields pickles through ``_record_of`` or its constructor's own
+    arguments instead."""
 
     __slots__ = ()
 
@@ -73,7 +74,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, self.__class__):
             return NotImplemented
         return self._values() == other._values()
 
@@ -387,15 +388,7 @@ class RationalFunctionQ(_Record):
                     top, bottom = quot, _quotient(bottom, phi)
         super().__init__(_poly(list(top)), _poly(_times(bottom, num.denominator)))
 
-    # -- comparisons and display ------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunctionQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    # -- pickling and display ---------------------------------------------
 
     def __reduce__(self):
         return _record_of, (type(self), self.num, self.den)

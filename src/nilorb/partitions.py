@@ -28,8 +28,10 @@ class Partition(_Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
         for i, p in enumerate(parts):
+            if not isinstance(p, int):
+                raise TypeError(f"partition parts must be ints, got {type(p).__name__}")
             if p < 1:
                 raise ValueError(f"partition parts must be >= 1, got {p}")
             if i and parts[i - 1] < p:
@@ -85,25 +87,18 @@ def _parts_desc(n: int, max_part: int):
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n) by the pentagonal-number recurrence (independent of enumeration)."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    """p(n) by the pentagonal-number recurrence (independent of enumeration),
+    filled in from p(0) upward, so that no n recurses."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            g2 = g1 + k  # k(3k + 1)/2
+            total += sign * (p[m - g1] + (p[m - g2] if g2 <= m else 0))
+            k += 1
+        p.append(total)
+    return p[n] if n >= 0 else 0
 
 
 def inner_product(lam: Partition, mu: Partition) -> int:

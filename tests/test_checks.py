@@ -25,7 +25,19 @@ def test_weight_routes_refuses_sizes_past_its_guard(capsys, monkeypatch):
         checks.verify_weight_routes(2, 27)
     code = cli.main(["verify", "weight-routes", "--g", "2", "--N", "40"])
     assert (code, *capsys.readouterr()) == (2, "", "nilorb: weight-routes at N=40 weighs "
-                                            "215307 partitions, beyond the guard of 12000\n")
+                                            "14741 partitions up to n=27, beyond the guard "
+                                            "of 12000\n")
+
+
+def test_weight_routes_guard_counts_no_further_than_it_must(nilorb_env):
+    # the guard stops at the first n whose running total passes it, so a
+    # huge N costs no more than N = 27
+    proc = subprocess.run([sys.executable, "-m", "nilorb", "verify", "weight-routes",
+                           "--g", "2", "--N", "1000000000"],
+                          capture_output=True, text=True, env=nilorb_env, timeout=1)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("nilorb: weight-routes at N=1000000000 weighs 14741 partitions "
+                           "up to n=27, beyond the guard of 12000\n")
 
 
 # ---------------------------------------------------------------------------

@@ -750,6 +750,19 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
     (["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", ""],
      "--cache-dir needs a value"),
     (["compute", "--kind=", "A", "--g", "2", "--n", "3"], "--kind needs a value"),
+    # each oracle check takes its own options, and refuses the others
+    (["oracle", "--check", "M", "--n", "2", "--q", "2"], "--check M needs --g and --n"),
+    (["oracle", "--check", "nilcount", "--f", "x", "--q", "2"],
+     "--check nilcount needs --lambda and --f"),
+    (["oracle", "--check", "nilcount-total", "--q", "2"], "--check nilcount-total needs --n"),
+    (["oracle", "--check", "nilcount-total", "--n", "2", "--q", "2", "--g", "5",
+      "--lambda", "2,1", "--f", "x"], "--check nilcount-total takes no --g"),
+    (["oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2", "--lambda", "3", "--f", "x^2"],
+     "--check M takes no --lambda"),
+    (["oracle", "--check", "IA", "--g", "1", "--n", "2", "--q", "2", "--f", "x"],
+     "--check IA takes no --f"),
+    (["oracle", "--check", "nilcount", "--lambda", "2", "--f", "x", "--q", "2", "--n", "2"],
+     "--check nilcount takes no --n"),
     # the terms must make up the whole text of --f: none is dropped unread
     *((["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", f, "--q", "3"],
        f"cannot parse polynomial {f!r}") for f in ("x+", "x--", "+", "x^2--1", "x^2++x", " ")),

@@ -69,6 +69,15 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((0,))
+    # a part that is not an int is refused, never truncated or converted
+    for parts in ([2.7, 1.2], [2.0], ("3", "1")):
+        with pytest.raises(TypeError, match="partition parts must be ints"):
+            Partition(parts)
+
+
+def test_partition_count_recurses_no_deeper_for_large_n():
+    partitions.partition_count.cache_clear()
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_weight_and_length():

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorb import checks, cli, exactnum, fforacle, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
@@ -345,6 +346,43 @@ def test_bi_mul_power_reads_each_row_before_it_changes():
     rows = [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
     checks._bi_mul_power(rows, 1, 1, -1)
     assert rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+def _product_rows_per_factor(tables, x_order, q_order):
+    # the reference: one binomial pass per (n, s, i), as before the
+    # exponents of one (n, s + i) were merged
+    rows = [[0] * (q_order + 1) for _ in range(x_order + 1)]
+    rows[0][0] = 1
+    for n in range(1, x_order + 1):
+        for s, a in enumerate(tables[n]):
+            if a == 0 or s > q_order:
+                continue
+            for i in range(q_order - s + 1):
+                checks._bi_mul_power(rows, n, s + i, a)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.data())
+def test_product_rows_equal_the_per_factor_product(x_order, q_order, data):
+    # tables with negative entries, zeros and entries past q^q_order
+    tables = {n: data.draw(st.lists(st.integers(-4, 4), max_size=q_order + 4), label=f"a({n})")
+              for n in range(1, x_order + 1)}
+    assert checks._product_rows(tables, x_order, q_order) \
+        == _product_rows_per_factor(tables, x_order, q_order)
+
+
+def test_product_rows_take_one_pass_per_n_and_q_degree(monkeypatch):
+    calls = []
+    bi_mul_power = checks._bi_mul_power
+    monkeypatch.setattr(checks, "_bi_mul_power",
+                        lambda *args: calls.append(args[1:]) or bi_mul_power(*args))
+    assert checks.verify_triple_product(2, 6, 24).passed
+    # one pass per (n, c) with a nonzero merged exponent; one per (n, s, i)
+    # made 833
+    passes = [(n, c) for n, c, _ in calls]
+    assert len(passes) <= 6 * (24 + 1)
+    assert len(set(passes)) == len(passes)
 
 
 def test_g1_product_control_fails_on_a_corrupted_weight_series(monkeypatch, capsys):
