@@ -750,6 +750,9 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
     (["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", ""],
      "--cache-dir needs a value"),
     (["compute", "--kind=", "A", "--g", "2", "--n", "3"], "--kind needs a value"),
+    # the terms must make up the whole text of --f: none is dropped unread
+    *((["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", f, "--q", "3"],
+       f"cannot parse polynomial {f!r}") for f in ("x+", "x--", "+", "x^2--1", "x^2++x", " ")),
     # each oracle check takes its own options, and refuses the others
     (["oracle", "--check", "M", "--n", "2", "--q", "2"], "--check M needs --g and --n"),
     (["oracle", "--check", "nilcount", "--f", "x", "--q", "2"],
@@ -763,9 +766,6 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
      "--check IA takes no --f"),
     (["oracle", "--check", "nilcount", "--lambda", "2", "--f", "x", "--q", "2", "--n", "2"],
      "--check nilcount takes no --n"),
-    # the terms must make up the whole text of --f: none is dropped unread
-    *((["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", f, "--q", "3"],
-       f"cannot parse polynomial {f!r}") for f in ("x+", "x--", "+", "x^2--1", "x^2++x", " ")),
 ])
 def test_usage_errors_are_one_line_and_exit_2(capsys, monkeypatch, tmp_path, argv, problem):
     monkeypatch.setenv("NILORB_CACHE", str(tmp_path))
