@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .exactnum import SizeGuardError, _Record, ratio_text
+from .exactnum import SizeGuardError, _Record
 from .partitions import column_weight, inner_product, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
@@ -34,6 +34,7 @@ from .pipeline import (
     _weight_mismatch,
     absolutely_indecomposable_count,
     coefficient_table,
+    fraction_texts,
     weight_series,
 )
 
@@ -377,8 +378,8 @@ def _parse_poly_text(text: str) -> dict[int, int]:
 def _value_at(cp: CountingPolynomial, q: int) -> int | str:
     """The exact value of ``cp`` at q: an int, or the text of a value that
     is not an integer (which no count can be, so its row fails)."""
-    v, d = cp.value.numerator_at(q), cp.value.denominator
-    return v // d if v % d == 0 else ratio_text(v, d)
+    v, d = cp.value.at(q), cp.denominator
+    return v // d if v % d == 0 else fraction_texts((v,), d)[0]
 
 
 def _row(quantity: str, engine, oracle: int) -> dict:
@@ -453,17 +454,13 @@ def cmd_oracle(args) -> tuple:
 
 
 def cmd_scan(args) -> tuple:
-    from .cli import _poly_payload
-
     report = scan_nonnegativity(args.g, args.n_max)
     payload = {
         "g": report.g,
         "n_max": report.n_max,
         "all_nonnegative": report.all_nonnegative,
         "negative_terms": [list(t) for t in report.negative_terms],
-        "polynomials": [
-            _poly_payload("A", report.g, cp.n, cp.value) for cp in report.polynomials
-        ],
+        "polynomials": [cp.payload() for cp in report.polynomials],
     }
     text = None
     if args.format == "pretty":

@@ -20,9 +20,11 @@ Every handler returns its result as ``(passed, parameters, outputs,
 reports, text)`` and raises ``ValueError`` on a usage error, or lets an
 ``OSError`` of the cache directory through; ``main`` alone prints it and
 picks the exit code: 0 success/pass, 1 verification failure, 2 usage error,
-size-guard violation or cache directory error, 3 internal assertion
-failure.  A ``text`` of None means ``--format json``, printed as the
-envelope.  Results go to standard output; diagnostics go to standard error.
+size-guard violation, cache directory error or a result that standard
+output refused, 3 internal assertion failure.  A ``text`` of None means
+``--format json``, printed as the envelope.  Results go to standard output,
+which ``main`` flushes before it picks the code; diagnostics go to standard
+error.
 """
 
 from __future__ import annotations
@@ -54,54 +56,12 @@ def canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# serialization of counting values
-
-
-def _poly_payload(kind: str, g: int, n: int, poly) -> dict:
-    return {
-        "kind": kind,
-        "g": g,
-        "n": n,
-        "coeffs": list(poly.coefficient_texts),
-        "degree": poly.degree(),
-    }
-
-
-def _rf_payload(kind: str, g: int, n: int, rf) -> dict:
-    return {
-        "kind": kind,
-        "g": g,
-        "n": n,
-        "num_coeffs": [str(c) for c in rf.num.numerators],
-        "den_coeffs": [str(c) for c in rf.den.numerators],
-    }
-
-
-def _compute_outputs(kind: str, g: int, mode: str, value: int) -> dict:
-    """The deterministic payload of a compute request (no timing)."""
-    from . import pipeline
-    from .exactnum import PolyQ
-
-    if kind == "H":
-        ns = range(1, value + 1) if mode == "N" else [value]
-        return {
-            "rational_functions": [
-                _rf_payload("H", g, n, pipeline.log_weight_coefficient(g, n))
-                for n in ns
-            ]
-        }
-    polys = []
-    if mode == "N" and kind == "M":
-        # generating-series convention: the X^0 term 1 leads the list
-        polys.append(_poly_payload("M", g, 0, PolyQ([1])))
-    for n in range(1, value + 1) if mode == "N" else [value]:
-        polys.append(_poly_payload(kind, g, n, pipeline.counting_value(kind, g, n).value))
-    return {"polynomials": polys}
+# printing of stored payloads
 
 
 def _payload_to_pretty(kind: str, outputs: dict, single: bool) -> str:
     """Format the stored coefficient strings as they are, with the formatter
-    that ``PolyQ`` and ``RationalFunctionQ`` print with; each H value is
+    that the counts and ``RationalFunctionQ`` print with; each H value is
     stored in the integer form that ``RationalFunctionQ.__str__`` prints, so
     it needs no reduction."""
     lines = []
@@ -252,13 +212,13 @@ def cmd_compute(args) -> tuple:
         raise ValueError("csv output is only defined for polynomial kinds")
 
     key = (args.kind, args.g, mode, value)
-    if args.no_cache:
-        outputs = _compute_outputs(*key)
-    else:
-        root = _cache_root(args.cache_dir)
-        outputs = cache_load(root, *key)
-        if outputs is None:
-            outputs = _compute_outputs(*key)
+    root = None if args.no_cache else _cache_root(args.cache_dir)
+    outputs = None if root is None else cache_load(root, *key)
+    if outputs is None:
+        from .pipeline import request_outputs
+
+        outputs = request_outputs(*key)
+        if root is not None:
             try:
                 cache_store(root, *key, outputs)
             except OSError as exc:
@@ -441,16 +401,23 @@ def main(argv=None) -> int:
         print(f"nilorb: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if text is None:
-        print(canonical_json({
+        text = canonical_json({
             "command": args.command,
             "engine_version": ENGINE_VERSION,
             "parameters": parameters,
             "outputs": outputs,
             "reports": reports,
             "timing_ms": int((time.perf_counter() - t0) * 1000),
-        }))
-    elif text:
-        print(text)
+        })
+    try:
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what standard output still holds would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"nilorb: cannot write the result: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 

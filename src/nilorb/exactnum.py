@@ -2,12 +2,13 @@
 
 This module is the numeric tower the rest of the package sits on:
 
-* ``PolyQ``: dense polynomials in q with rational coefficients, stored as
-  integer numerators over one common denominator; it is built from that
-  integer form, its arithmetic runs on the integers, and its scalars are
-  ``int``s, so no rational number type is needed,
-* ``RationalFunctionQ``: a polynomial over q**n - 1, reduced by cancelling
-  the cyclotomic factors of q**n - 1 and kept in the form it prints: coprime,
+* ``PolyQ``: dense polynomials in q with integer coefficients; its scalars
+  are ``int``s, and its one division by an integer and its one division by
+  a polynomial are exact or raise, so no rational number type is needed:
+  the chain keeps every denominator in closed form beside its numerator,
+* ``RationalFunctionQ``: a polynomial over n(q**n - 1), reduced by
+  cancelling the cyclotomic factors of q**n - 1 and the common factors of n
+  and the content, and kept in the form it prints: coprime,
   with joint content 1 and a positive leading denominator coefficient (so
   equality is structural); the counting chain builds one only for its kind-H
   output, so it has no field operations and runs no polynomial gcd,
@@ -22,7 +23,7 @@ field raises ``AttributeError``) and safe to share between threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import poly_text, quotient_text
@@ -97,40 +98,29 @@ def _record_of(cls, *values) -> _Record:
     return record
 
 
-def ratio_text(a: int, b: int) -> str:
-    """The text of the rational a / b, for integers a and b > 0: ``"a"`` or
-    ``"a/b"`` in lowest terms, the sign on the numerator."""
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    return str(a) if b == 1 else f"{a}/{b}"
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
 
 class PolyQ(_Record):
-    """Dense polynomial in q over the rationals.
+    """Dense polynomial in q with integer coefficients.
 
-    ``PolyQ(numerators, denominator)`` is the polynomial with the integer
-    ``numerators`` in ascending degree over the integer ``denominator`` >= 1.
-    It is stored in canonical form: no trailing zero numerators and
-    gcd(denominator, numerators) = 1, so equal values have equal
-    representations.  The zero polynomial is ``((), 1)`` and reports
-    ``degree() == -1`` (standing in for "minus infinity").  Its scalar
-    operands are ``int``s.
+    ``PolyQ(numerators)`` is the polynomial with the integer coefficients
+    ``numerators`` in ascending degree.  It is stored with no trailing zero
+    coefficient, so equal values have equal representations.  The zero
+    polynomial is ``()`` and reports ``degree() == -1`` (standing in for
+    "minus infinity").  Its scalar operands are ``int``s, and it compares
+    and hashes equal to the ``int`` of a constant.
     """
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ("numerators",)
 
-    def __init__(self, numerators: Iterable[int] = (), denominator: int = 1):
+    def __init__(self, numerators: Iterable[int] = ()):
         nums = list(numerators)
-        for x in (*nums, denominator):
+        for x in nums:
             if not isinstance(x, int):
                 raise TypeError(f"expected an int, got {type(x).__name__}")
-        if denominator < 1:
-            raise ValueError(f"the denominator must be >= 1, got {denominator}")
-        super().__init__(*_reduced(nums, denominator))
+        super().__init__(_stripped(nums))
 
     # -- constructors -------------------------------------------------
 
@@ -150,11 +140,6 @@ class PolyQ(_Record):
 
     # -- inspection ----------------------------------------------------
 
-    @property
-    def coefficient_texts(self) -> tuple[str, ...]:
-        """The text of each coefficient, as ``ratio_text`` gives it."""
-        return tuple(ratio_text(c, self.denominator) for c in self.numerators)
-
     def degree(self) -> int:
         return len(self.numerators) - 1
 
@@ -162,37 +147,29 @@ class PolyQ(_Record):
     def is_zero(self) -> bool:
         return not self.numerators
 
-    @property
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return self.denominator == 1
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "PolyQ | int") -> "PolyQ":
-        other = _coerce_poly(other)
-        den = lcm(self.denominator, other.denominator)
-        a = _times(self.numerators, den // self.denominator)
-        b = _times(other.numerators, den // other.denominator)
+        a, b = self.numerators, _coerce_poly(other).numerators
         if len(a) < len(b):
             a, b = b, a
+        out = list(a)
         for i, x in enumerate(b):
-            a[i] += x
-        return _poly(a, den)
+            out[i] += x
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyQ":
-        return _poly([-x for x in self.numerators], self.denominator)
+        return _poly([-x for x in self.numerators])
 
     def __sub__(self, other: "PolyQ | int") -> "PolyQ":
         return self + (-_coerce_poly(other))
 
     def __mul__(self, other: "PolyQ | int") -> "PolyQ":
         if isinstance(other, int):
-            return _poly(_times(self.numerators, other), self.denominator)
-        other = _coerce_poly(other)
-        a, b = self.numerators, other.numerators
+            return _poly([x * other for x in self.numerators])
+        a, b = self.numerators, _coerce_poly(other).numerators
         if not a or not b:
             return PolyQ()
         out = [0] * (len(a) + len(b) - 1)
@@ -200,46 +177,47 @@ class PolyQ(_Record):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _poly(out, self.denominator * other.denominator)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, d: int) -> "PolyQ":
-        """The quotient by a nonzero integer d (``exact_div`` divides by a
-        polynomial)."""
+        """The quotient by a nonzero integer d, which must divide every
+        coefficient (``exact_div`` divides by a polynomial)."""
         if not isinstance(d, int):
             return NotImplemented
         if d == 0:
             raise ZeroDivisionError("polynomial division by zero")
-        if d < 0:
-            return -self / -d
-        return _poly(list(self.numerators), self.denominator * d)
+        if any(x % d for x in self.numerators):
+            raise InexactDivisionError(f"inexact division: {self} by {d}")
+        return _poly([x // d for x in self.numerators])
 
     def shift(self, k: int) -> "PolyQ":
-        """The product with q**k: the numerators move up k places.  For k < 0
-        they move down, which divides by q**-k and must be exact."""
+        """The product with q**k: the coefficients move up k places.  For
+        k < 0 they move down, which divides by q**-k and must be exact."""
         nums = self.numerators
         if k >= 0:
-            return _poly([0] * k + list(nums), self.denominator) if nums else self
+            return _poly([0] * k + list(nums)) if nums else self
         if any(nums[:-k]):
             raise InexactDivisionError(f"inexact division: {self} by q^{-k}")
-        return _poly(list(nums[-k:]), self.denominator)
+        return _poly(list(nums[-k:]))
 
     def exact_div(self, other: "PolyQ") -> "PolyQ":
-        """The polynomial self / other; a remainder raises.
+        """The polynomial self / other, which must have integer
+        coefficients; anything else raises.
 
-        Divides over the integers: with other = c * P for P primitive, the
-        numerators of self divided by P have an integer quotient whenever
-        the division is exact (Gauss's lemma).
+        With other = c * P for P primitive, self is divided by P first:
+        when P divides self, the quotient has integer coefficients (Gauss's
+        lemma), which c must then divide.
         """
         other = _coerce_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         c = gcd(*other.numerators)
         quot = _quotient(self.numerators, [x // c for x in other.numerators])
-        if quot is None:
+        if quot is None or any(x % c for x in quot):
             raise InexactDivisionError(f"inexact division: {self} by {other}")
-        return _poly(_times(quot, other.denominator), self.denominator * c)
+        return _poly([x // c for x in quot])
 
     # -- substitution and evaluation -----------------------------------
 
@@ -251,11 +229,10 @@ class PolyQ(_Record):
             return self
         out = [0] * (self.degree() * d + 1)
         out[::d] = self.numerators
-        return _poly(out, self.denominator)
+        return _poly(out)
 
-    def numerator_at(self, x: int) -> int:
-        """The value at the integer q = x times ``denominator``, by Horner's
-        rule on the integers."""
+    def at(self, x: int) -> int:
+        """The value at the integer q = x, by Horner's rule."""
         acc = 0
         for c in reversed(self.numerators):
             acc = acc * x + c
@@ -264,49 +241,41 @@ class PolyQ(_Record):
     # -- comparisons and display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyQ):
-            if not isinstance(other, int):
-                return NotImplemented
+        if isinstance(other, int):
             other = _poly([other])
-        return (self.numerators == other.numerators
-                and self.denominator == other.denominator)
+        elif not isinstance(other, PolyQ):
+            return NotImplemented
+        return self.numerators == other.numerators
 
-    __hash__ = _Record.__hash__
+    def __hash__(self) -> int:
+        """A constant hashes as its ``int`` (the zero polynomial as 0), so
+        that it is found in a set or a dict under that ``int`` too."""
+        nums = self.numerators
+        return hash(nums[0] if len(nums) == 1 else nums) if nums else 0
 
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
     def __str__(self) -> str:
         """Human form in descending powers, e.g. ``q^4 + 3q^2 + 2q``."""
-        return poly_text(self.coefficient_texts)
+        return poly_text([str(c) for c in self.numerators])
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"
 
 
-def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """The canonical form of the numerators ``nums`` over ``den`` > 0."""
+def _stripped(nums: list[int]) -> tuple[int, ...]:
+    """The coefficients ``nums`` without their trailing zeros."""
     while nums and nums[-1] == 0:
         nums.pop()
-    if den != 1:
-        g = gcd(den, *nums)
-        if g > 1:
-            nums = [x // g for x in nums]
-            den //= g
-    return tuple(nums), den
+    return tuple(nums)
 
 
-def _poly(nums: list[int], den: int = 1) -> PolyQ:
-    """The PolyQ with numerators ``nums`` over ``den`` > 0 (``nums`` is consumed)."""
+def _poly(nums: list[int]) -> PolyQ:
+    """The PolyQ with the integer coefficients ``nums`` (``nums`` is consumed)."""
     p = object.__new__(PolyQ)
-    nums, den = _reduced(nums, den)
-    object.__setattr__(p, "numerators", nums)
-    object.__setattr__(p, "denominator", den)
+    object.__setattr__(p, "numerators", _stripped(nums))
     return p
-
-
-def _times(nums: Sequence[int], k: int) -> list[int]:
-    return [x * k for x in nums] if k != 1 else list(nums)
 
 
 def _coerce_poly(x: "PolyQ | int") -> PolyQ:
@@ -348,8 +317,8 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
 
 
 class RationalFunctionQ(_Record):
-    """A polynomial over q**n - 1, reduced to the quotient ``num / den`` that
-    it prints as.
+    """A polynomial over n(q**n - 1), reduced to the quotient ``num / den``
+    that it prints as.
 
     Canonical form: ``num`` and ``den`` have integer coefficients, their gcd
     has degree 0, their joint content is 1 and the leading coefficient of
@@ -360,16 +329,15 @@ class RationalFunctionQ(_Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: PolyQ, n: int):
-        """The reduced form of num / (q**n - 1), for n >= 1.
+        """The reduced form of num / (n(q**n - 1)), for n >= 1.
 
         q**n - 1 is the squarefree product of the cyclotomic polynomials
         Phi_d over d | n, so its gcd with num is the product of the Phi_d
         that divide num, and the reduction needs no polynomial gcd: each is
-        divided out of both sides.  The pair left is already canonical.
-        With num = P / c for P integer, gcd(c, content(P)) = 1, and dividing
-        P by monic factors keeps its content; so the joint content of the
-        quotient of P and of c times the monic rest of q**n - 1 is 1, and
-        that rest's leading coefficient is c > 0.
+        divided out of both sides.  Dividing by monic factors keeps the
+        content of num, so dividing both sides by c = gcd(n, content(num))
+        leaves a joint content of 1, and the rest of q**n - 1 is monic, so
+        the leading coefficient of ``den`` is n / c > 0.
 
         The search for Phi_d is kept on purpose.  No H value at g <= 5,
         n <= 20 has such a factor, but the argument that none ever does
@@ -378,7 +346,7 @@ class RationalFunctionQ(_Record):
         text from numerators whose factors do cancel.
         """
         if n < 1:
-            raise ValueError("the denominator q^n - 1 needs n >= 1")
+            raise ValueError("the denominator n(q^n - 1) needs n >= 1")
         top, bottom = num.numerators, [-1] + [0] * (n - 1) + [1]
         for d in range(1, n + 1):
             if n % d == 0:
@@ -386,7 +354,8 @@ class RationalFunctionQ(_Record):
                 quot = _quotient(top, phi)
                 if quot is not None:
                     top, bottom = quot, _quotient(bottom, phi)
-        super().__init__(_poly(list(top)), _poly(_times(bottom, num.denominator)))
+        c = gcd(n, *top)
+        super().__init__(_poly([x // c for x in top]), _poly([x * (n // c) for x in bottom]))
 
     # -- pickling and display ---------------------------------------------
 

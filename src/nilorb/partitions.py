@@ -3,7 +3,8 @@
 Covers partition enumeration (reverse-lexicographic, for deterministic
 series assembly), conjugation, the inner product computed by two independent
 routes, centralizer orders of nilpotent Jordan types, the Moebius function
-and the count of monic irreducible polynomials of a given degree.
+and the count of monic irreducible polynomials of a given degree, times
+that degree.
 
 The X**n coefficient of the orbit generating series is held as its integer
 numerator over the closed-form denominator D_n = (q - 1)(q**2 - 1)...(q**n - 1),
@@ -261,17 +262,18 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def monic_irreducible_count(d: int) -> PolyQ:
-    """Number of monic irreducible polynomials of degree d with x excluded,
-    as a polynomial in the field size: (1/d) * sum over e | d of
+def monic_irreducible_numerator(d: int) -> PolyQ:
+    """d times the number of monic irreducible polynomials of degree d with x
+    excluded, as a polynomial in the field size: the sum over e | d of
     mobius(e) * (q**(d/e) - 1).
 
-    Rational coefficients in general, but integer-valued at prime powers;
-    the symbolic form is what the series assembly exponentiates by.
+    It is the integer numerator of that count over d, whose coefficients
+    are rational in general, though its values at prime powers are
+    integers; the product route to log M weighs by it.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
     total = PolyQ()
     for e in divisors(d):
         total = total + mobius(e) * PolyQ.q_power_minus_one(d // e)
-    return total / d
+    return total

@@ -9,10 +9,12 @@ and every run recomputes its coefficients up to X**_WEIGHT_CHECK_ORDER by
 the partition route and asserts that the two agree; ``checks``
 compares them up to any order, and holds the other identity verifiers.
 
-Each coefficient is a ``PolyQ`` over a denominator known in closed form (the
-weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1), its log's
-over q**n - 1, 1 from A on), so the chain needs no rational-function
-arithmetic and no gcd; a ``RationalFunctionQ`` is built only for kind H.
+Each coefficient is an integer ``PolyQ`` over a denominator known in closed
+form: the weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1),
+its log's over n(q**n - 1), A and M over 1, I and log M over n.  So the
+chain needs no rational arithmetic and no gcd, and each step is a product,
+a sum or an exact division, which raises when it is not exact; a
+``RationalFunctionQ`` is built only for kind H.
 
 log M is always computed by two independent routes and cross-asserted
 coefficientwise, so every run re-verifies the algebra that connects the
@@ -23,29 +25,27 @@ I-weighted divisor sum.  exp is injective on series with constant term 0, so
 one exp of the agreed log gives M.  Facts guaranteed by the mathematics
 (polynomiality, integrality, degree bounds) are hard assertions; the open
 nonnegativity question is only ever a report.
+
+``request_outputs`` builds the payload that ``compute`` stores and prints,
+so a cache hit, which loads none of this module, compiles none of it
+either.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import zip_longest
+from math import gcd
 from typing import Optional
 
-from . import KINDS
-from .exactnum import (
-    InexactDivisionError,
-    InternalCheckError,
-    PolyQ,
-    RationalFunctionQ,
-    _Record,
-    ratio_text,
-)
+from . import KINDS, poly_text
+from .exactnum import InexactDivisionError, InternalCheckError, PolyQ, RationalFunctionQ, _Record
 from .partitions import (
     column_sum,
     column_weight,
     divisors,
     mobius,
-    monic_irreducible_count,
+    monic_irreducible_numerator,
     orbit_weight,
     partitions_of,
 )
@@ -59,24 +59,47 @@ _WEIGHT_CHECK_ORDER = 6
 
 class CountingPolynomial(_Record):
     """A counting polynomial with its provenance: which count it is (A, I or
-    M), the tuple length g and the matrix order n."""
+    M), the tuple length g and the matrix order n, and its integer numerator
+    ``value`` over the positive integer ``denominator``.  A and M have
+    integer coefficients, so their denominator is 1; I's divides n, and
+    shares no factor with every coefficient of its numerator."""
 
-    __slots__ = ("kind", "g", "n", "value")
+    __slots__ = ("kind", "g", "n", "value", "denominator")
 
-    def __init__(self, kind: str, g: int, n: int, value: PolyQ):
+    def __init__(self, kind: str, g: int, n: int, value: PolyQ, denominator: int = 1):
         if kind not in KINDS or kind == "H":
             raise ValueError(f"no counting polynomial of kind {kind!r}")
-        super().__init__(kind, g, n, value)
+        super().__init__(kind, g, n, value, denominator)
+
+    @property
+    def coefficient_texts(self) -> list[str]:
+        """The text of each coefficient, as ``fraction_texts`` gives it."""
+        return fraction_texts(self.value.numerators, self.denominator)
 
     @property
     def coefficient_list(self) -> tuple[int, ...]:
         """Ascending integer coefficients (kinds with integral values)."""
-        if not self.value.is_integral:
+        if self.denominator != 1:
             raise ValueError(f"{self.kind}_{self.g}({self.n},q) has non-integral coefficients")
         return self.value.numerators
 
+    def payload(self) -> dict:
+        """The count as ``compute`` stores and prints it."""
+        return {"kind": self.kind, "g": self.g, "n": self.n, "coeffs": self.coefficient_texts,
+                "degree": self.value.degree()}
+
     def __str__(self) -> str:
-        return f"{self.kind}_{self.g}({self.n},q) = {self.value}"
+        return f"{self.kind}_{self.g}({self.n},q) = {poly_text(self.coefficient_texts)}"
+
+
+def fraction_texts(numerators, d: int) -> list[str]:
+    """The text of a / d for each integer a of ``numerators``, for an integer
+    d >= 1: ``"a"`` or ``"a/b"`` in lowest terms, the sign on the numerator."""
+    texts = []
+    for a in numerators:
+        c = gcd(a, d)
+        texts.append(str(a // c) if c == d else f"{a // c}/{d // c}")
+    return texts
 
 
 class Mismatch(_Record):
@@ -95,14 +118,15 @@ class _ChainMemo:
 
     ``columns`` holds row s of the column route's table (G(s, c) for
     c = 0..s); ``weights`` and ``logs`` hold coefficient n of the weight
-    series and of its log, as their numerators over D_n and over q**n - 1;
-    ``orbit_logs`` holds coefficient n of log M, as agreed by its two
-    routes; ``a_counts``, ``i_counts`` and ``orbits`` hold A(g, n), I(g, n)
-    and M(g, n) at index n - 1.  None of these depends on the truncation
-    order, so the longest prefix built so far serves every order.  A prefix
-    is an immutable tuple that is only ever replaced by a longer one built
-    aside, so a concurrent reader always sees a whole prefix; the lock
-    keeps a late, shorter build from replacing a longer one.
+    series and of its log, as their numerators over D_n and over
+    n(q**n - 1); ``orbit_logs`` holds n times coefficient n of log M, as
+    agreed by its two routes; ``a_counts``, ``i_counts`` and ``orbits``
+    hold A(g, n), I(g, n) and M(g, n) at index n - 1.  None of these
+    depends on the truncation order, so the longest prefix built so far
+    serves every order.  A prefix is an immutable tuple that is only ever
+    replaced by a longer one built aside, so a concurrent reader always sees
+    a whole prefix; the lock keeps a late, shorter build from replacing a
+    longer one.
     """
 
     __slots__ = ("columns", "weights", "logs", "orbit_logs", "a_counts", "i_counts", "orbits",
@@ -183,8 +207,8 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
 
 
 def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
-    """Numerators over q**n - 1 of the coefficients of X**0..X**order of the
-    formal log of the weight series."""
+    """Numerators K_n over n(q**n - 1) of the coefficients of X**0..X**order
+    of the formal log of the weight series."""
     return _memo(g).grown(
         "logs", order + 1, lambda n, have: log_coefficients(weight_series(g, n), have)[n]
     )[: order + 1]
@@ -205,11 +229,11 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of absolutely indecomposable orbits, as a polynomial in q.
 
     Built as (q - 1) times the Moebius-weighted divisor sum of transported
-    log coefficients.  The log coefficient H_(n/d)(q**d) is its numerator
-    over q**n - 1, so A is the sum of the transported numerators divided by
-    (q**n - 1) / (q - 1) = 1 + q + ... + q**(n-1).  Polynomiality,
-    integrality and the degree bound (g-1)*n*n are mathematically
-    guaranteed, so violations raise.
+    log coefficients.  The log coefficient H_(n/d)(q**d) is K_(n/d)(q**d)
+    over n(q**n - 1) / d, so A is the sum over d of mu(d) K_(n/d)(q**d),
+    divided by (q**n - 1) / (q - 1) = 1 + q + ... + q**(n-1) and then by n.
+    Polynomiality, the degree bound (g-1)*n*n and integrality are
+    mathematically guaranteed, so violations raise.
     """
     if g < 1 or n < 1:
         raise ValueError("g and n must be >= 1")
@@ -221,20 +245,21 @@ def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
     total = PolyQ()
     for d in divisors(n):
         mu = mobius(d)
-        if mu == 0:
-            continue
-        total = total + logs[n // d].adams(d) * mu / d
+        if mu:
+            total = total + logs[n // d].adams(d) * mu
     try:
         poly = total.exact_div(PolyQ([1] * n))
     except InexactDivisionError:
         raise InternalCheckError(f"non-polynomial result for A at g={g}, n={n}") from None
-    if not poly.is_integral:
-        raise InternalCheckError(f"non-integral coefficients for A at g={g}, n={n}")
     if poly.degree() > (g - 1) * n * n:
         raise InternalCheckError(
             f"degree bound exceeded for A at g={g}, n={n}: "
             f"{poly.degree()} > {(g - 1) * n * n}"
         )
+    try:
+        poly = poly / n
+    except InexactDivisionError:
+        raise InternalCheckError(f"non-integral coefficients for A at g={g}, n={n}") from None
     return CountingPolynomial("A", g, n, poly)
 
 
@@ -252,29 +277,33 @@ def indecomposable_count(g: int, n: int) -> CountingPolynomial:
 
 
 def _indecomposable(g: int, n: int) -> CountingPolynomial:
+    """I = the sum over d | n and r | d of mu(d/r) A_(n/d)(q**r) / d, which
+    has rational coefficients in general (I_2(6, q) has 1/3 and 15/2): it
+    is the integer numerator of the sum times n, over n, both divided by
+    their common factor."""
     total = PolyQ()
     for d in divisors(n):
-        inner = PolyQ()
+        a = absolutely_indecomposable_count(g, n // d).value
         for r in divisors(d):
             mu = mobius(d // r)
-            if mu == 0:
-                continue
-            a = absolutely_indecomposable_count(g, n // d).value
-            inner = inner + mu * a.adams(r)
-        total = total + inner / d
-    _check_prime_power_positivity("I", g, n, total)
-    return CountingPolynomial("I", g, n, total)
+            if mu:
+                total = total + a.adams(r) * (mu * (n // d))
+    c = gcd(n, *total.numerators)
+    cp = CountingPolynomial("I", g, n, total / c, n // c)
+    _check_prime_power_positivity(cp)
+    return cp
 
 
-def _check_prime_power_positivity(kind: str, g: int, n: int, poly: PolyQ) -> None:
-    """Assert that poly takes positive integer values at the check points:
-    the numerators' value at q0 is a positive multiple of the denominator."""
+def _check_prime_power_positivity(cp: CountingPolynomial) -> None:
+    """Assert that cp takes positive integer values at the check points:
+    its numerator's value at q0 is a positive multiple of its denominator."""
     for q0 in _CHECK_POINTS:
-        v = poly.numerator_at(q0)
-        if v <= 0 or v % poly.denominator:
+        v = cp.value.at(q0)
+        if v <= 0 or v % cp.denominator:
             raise InternalCheckError(
-                f"{kind} at g={g}, n={n} evaluates to {ratio_text(v, poly.denominator)} "
-                f"at q={q0}; expected a positive integer"
+                f"{cp.kind} at g={cp.g}, n={cp.n} evaluates to "
+                f"{fraction_texts((v,), cp.denominator)[0]} at q={q0}; "
+                "expected a positive integer"
             )
 
 
@@ -286,28 +315,32 @@ def _log_orbit_product_coefficient(g: int, n: int) -> PolyQ:
     series at (q**d, X**d) raised to the monic-irreducible count N_d: the
     log of that product is the sum over d of N_d * H(q**d, X**d), so the
     coefficient of X**n is the sum over d | n of N_d * H_(n/d)(q**d).  Each
-    H_(n/d)(q**d) is its numerator over q**n - 1, so the coefficient is
-    returned as its numerator over q**n - 1."""
+    H_(n/d)(q**d) is K_(n/d)(q**d) over n(q**n - 1) / d, so the coefficient
+    is returned as its numerator over n(q**n - 1), the sum over d of
+    (d N_d)(q) K_(n/d)(q**d)."""
     logs = _log_numerators(g, n)
     total = PolyQ()
     for d in divisors(n):
-        total = total + logs[n // d].adams(d) * monic_irreducible_count(d)
+        total = total + monic_irreducible_numerator(d) * logs[n // d].adams(d)
     return total
 
 
 def _log_orbit_component_coefficient(g: int, n: int) -> PolyQ:
-    """Coefficient n of log M from the sum over m of I(g, m) * sum over k of
-    X**(mk) / k, i.e. the log of the product of (1 - X**m) ** (-I(g, m)):
-    the sum over k | n of I(g, n/k) / k."""
+    """n times coefficient n of log M, from the sum over m of I(g, m) * sum
+    over k of X**(mk) / k, i.e. the log of the product of
+    (1 - X**m) ** (-I(g, m)): the sum over k | n of (n/k) I(g, n/k), where
+    m I(g, m) is I's numerator times m over its denominator."""
     total = PolyQ()
     for k in divisors(n):
-        total = total + indecomposable_count(g, n // k).value / k
+        cp = indecomposable_count(g, n // k)
+        total = total + cp.value * (cp.n // cp.denominator)
     return total
 
 
 def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Mismatch]:
     """The product route's coefficient n of log M and the component route's
-    ``via_components``, if the two differ, or None.
+    ``via_components`` (n times that coefficient), if the two differ, or
+    None.
 
     exp is injective on series with constant term 0, so the first X**n at
     which the logs differ is also the first at which the two routes' orbit
@@ -315,7 +348,8 @@ def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Misma
     """
     via_product = _log_orbit_product_coefficient(g, n)
     if via_product != via_components * PolyQ.q_power_minus_one(n):
-        return Mismatch(n, None, str(RationalFunctionQ(via_product, n)), str(via_components))
+        return Mismatch(n, None, str(RationalFunctionQ(via_product, n)),
+                        poly_text(fraction_texts(via_components.numerators, n)))
     return None
 
 
@@ -340,9 +374,13 @@ def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
 def _orbit_count(g: int, n: int, lower: tuple[CountingPolynomial, ...]) -> CountingPolynomial:
     logs = _memo(g).grown("orbit_logs", n + 1, lambda m, _: _orbit_log(g, m))
     known = (PolyQ([1]),) + tuple(cp.value for cp in lower)
-    poly = exp_coefficients(logs[: n + 1], known)[n]
-    _check_prime_power_positivity("M", g, n, poly)
-    return CountingPolynomial("M", g, n, poly)
+    try:
+        poly = exp_coefficients(logs[: n + 1], known)[n]
+    except InexactDivisionError:
+        raise InternalCheckError(f"non-integral coefficients for M at g={g}, n={n}") from None
+    cp = CountingPolynomial("M", g, n, poly)
+    _check_prime_power_positivity(cp)
+    return cp
 
 
 def orbit_count(g: int, n: int) -> CountingPolynomial:
@@ -359,6 +397,23 @@ def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:
     if kind == "M":
         return orbit_count(g, n)
     raise ValueError(f"no counting polynomial of kind {kind!r}")
+
+
+def request_outputs(kind: str, g: int, mode: str, value: int) -> dict:
+    """The deterministic payload of a ``compute`` request (no timing): the
+    values of ``kind`` at g for n = value (mode "n") or n = 1..value (mode
+    "N"), each H as the integer pair it prints."""
+    ns = range(1, value + 1) if mode == "N" else [value]
+    if kind == "H":
+        rfs = [(n, log_weight_coefficient(g, n)) for n in ns]
+        return {"rational_functions": [
+            {"kind": "H", "g": g, "n": n, "num_coeffs": [str(c) for c in rf.num.numerators],
+             "den_coeffs": [str(c) for c in rf.den.numerators]} for n, rf in rfs]}
+    polys = [counting_value(kind, g, n).payload() for n in ns]
+    if mode == "N" and kind == "M":
+        # generating-series convention: the X^0 term 1 leads the list
+        polys.insert(0, CountingPolynomial("M", g, 0, PolyQ([1])).payload())
+    return {"polynomials": polys}
 
 
 def __getattr__(name: str):

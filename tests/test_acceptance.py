@@ -27,7 +27,7 @@ from nilorb.partitions import (
     weight_denominator,
 )
 from nilorb.series import exp_coefficients, log_coefficients
-from rf_arithmetic import RF, poly, value_at
+from rf_arithmetic import RF, value_at
 
 RF_ZERO = RF(PolyQ())
 QM1 = PolyQ([-1, 1])
@@ -96,7 +96,7 @@ def test_criterion_4_structural_assertions(capsys):
     for g in (1, 2, 3):
         for n in range(1, 7):
             cp = pipeline.absolutely_indecomposable_count(g, n)
-            ok = ok and cp.value.is_integral
+            ok = ok and cp.denominator == 1
             ok = ok and cp.value.degree() <= (g - 1) * n * n
     with capsys.disabled():
         _report(4, "structural assertions", ok)
@@ -112,7 +112,7 @@ def test_criterion_5_oracle_orbit_counts(capsys):
     ]
     for g, n, q, frozen in cases:
         field = FieldSpec.of(q)
-        engine = value_at(pipeline.orbit_count(g, n).value, q)
+        engine = value_at(pipeline.orbit_count(g, n), q)
         by_average = burnside_orbit_count(field, n, g)
         by_listing = len(orbits(field, n, g))
         ok = ok and engine == by_average == by_listing
@@ -121,8 +121,8 @@ def test_criterion_5_oracle_orbit_counts(capsys):
     f2 = FieldSpec.of(2)
     ok = ok and indecomposability_counts(f2, 2, 2) == (4, 4)
     ok = ok and indecomposability_counts(f2, 3, 2) == (32, 32)
-    ok = ok and value_at(pipeline.absolutely_indecomposable_count(2, 2).value, 2) == 4
-    ok = ok and value_at(pipeline.absolutely_indecomposable_count(2, 3).value, 2) == 32
+    ok = ok and value_at(pipeline.absolutely_indecomposable_count(2, 2), 2) == 4
+    ok = ok and value_at(pipeline.absolutely_indecomposable_count(2, 3), 2) == 32
     with capsys.disabled():
         _report(5, "oracle equivalence, orbit counts", ok)
 
@@ -163,15 +163,16 @@ def test_criterion_7_conjecture_scan(capsys):
 def test_criterion_8_property_suites(capsys):
     ok = True
 
-    # exp/log round trips on randomized admissible series: the X**n
-    # coefficient of the log is a numerator over q**n - 1, so that of the
-    # series is one over weight_denominator(n)
+    # exp/log round trips on randomized admissible series: n times the X**n
+    # coefficient of the log is a numerator over q**n - 1, with a factor 5!
+    # that clears the 1/m! of the exp, so that of the series is one over
+    # weight_denominator(n)
     rng = random.Random(2718)
     for _ in range(4):
-        logs = [PolyQ()] + [poly([Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-                                  for _ in range(3)]) for _ in range(5)]
-        h = [RF_ZERO] + [RF(c, PolyQ.q_power(n) - 1) for n, c in enumerate(logs) if n]
-        series = exp_coefficients(h)
+        logs = [PolyQ()] + [PolyQ([rng.randint(-2, 2) * 120 for _ in range(3)])
+                            for _ in range(5)]
+        j = [RF_ZERO] + [RF(c, PolyQ.q_power(n) - 1) for n, c in enumerate(logs) if n]
+        series = exp_coefficients(j)
         numerators = [(c * weight_denominator(n)).as_poly() for n, c in enumerate(series)]
         ok = ok and log_coefficients(numerators) == tuple(logs)
 

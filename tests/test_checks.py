@@ -106,7 +106,8 @@ if check == "weight-routes":
 elif check == "thm5-routes":
     # the product route to log M never reaches I
     if tangle:
-        tangled(pipeline, "monic_irreducible_count", lambda: pipeline.indecomposable_count(2, 1))
+        tangled(pipeline, "monic_irreducible_numerator",
+                lambda: pipeline.indecomposable_count(2, 1))
     calls = trace(checks.verify_product_routes, 2, 5)
     bad = [c for c in calls if c[0] == "indecomposable_count"
            and "_log_orbit_product_coefficient" in c[1]]

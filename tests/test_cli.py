@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -91,6 +92,24 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
         code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2",
                              "--n", "3", "--no-cache")
         assert (code, out, err) == (3, "", "nilorb: internal assertion failed: routes disagree\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_a_result_that_cannot_be_written_exits_2(nilorb_env, unbuffered, fmt):
+    # every write to /dev/full fails: buffered, at main's flush, unbuffered,
+    # at the print itself; either way main says so in one line and exits 2,
+    # and nothing is left to fail again at interpreter exit
+    env = {k: v for k, v in nilorb_env.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache", "--format", fmt]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "nilorb", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        2, "nilorb: cannot write the result: [Errno 28] No space left on device\n")
 
 
 def test_compute_rejects_invalid_g(capsys):
@@ -565,7 +584,7 @@ def test_oracle_nilpotent_miscount_is_a_mismatch(nilorb_env, argv, row):
 def plus_q_squared_over_8(count):
     def perturbed(g, n):
         cp = count(g, n)
-        return CountingPolynomial(cp.kind, g, n, cp.value + PolyQ([0, 0, 1], 8))
+        return CountingPolynomial(cp.kind, g, n, cp.value * 8 + PolyQ([0, 0, 1]), 8)
     return perturbed
 
 

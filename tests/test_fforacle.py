@@ -284,9 +284,9 @@ def test_burnside_equals_orbit_listing_everywhere_in_guard():
 
 def test_pipeline_counts_match_oracle_everywhere_in_guard():
     for field, n, g in sizes_in_guard():
-        m_engine = value_at(pipeline.orbit_count(g, n).value, field.q)
-        i_engine = value_at(pipeline.indecomposable_count(g, n).value, field.q)
-        a_engine = value_at(pipeline.absolutely_indecomposable_count(g, n).value, field.q)
+        m_engine = value_at(pipeline.orbit_count(g, n), field.q)
+        i_engine = value_at(pipeline.indecomposable_count(g, n), field.q)
+        a_engine = value_at(pipeline.absolutely_indecomposable_count(g, n), field.q)
         # the listing behind the I and A counts is compared to Burnside above
         i_oracle, a_oracle = indecomposability_counts(field, n, g)
         assert m_engine == burnside_orbit_count(field, n, g), (field.q, n, g)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorb import checks, cli, exactnum, fforacle, pipeline
+from nilorb import checks, cli, exactnum, fforacle, pipeline, poly_text
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
 from nilorb.partitions import Partition, divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
@@ -94,11 +94,15 @@ def test_log_coefficient_rejects_g_and_n_below_one(monkeypatch):
 H_SIZES = [(g, n) for g in range(1, 6) for n in range(1, 13)]
 
 
+def log_denominator(n):
+    """n(q^n - 1), as a coefficient list of the reference arithmetic."""
+    return [-n] + [0] * (n - 1) + [n]
+
+
 def test_log_coefficient_is_its_gcd_reduced_form():
     for g, n in H_SIZES:
         h = pipeline.log_weight_coefficient(g, n)
-        reference = RF(pipeline._log_numerators(g, n)[n], PolyQ.q_power_minus_one(n))
-        assert (h.num, h.den) == (reference.num, reference.den), (g, n)
+        assert h == RF(pipeline._log_numerators(g, n)[n], log_denominator(n)), (g, n)
 
 
 def cancellation_mismatches() -> list:
@@ -111,8 +115,7 @@ def cancellation_mismatches() -> list:
     out = []
     for g, n in H_SIZES:
         num = pipeline._log_numerators(g, n)[n] * PolyQ.q_power_minus_one(n)
-        value, reference = RationalFunctionQ(num, n), RF(num, PolyQ.q_power_minus_one(n))
-        if (value.num, value.den) != (reference.num, reference.den):
+        if RationalFunctionQ(num, n) != RF(num, log_denominator(n)):
             out.append((g, n))
     return out
 
@@ -133,9 +136,11 @@ def test_h_reference_catches_a_skipped_cyclotomic_factor(monkeypatch):
 def test_exp_of_log_reproduces_weight_series():
     for g in (1, 2):
         logs = log_coefficients(pipeline.weight_series(g, 5))
-        h = (RF_ZERO,) + tuple(RF(c, PolyQ.q_power(n) - 1) for n, c in enumerate(logs) if n)
+        h = (RF_ZERO,) + tuple(RF(c, log_denominator(n)) for n, c in enumerate(logs) if n)
         assert h[1:] == tuple(pipeline.log_weight_coefficient(g, n) for n in range(1, 6))
-        assert exp_coefficients(h) == weight_series(g, 5)
+        # exp takes n h_n, the numerator K_n over q^n - 1
+        j = (RF_ZERO,) + tuple(RF(c, PolyQ.q_power_minus_one(n)) for n, c in enumerate(logs) if n)
+        assert exp_coefficients(j) == weight_series(g, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +165,7 @@ def has_expected_shape(g: int, n: int, a: PolyQ, m: PolyQ) -> bool:
     leading coefficient 1, or 2 at A_2(2,q) = 2q."""
     degree = max(g * (n * n - n) - (n * n - 1), 0)
     lead = 2 if (g, n) == (2, 2) else 1
-    return a.degree() == m.degree() == degree and a.numerators[-1] == lead * a.denominator
+    return a.degree() == m.degree() == degree and a.numerators[-1] == lead
 
 
 def test_counts_are_integral_with_bounded_degree():
@@ -172,7 +177,7 @@ def test_counts_are_integral_with_bounded_degree():
         orbits = pipeline.orbit_count_series(g, orders[-1])
         for n in orders:
             cp = pipeline.absolutely_indecomposable_count(g, n)
-            assert cp.value.is_integral
+            assert cp.denominator == orbits[n - 1].denominator == 1
             assert cp.value.degree() <= (g - 1) * n * n
             assert has_expected_shape(g, n, cp.value, orbits[n - 1].value), (g, n)
 
@@ -224,7 +229,7 @@ def test_counts_nested_at_prime_powers():
             i = pipeline.indecomposable_count(g, n)
             m = pipeline.orbit_count(g, n)
             for q in (2, 3, 4):
-                va, vi, vm = (value_at(cp.value, q) for cp in (a, i, m))
+                va, vi, vm = (value_at(cp, q) for cp in (a, i, m))
                 for v in (va, vi, vm):
                     assert v.denominator == 1 and v > 0
                 assert va <= vi <= vm
@@ -249,6 +254,11 @@ def test_coefficient_list_rejects_rational_coefficients():
     rational = pipeline.indecomposable_count(2, 6)  # has 1/3, 15/2, 77/3 and 81/2
     with pytest.raises(ValueError, match="non-integral"):
         rational.coefficient_list
+    # its numerator over 6, reduced: the texts are the Fractions' own
+    assert rational.denominator == 6
+    texts = [str(Fraction(c, 6)) for c in rational.value.numerators]
+    assert rational.coefficient_texts == texts
+    assert {"1/3", "15/2", "77/3", "81/2"} <= set(texts)
 
 
 def test_counting_polynomial_str():
@@ -273,14 +283,16 @@ def test_product_routes_report_a_mismatch_in_reduced_form(monkeypatch):
     route = pipeline._log_orbit_product_coefficient
 
     def perturbed(g, n):
-        return route(g, n) + (PolyQ.q_power_minus_one(2) if n == 4 else PolyQ())
+        return route(g, n) + (PolyQ.q_power_minus_one(2) * n if n == 4 else PolyQ())
 
     monkeypatch.setattr(pipeline, "_log_orbit_product_coefficient", perturbed)
     mismatch = checks.verify_product_routes(2, 5).mismatch
-    reduced = RF(perturbed(2, 4), PolyQ.q_power_minus_one(4))
-    assert reduced.den == PolyQ([4, 0, 4])
+    reduced = RF(perturbed(2, 4), log_denominator(4))
+    assert reduced.den == (4, 0, 4)
+    # the component route's side is 4 times its coefficient, printed over 4
+    component = pipeline._log_orbit_component_coefficient(2, 4)
     assert mismatch == pipeline.Mismatch(
-        4, None, str(reduced), str(pipeline._log_orbit_component_coefficient(2, 4)))
+        4, None, str(reduced), poly_text([str(Fraction(c, 4)) for c in component.numerators]))
 
 
 def test_triple_product_identity_passes():
@@ -476,13 +488,16 @@ print(json.dumps([refused, str(pipeline.absolutely_indecomposable_count(2, 3)),
 
 
 def test_positivity_check_on_integer_values():
-    check = pipeline._check_prime_power_positivity
+    def check(kind, g, n, value, denominator=1):
+        pipeline._check_prime_power_positivity(
+            pipeline.CountingPolynomial(kind, g, n, value, denominator))
+
     check("M", 2, 2, PolyQ([1, 2]))
-    check("I", 2, 6, pipeline.indecomposable_count(2, 6).value)  # rational coefficients
+    pipeline._check_prime_power_positivity(pipeline.indecomposable_count(2, 6))  # rational
     # (q^2 + q) / 2 is an integer at every q, q / 2 is not at q = 3
-    check("I", 2, 1, PolyQ([0, 1, 1], 2))
+    check("I", 2, 1, PolyQ([0, 1, 1]), 2)
     with pytest.raises(InternalCheckError, match=r"evaluates to 3/2 at q=3; expected a positive"):
-        check("I", 2, 1, PolyQ([0, 1], 2))
+        check("I", 2, 1, PolyQ([0, 1]), 2)
     with pytest.raises(InternalCheckError, match="M at g=2, n=2 evaluates to 0 at q=2"):
         check("M", 2, 2, PolyQ([-2, 1]))
     with pytest.raises(InternalCheckError, match="evaluates to -1 at q=2"):
@@ -678,7 +693,7 @@ print(report.mismatch.x_degree)
 
 def test_log_denominator_negative_control(run_fresh):
     # one more 1 / D_3 in the X^3 coefficient of the weight series gives its
-    # log a denominator that does not divide q^3 - 1; it is put into the memo,
+    # log a denominator that does not divide 3(q^3 - 1); it is put into the memo,
     # behind the per-run check of the two weight routes
     out = run_fresh("""
 import contextlib, io
@@ -701,14 +716,15 @@ with contextlib.redirect_stderr(io.StringIO()):
 
 @pytest.mark.parametrize("corruption, message", [
     ("1", "non-polynomial result for A at g=2, n=3"),
-    ("PolyQ([1, 1, 1], 2)", "non-integral coefficients for A at g=2, n=3"),
+    ("PolyQ([1, 1, 1])", "non-integral coefficients for A at g=2, n=3"),
     ("PolyQ.q_power(40) * PolyQ.q_power_minus_one(3)",
      "degree bound exceeded for A at g=2, n=3: 41 > 9"),
 ])
 def test_a_assertions_negative_control(run_fresh, corruption, message):
-    # one corrupted X^3 log numerator, put into the memo: its transported sum
-    # is no longer divisible by 1 + q + q^2, or the quotient gains 1/2, or
-    # q^40 (q - 1), and each breaks one of A's hard assertions
+    # one corrupted X^3 log numerator K_3, put into the memo: its transported
+    # sum is no longer divisible by 1 + q + q^2, or its quotient by
+    # 1 + q + q^2 gains 1, which 3 does not divide, or q^40 (q - 1), and
+    # each breaks one of A's hard assertions
     out = run_fresh(f"""
 import contextlib, io, json
 from nilorb import cli, pipeline
@@ -730,6 +746,44 @@ print(json.dumps([raised, code, stdout.getvalue(), stderr.getvalue()]))
     raised, code, stdout, stderr = json.loads(out)
     assert raised == message
     assert code == 3 and stdout == "" and message in stderr
+
+
+def test_m_division_negative_control(run_fresh):
+    # one more 1 in n log M at X^2, put into the memo past both routes: the
+    # exp's X^2 coefficient gains 1/2, which its exact division by 2 refuses
+    out = run_fresh("""
+import contextlib, io, json
+from nilorb import cli, pipeline
+pipeline.orbit_count_series(2, 1)
+memo = pipeline._memo(2)
+logs = memo.grown("orbit_logs", 3, lambda m, _: pipeline._orbit_log(2, m))
+memo.orbit_logs = logs[:2] + (logs[2] + 1,)
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    code = cli.main(["compute", "--kind", "M", "--g", "2", "--n", "2", "--no-cache"])
+print(json.dumps([code, stdout.getvalue(), stderr.getvalue()]))
+""")
+    assert json.loads(out) == [3, "", "nilorb: internal assertion failed: "
+                                      "non-integral coefficients for M at g=2, n=2\n"]
+
+
+def test_i_value_negative_control(run_fresh):
+    # A(2, 2) = 2q less q^2, put into the memo: I(2, 2), its numerator over 2
+    # reduced, carries it and is 0 at q = 2, which I's check refuses
+    out = run_fresh("""
+import contextlib, io, json
+from nilorb import cli, pipeline
+from nilorb.exactnum import PolyQ
+counts = [pipeline.absolutely_indecomposable_count(2, n) for n in (1, 2)]
+counts[1] = pipeline.CountingPolynomial("A", 2, 2, counts[1].value - PolyQ.q_power(2))
+pipeline._memo(2).a_counts = tuple(counts)
+stdout, stderr = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    code = cli.main(["compute", "--kind", "I", "--g", "2", "--n", "2", "--no-cache"])
+print(json.dumps([code, stdout.getvalue(), stderr.getvalue()]))
+""")
+    assert json.loads(out) == [3, "", "nilorb: internal assertion failed: I at g=2, n=2 "
+                                      "evaluates to 0 at q=2; expected a positive integer\n"]
 
 
 def test_a_prefix_negative_control(run_fresh):
