@@ -50,8 +50,8 @@ def quotient_text(num_coeffs, den_coeffs) -> str:
 
 _EXPORTS = {
     "exactnum": ("InexactDivisionError", "InternalCheckError", "PolyQ", "RationalFunctionQ",
-                 "SizeGuardError"),
-    "partitions": ("Partition", "inner_product", "mobius", "monic_irreducible_numerator",
+                 "SizeGuardError", "mobius"),
+    "partitions": ("Partition", "inner_product", "monic_irreducible_numerator",
                    "partition_count", "partitions_of"),
     "pipeline": ("CountingPolynomial", "absolutely_indecomposable_count", "counting_value",
                  "indecomposable_count", "orbit_count", "orbit_count_series"),

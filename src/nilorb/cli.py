@@ -20,11 +20,11 @@ Every handler returns its result as ``(passed, parameters, outputs,
 reports, text)`` and raises ``ValueError`` on a usage error, or lets an
 ``OSError`` of the cache directory through; ``main`` alone prints it and
 picks the exit code: 0 success/pass, 1 verification failure, 2 usage error,
-size-guard violation, cache directory error or a result that standard
-output refused, 3 internal assertion failure.  A ``text`` of None means
-``--format json``, printed as the envelope.  Results go to standard output,
-which ``main`` flushes before it picks the code; diagnostics go to standard
-error.
+size-guard violation, cache directory error, a request too large for the
+memory or a result that standard output refused, 3 internal assertion
+failure.  A ``text`` of None means ``--format json``, printed as the
+envelope.  Results go to standard output, which ``main`` flushes before it
+picks the code; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -392,9 +392,9 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         t0 = time.perf_counter()
         passed, parameters, outputs, reports, text = args.handler(args)
-    except (ValueError, OSError) as exc:  # a SizeGuardError too
+    except (ValueError, OSError, MemoryError) as exc:  # a SizeGuardError too
         # a line for each problem: ``cache clear`` names every entry it left
-        for line in str(exc).split("\n"):
+        for line in (str(exc) or "out of memory").split("\n"):
             print(f"nilorb: {line}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ArithmeticError) as exc:  # an InternalCheckError too

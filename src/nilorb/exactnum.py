@@ -4,14 +4,18 @@ This module is the numeric tower the rest of the package sits on:
 
 * ``PolyQ``: dense polynomials in q with integer coefficients; its scalars
   are ``int``s, and its one division by an integer and its one division by
-  a polynomial are exact or raise, so no rational number type is needed:
-  the chain keeps every denominator in closed form beside its numerator,
+  a polynomial, ``div_q_power_minus_one``, are exact or raise, so no
+  rational number type is needed: the chain keeps every denominator in
+  closed form beside its numerator, and every one is a product of factors
+  q**j - 1, each divided out in one linear pass,
 * ``RationalFunctionQ``: a polynomial over n(q**n - 1), reduced by
   cancelling the cyclotomic factors of q**n - 1 and the common factors of n
   and the content, and kept in the form it prints: coprime,
   with joint content 1 and a positive leading denominator coefficient (so
   equality is structural); the counting chain builds one only for its kind-H
-  output, so it has no field operations and runs no polynomial gcd,
+  output, so it has no field operations and runs no polynomial gcd; it
+  writes each cyclotomic factor as a quotient of factors q**e - 1 by the
+  Moebius function, which lives here with ``divisors``,
 * ``_Record``: the immutable value record that every record of the
   package (a partition, a count, a report, an orbit) subclasses.
 
@@ -22,9 +26,8 @@ field raises ``AttributeError``) and safe to share between threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import poly_text, quotient_text
 
@@ -118,7 +121,7 @@ class PolyQ(_Record):
     def __init__(self, numerators: Iterable[int] = ()):
         nums = list(numerators)
         for x in nums:
-            if not isinstance(x, int):
+            if type(x) is not int:  # a bool is an int too, but no coefficient
                 raise TypeError(f"expected an int, got {type(x).__name__}")
         super().__init__(_stripped(nums))
 
@@ -183,7 +186,7 @@ class PolyQ(_Record):
 
     def __truediv__(self, d: int) -> "PolyQ":
         """The quotient by a nonzero integer d, which must divide every
-        coefficient (``exact_div`` divides by a polynomial)."""
+        coefficient (``div_q_power_minus_one`` divides by a polynomial)."""
         if not isinstance(d, int):
             return NotImplemented
         if d == 0:
@@ -202,22 +205,23 @@ class PolyQ(_Record):
             raise InexactDivisionError(f"inexact division: {self} by q^{-k}")
         return _poly(list(nums[-k:]))
 
-    def exact_div(self, other: "PolyQ") -> "PolyQ":
-        """The polynomial self / other, which must have integer
-        coefficients; anything else raises.
+    def div_q_power_minus_one(self, j: int) -> "PolyQ":
+        """The quotient by q**j - 1, for j >= 1, which must be exact.
 
-        With other = c * P for P primitive, self is divided by P first:
-        when P divides self, the quotient has integer coefficients (Gauss's
-        lemma), which c must then divide.
+        For self = Q (q**j - 1), the coefficients are T_i = Q_(i-j) - Q_i,
+        so one upward pass gives Q_i = Q_(i-j) - T_i (Q_i = 0 for i < 0).
+        Run over all of T's coefficients, the pass must end with j zeros,
+        which are the Q_i past the quotient's degree: a nonzero one is a
+        remainder, and raises ``InexactDivisionError``.
         """
-        other = _coerce_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        c = gcd(*other.numerators)
-        quot = _quotient(self.numerators, [x // c for x in other.numerators])
-        if quot is None or any(x % c for x in quot):
-            raise InexactDivisionError(f"inexact division: {self} by {other}")
-        return _poly([x // c for x in quot])
+        if j < 1:
+            raise ValueError("div_q_power_minus_one requires j >= 1")
+        out = [0] * j
+        for x in self.numerators:
+            out.append(out[-j] - x)
+        if any(out[-j:]):
+            raise InexactDivisionError(f"inexact division: {self} by q^{j} - 1")
+        return _poly(out[j:-j])
 
     # -- substitution and evaluation -----------------------------------
 
@@ -284,32 +288,55 @@ def _coerce_poly(x: "PolyQ | int") -> PolyQ:
     return PolyQ([x])
 
 
-def _quotient(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """The integer polynomial a / b, for b primitive, or None when the
-    division leaves a remainder.  When b divides a, every step of the
-    integer long division is exact too, so a step that is not leaves a
-    nonzero remainder behind."""
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    terms = [(i, y) for i, y in enumerate(b) if y]
-    quot = [0] * max(len(rem) - db, 0)
-    for pos in range(len(quot) - 1, -1, -1):
-        factor = quot[pos] = rem[pos + db] // lb
-        if factor:
-            for i, y in terms:
-                rem[pos + i] -= factor * y
-    return None if any(rem) else quot
+def mobius(n: int) -> int:
+    """Standard Moebius function via trial factorization."""
+    if n < 1:
+        raise ValueError("mobius is defined on positive integers")
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """The coefficients of the cyclotomic polynomial Phi_d: q**d - 1 divided
-    exactly by Phi_e for every proper divisor e of d."""
-    phi = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            phi = _quotient(phi, _cyclotomic(e))
-    return tuple(phi)
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n in increasing order."""
+    if n < 1:
+        raise ValueError("divisors requires n >= 1")
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _over_cyclotomic(p: PolyQ, d: int) -> PolyQ | None:
+    """p / Phi_d, or None when the cyclotomic polynomial Phi_d does not
+    divide p.  Phi_d is the product over e | d of (q**e - 1)**mobius(d/e),
+    so p is multiplied by each factor of exponent -1 and then divided by
+    each factor of exponent +1; all of them are monic, so the last division
+    is exact exactly when Phi_d divides p."""
+    for e in divisors(d):
+        if mobius(d // e) == -1:
+            p = p.shift(e) - p
+    try:
+        for e in divisors(d):
+            if mobius(d // e) == 1:
+                p = p.div_q_power_minus_one(e)
+    except InexactDivisionError:
+        return None
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +374,17 @@ class RationalFunctionQ(_Record):
         """
         if n < 1:
             raise ValueError("the denominator n(q^n - 1) needs n >= 1")
-        top, bottom = num.numerators, [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n + 1):
-            if n % d == 0:
-                phi = _cyclotomic(d)
-                quot = _quotient(top, phi)
+        top, bottom = num, PolyQ.q_power_minus_one(n)
+        for d in divisors(n):
+            # Phi_d divides q**d - 1, so it divides top only if it divides
+            # top mod q**d - 1: its d coefficients are tried first
+            nums = top.numerators
+            if _over_cyclotomic(_poly([sum(nums[i::d]) for i in range(d)]), d) is not None:
+                quot = _over_cyclotomic(top, d)
                 if quot is not None:
-                    top, bottom = quot, _quotient(bottom, phi)
-        c = gcd(n, *top)
-        super().__init__(_poly([x // c for x in top]), _poly([x * (n // c) for x in bottom]))
+                    top, bottom = quot, _over_cyclotomic(bottom, d)
+        c = gcd(n, *top.numerators)
+        super().__init__(top / c, bottom * (n // c))
 
     # -- pickling and display ---------------------------------------------
 

@@ -2,16 +2,18 @@
 
 Covers partition enumeration (reverse-lexicographic, for deterministic
 series assembly), conjugation, the inner product computed by two independent
-routes, centralizer orders of nilpotent Jordan types, the Moebius function
-and the count of monic irreducible polynomials of a given degree, times
-that degree.
+routes, the partition weights, the q-binomials and the count of monic
+irreducible polynomials of a given degree, times that degree.  The Moebius
+function and ``divisors`` live in ``exactnum``, which cancels cyclotomic
+factors with them, and are imported here.
 
 The X**n coefficient of the orbit generating series is held as its integer
 numerator over the closed-form denominator D_n = (q - 1)(q**2 - 1)...(q**n - 1),
 and there are two routes to it that share no formula.  The partition route
 sums one weight per partition of n, a centralizer quotient
-(``orbit_weight``, ``centralizer_order``, ``inner_product``).  The column
-route (``column_sum``, ``column_weight``) sums over the column heights of the
+(``orbit_weight``, ``inner_product``): D_n divided by the factors q**j - 1
+of the centralizer order, one linear pass each.  The column route
+(``column_sum``, ``column_weight``) sums over the column heights of the
 partitions with q-binomials, and needs no division (J. Hua, *Counting
 representations of quivers over finite fields*, J. Algebra 226, 2000).
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import InternalCheckError, PolyQ, _Record
+from .exactnum import InternalCheckError, PolyQ, _Record, divisors, mobius
 
 
 class Partition(_Record):
@@ -31,7 +33,7 @@ class Partition(_Record):
     def __init__(self, parts=()):
         parts = tuple(parts)
         for i, p in enumerate(parts):
-            if not isinstance(p, int):
+            if type(p) is not int:  # a bool is an int too, but no part
                 raise TypeError(f"partition parts must be ints, got {type(p).__name__}")
             if p < 1:
                 raise ValueError(f"partition parts must be >= 1, got {p}")
@@ -127,25 +129,6 @@ def inner_product(lam: Partition, mu: Partition) -> int:
     return via_conjugates
 
 
-def centralizer_order(lam: Partition, ip: int | None = None) -> PolyQ:
-    """Order of the centralizer of a nilpotent matrix of Jordan type lam,
-    as a polynomial in the field size.
-
-    Equals q**<lam,lam> times the product over part multiplicities m of
-    (1 - q**-1)...(1 - q**-m), with the negative powers cleared symbolically
-    so the result stays a plain polynomial.  ``ip`` is <lam,lam> when the
-    caller already has it.
-    """
-    if ip is None:
-        ip = inner_product(lam, lam)
-    cleared = sum(m * (m + 1) // 2 for m in lam.exponential_form().values())
-    out = PolyQ.q_power(ip - cleared)
-    for m in lam.exponential_form().values():
-        for j in range(1, m + 1):
-            out = out * PolyQ.q_power_minus_one(j)
-    return out
-
-
 @lru_cache(maxsize=None)
 def weight_denominator(n: int) -> PolyQ:
     """D_n = (q - 1)(q**2 - 1)...(q**n - 1), D_0 = 1: a multiple of the
@@ -153,7 +136,7 @@ def weight_denominator(n: int) -> PolyQ:
     coefficient is a polynomial."""
     out = PolyQ([1])
     for j in range(1, n + 1):
-        out = out * PolyQ.q_power_minus_one(j)
+        out = out.shift(j) - out
     return out
 
 
@@ -163,15 +146,23 @@ def orbit_weight(lam: Partition, g: int) -> PolyQ:
 
     The count of g-tuples of nilpotent matrices commuting with a fixed
     regular block of Jordan type lam, divided by the order of its
-    centralizer: q**(g(<lam,lam> - length)) / centralizer_order(lam).
+    centralizer, q**(<lam,lam> - sum m(m+1)/2) times the product over part
+    multiplicities m of (q - 1)...(q**m - 1).  So the numerator is D_n
+    divided by each q**j - 1, j <= m, for each m, then shifted by
+    g(<lam,lam> - length) - <lam,lam> + sum m(m+1)/2, which is at least
+    sum m(m-1)/2 >= 0 because length = sum m.
     """
     if lam.weight < 1:
         raise ValueError("orbit weight needs a nonempty partition")
     if g < 1:
         raise ValueError("tuple length g must be >= 1")
     ip = inner_product(lam, lam)
-    num = PolyQ.q_power(g * (ip - lam.length)) * weight_denominator(lam.weight)
-    return num.exact_div(centralizer_order(lam, ip))
+    num, shift = weight_denominator(lam.weight), g * (ip - lam.length) - ip
+    for m in lam.exponential_form().values():
+        shift += m * (m + 1) // 2
+        for j in range(1, m + 1):
+            num = num.div_q_power_minus_one(j)
+    return num.shift(shift)
 
 
 # -- the column route: no division ---------------------------------------
@@ -227,39 +218,6 @@ def column_weight(g: int, row, n: int) -> PolyQ:
 
 # ---------------------------------------------------------------------------
 # number theory
-
-
-def mobius(n: int) -> int:
-    """Standard Moebius function via trial factorization."""
-    if n < 1:
-        raise ValueError("mobius is defined on positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def monic_irreducible_numerator(d: int) -> PolyQ:

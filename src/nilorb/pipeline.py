@@ -39,12 +39,11 @@ from math import gcd
 from typing import Optional
 
 from . import KINDS, poly_text
-from .exactnum import InexactDivisionError, InternalCheckError, PolyQ, RationalFunctionQ, _Record
+from .exactnum import (InexactDivisionError, InternalCheckError, PolyQ, RationalFunctionQ,
+                       _Record, divisors, mobius)
 from .partitions import (
     column_sum,
     column_weight,
-    divisors,
-    mobius,
     monic_irreducible_numerator,
     orbit_weight,
     partitions_of,
@@ -209,9 +208,14 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
 def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
     """Numerators K_n over n(q**n - 1) of the coefficients of X**0..X**order
     of the formal log of the weight series."""
-    return _memo(g).grown(
-        "logs", order + 1, lambda n, have: log_coefficients(weight_series(g, n), have)[n]
-    )[: order + 1]
+    def log(n, have):
+        weights = weight_series(g, n)
+        try:
+            return log_coefficients(weights, have)[n]
+        except InternalCheckError as exc:  # it names X^n, and g is added
+            raise InternalCheckError(f"at g={g}, {exc}") from None
+
+    return _memo(g).grown("logs", order + 1, log)[: order + 1]
 
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
@@ -231,7 +235,7 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     Built as (q - 1) times the Moebius-weighted divisor sum of transported
     log coefficients.  The log coefficient H_(n/d)(q**d) is K_(n/d)(q**d)
     over n(q**n - 1) / d, so A is the sum over d of mu(d) K_(n/d)(q**d),
-    divided by (q**n - 1) / (q - 1) = 1 + q + ... + q**(n-1) and then by n.
+    times q - 1, divided by q**n - 1 and then by n.
     Polynomiality, the degree bound (g-1)*n*n and integrality are
     mathematically guaranteed, so violations raise.
     """
@@ -248,7 +252,7 @@ def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
         if mu:
             total = total + logs[n // d].adams(d) * mu
     try:
-        poly = total.exact_div(PolyQ([1] * n))
+        poly = (total.shift(1) - total).div_q_power_minus_one(n)
     except InexactDivisionError:
         raise InternalCheckError(f"non-polynomial result for A at g={g}, n={n}") from None
     if poly.degree() > (g - 1) * n * n:
@@ -347,7 +351,7 @@ def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Misma
     counts would differ.
     """
     via_product = _log_orbit_product_coefficient(g, n)
-    if via_product != via_components * PolyQ.q_power_minus_one(n):
+    if via_product != via_components.shift(n) - via_components:
         return Mismatch(n, None, str(RationalFunctionQ(via_product, n)),
                         poly_text(fraction_texts(via_components.numerators, n)))
     return None

@@ -4,7 +4,8 @@ A series a_0 + a_1 X + ... + a_N X**N is the tuple (a_0, ..., a_N) of its
 coefficients, so the truncation order is the tuple's length minus one and
 every result has the length of its input.  Both run on integer numerators
 over closed-form denominators: ``log_coefficients`` takes the weight series
-over D_n and gives n times its log over q**n - 1, and ``exp_coefficients``
+over D_n and gives n times its log over q**n - 1, dividing out the factors
+q**j - 1 of D_(n-1) one at a time, and ``exp_coefficients``
 takes n times a log and gives its exp, dividing each coefficient exactly by
 its index, so a coefficient that is not integral raises.  ``exp`` runs over
 any coefficient ring with exact ``+``, ``*`` and division by a nonzero
@@ -37,8 +38,9 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
     (O(N^2) coefficient operations, against O(N^3) for the alternating sum
     of log(1 + x)).  With k*h_k = K_k / (q**k - 1), term k goes over D_n
     with the cofactor D_n / ((q**k - 1) D_{n-k}) = [n; k]_q D_{k-1}, so
-    T_n = n*h_n*D_n is a polynomial and K_n = n*h_n*(q**n - 1) = T_n / D_{n-1}.
-    That division is exact exactly when K_n is a polynomial, as it must be
+    T_n = n*h_n*D_n is a polynomial and K_n = n*h_n*(q**n - 1) = T_n / D_{n-1},
+    divided out one factor q**j - 1, j < n, at a time.  Each division is
+    exact exactly when K_n is a polynomial, as it must be
     for the weight series (H_n = sum over d | n of
     A_{n/d}(q**d) / (d(q**d - 1))), so an inexact one raises
     InternalCheckError.  h_n depends only on a_0..a_n, so the recurrence
@@ -53,11 +55,13 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
             if not (out[k].is_zero or p[n - k].is_zero):
                 acc = acc - out[k] * p[n - k] * _log_cofactor(n, k)
         try:
-            out.append(acc.exact_div(weight_denominator(n - 1)))
+            for j in range(1, n):
+                acc = acc.div_q_power_minus_one(j)
         except InexactDivisionError:
             raise InternalCheckError(
                 f"the denominator of the X^{n} log coefficient does not divide q^{n} - 1"
             ) from None
+        out.append(acc)
     return tuple(out)
 
 

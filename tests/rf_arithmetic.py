@@ -15,10 +15,12 @@ content 1, a positive leading denominator coefficient), and adds that
 field's ``+``, ``-``, ``*``, division by a number and the substitution
 q -> q**d, with reduction after each; it keeps ``exp_coefficients``
 running over it.  ``value_at`` gives the exact value of a polynomial, a
-counting polynomial or a rational function at an integer q.  Nothing here
-uses the chain.
+counting polynomial or a rational function at an integer q, and
+``centralizer_order`` the defining denominator of a partition weight.
+Nothing here uses the chain.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -193,3 +195,19 @@ def value_at(p, q: int) -> Fraction:
     if hasattr(p, "denominator"):
         return at(p.value) / p.denominator
     return at(p)
+
+
+def centralizer_order(lam) -> tuple:
+    """The order of the centralizer of a nilpotent matrix of Jordan type lam
+    (its parts, in any order), as a polynomial in the field size:
+    q**<lam,lam> times the product over part multiplicities m of
+    (1 - q**-1)...(1 - q**-m), the negative powers cleared, where <lam,lam>
+    is the sum over pairs of parts i, j of min(i, j)."""
+    parts = list(lam)
+    multiplicities = Counter(parts).values()
+    ip = sum(min(i, j) for i in parts for j in parts)
+    out = coefficients([0] * (ip - sum(m * (m + 1) // 2 for m in multiplicities)) + [1])
+    for m in multiplicities:
+        for j in range(1, m + 1):
+            out = _mul(out, coefficients([-1] + [0] * (j - 1) + [1]))
+    return out

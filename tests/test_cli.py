@@ -94,6 +94,21 @@ def test_internal_check_failure_exits_3(capsys, monkeypatch):
         assert (code, out, err) == (3, "", "nilorb: internal assertion failed: routes disagree\n")
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # a request too large for the memory (A at g = 10^11 asks for a list of
+    # about 10^11 coefficients) is refused like a size guard, in one line
+    # with exit 2, never with a traceback and exit 1, which says that a
+    # verification failed; the error is raised here, no memory is spent
+    for error, line in ((MemoryError(), "out of memory"), (MemoryError("no room"), "no room")):
+        def exhausted(kind, g, mode, value):
+            raise error
+
+        monkeypatch.setattr(pipeline, "request_outputs", exhausted)
+        code, out, err = run(capsys, "compute", "--kind", "A", "--g", "99999999999",
+                             "--n", "2", "--no-cache")
+        assert (code, out, err) == (2, "", f"nilorb: {line}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("fmt", ["pretty", "json"])

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import nilorb
 from nilorb import checks, poly_text, quotient_text
 from nilorb.exactnum import InexactDivisionError, PolyQ, RationalFunctionQ
-from nilorb.partitions import centralizer_order, inner_product, partitions_of
+from nilorb.partitions import inner_product, partitions_of
 from nilorb.pipeline import CountingPolynomial
-from rf_arithmetic import RF, coefficients, divmod_poly, poly_gcd, value_at
+from rf_arithmetic import RF, centralizer_order, coefficients, divmod_poly, poly_gcd, value_at
 
 Q = PolyQ([0, 1])
 ONE = PolyQ([1])
@@ -42,7 +42,9 @@ def longdiv(num, den, order):
 def test_polyq_takes_its_integer_form():
     p = PolyQ([1, 2, 0])
     assert p.numerators == (1, 2) and PolyQ.__slots__ == ("numerators",)
-    for bad in ([Fraction(1, 2)], [1.5]):
+    # a bool is an int to isinstance, but no coefficient: [True, 2] would
+    # print as 2q + True
+    for bad in ([Fraction(1, 2)], [1.5], [True, 2], [1, 0, False]):
         with pytest.raises(TypeError):
             PolyQ(bad)
     # there is no second, denominator argument
@@ -51,7 +53,7 @@ def test_polyq_takes_its_integer_form():
     # scalar operands are ints
     for bad in (Fraction(1, 2), 0.5):
         for op in (lambda: p + bad, lambda: p - bad, lambda: p * bad, lambda: bad * p,
-                   lambda: p.exact_div(bad), lambda: p / bad):
+                   lambda: p / bad):
             with pytest.raises(TypeError):
                 op()
     assert p * PolyQ([2]) == PolyQ([2, 4]) and p + 1 == PolyQ([2, 2])
@@ -83,17 +85,27 @@ def test_gcd_example():
 
 
 def test_exact_divide():
-    assert PolyQ([0, -1, 0, 1]).exact_div(Q) == PolyQ([-1, 0, 1])
+    # the one division by a polynomial is by q^j - 1: q^3 - q = q (q^2 - 1)
+    p = PolyQ([0, -1, 0, 1])
+    assert p.div_q_power_minus_one(2) == Q
+    assert p.div_q_power_minus_one(1) == PolyQ([0, 1, 1])
+    assert PolyQ.q_power_minus_one(4).div_q_power_minus_one(4) == ONE
+    assert PolyQ().div_q_power_minus_one(3).is_zero
+    with pytest.raises(ValueError):
+        p.div_q_power_minus_one(0)
 
 
 def test_exact_divide_rejects_remainder():
+    with pytest.raises(InexactDivisionError):  # q + 1 is 2 at q = 1
+        PolyQ([1, 1]).div_q_power_minus_one(1)
+    # a nonzero polynomial of at most j coefficients has degree below j
+    for nums in ([5], [0, 0, 5], [-1, 0, 1]):
+        with pytest.raises(InexactDivisionError):
+            PolyQ(nums).div_q_power_minus_one(3)
+    # (q^2 + 1)(q - 1) = (q^3 - 1) - q^2 + q: the remainder lies only in the
+    # top coefficients below index j, past where the pass ends with zeros
     with pytest.raises(InexactDivisionError):
-        PolyQ([1, 1]).exact_div(Q)
-    with pytest.raises(InexactDivisionError):  # q / (2q + 3): 2 does not divide 1
-        PolyQ([0, 1]).exact_div(PolyQ([3, 2]))
-    # (q + 1) / 2 is a polynomial, but not with integer coefficients
-    with pytest.raises(InexactDivisionError):
-        PolyQ([1, 1]).exact_div(PolyQ([2]))
+        PolyQ([-1, 1, -1, 1]).div_q_power_minus_one(3)
 
 
 def test_degree_and_zero_conventions():
@@ -159,20 +171,12 @@ def test_integer_scalings_and_shifts():
     with pytest.raises(ZeroDivisionError):
         p / 0
     with pytest.raises(TypeError):
-        p / Q  # a polynomial divisor goes through exact_div
+        p / Q  # the one polynomial divisor is q^j - 1, by div_q_power_minus_one
     assert p.shift(2) == p * PolyQ.q_power(2) and p.shift(0) == p
     assert PolyQ([0, 0, 5, 1]).shift(-2) == PolyQ([5, 1])
     assert PolyQ().shift(3).is_zero and PolyQ().shift(-3).is_zero
     with pytest.raises(InexactDivisionError):
         PolyQ([0, 1, 1]).shift(-2)
-
-
-def test_content_and_primitive_part():
-    # exact_div divides by the primitive part, then exactly by the content
-    assert PolyQ([2, 4, 2]).exact_div(PolyQ([2, 2])) == PolyQ([1, 1])
-    assert (PolyQ([1, 2]) * PolyQ([3, 6])).exact_div(PolyQ([-3, -6])) == PolyQ([-1, -2])
-    with pytest.raises(InexactDivisionError):  # (1 + q)^2 / (2 + 2q) = (1 + q) / 2
-        PolyQ([1, 2, 1]).exact_div(PolyQ([2, 2]))
 
 
 def test_evaluate_paper_value():
@@ -292,13 +296,35 @@ def test_distributivity(a, b, c):
     assert (a + b) * c == a * c + b * c
 
 
-@settings(max_examples=60, deadline=None)
-@given(polys, nonzero_polys, nonzero_polys)
-def test_exact_div_inverts_multiplication(a, b, r):
-    assert (a * b).exact_div(b) == a
-    if r.degree() < b.degree():  # a nonzero remainder
+def times_q_power_minus_one(a, j):
+    """The coefficients of a (q^j - 1), by a test-local shift and
+    subtraction that shares no code with ``PolyQ``."""
+    out = [0] * (len(a.numerators) + j)
+    for i, x in enumerate(a.numerators):
+        out[i + j] += x
+        out[i] -= x
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=10).map(PolyQ), st.integers(1, 8),
+       st.lists(st.integers(-5, 5), max_size=8))
+def test_div_q_power_minus_one_inverts_multiplication(a, j, r):
+    # a (q^j - 1) + r with deg r < j: the reference's Fraction long division
+    # leaves the remainder r, and the stride division returns a when r is
+    # zero and raises for every nonzero r
+    r = r[:j]
+    t = times_q_power_minus_one(a, j)
+    for i, x in enumerate(r):
+        t[i] += x
+    dividend = PolyQ(t)
+    divisor = coefficients([-1] + [0] * (j - 1) + [1])
+    assert divmod_poly(coefficients(dividend), divisor) == (coefficients(a), coefficients(r))
+    if any(r):
         with pytest.raises(InexactDivisionError):
-            (a * b + r).exact_div(b)
+            dividend.div_q_power_minus_one(j)
+    else:
+        assert dividend.div_q_power_minus_one(j) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,25 +344,23 @@ def quotient_reference(a, b):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-50, 50), max_size=8).map(PolyQ),
-       st.one_of(st.integers(-12, 12).filter(bool), st.builds(
-           lambda c, p: p * c, st.integers(-6, 6).filter(bool), nonzero_polys)),
-       st.booleans())
-def test_exact_divisions_raise_exactly_when_the_quotient_is_not_integral(a, b, multiple):
-    # a / d by an int and a.exact_div(b) by a polynomial: each gives the
+       st.integers(-12, 12).filter(bool), st.booleans(), st.booleans())
+def test_exact_divisions_raise_exactly_when_the_quotient_is_not_integral(a, b, by_int, multiple):
+    # a / d by an int and a.div_q_power_minus_one(j): each gives the
     # rational quotient when that is an integer polynomial, and raises
-    # InexactDivisionError otherwise; half the dividends are multiples of b
-    divisor = PolyQ([b]) if isinstance(b, int) else b
+    # InexactDivisionError otherwise; half the dividends are multiples of the
+    # divisor
+    divisor = PolyQ([b]) if by_int else PolyQ.q_power_minus_one(abs(b))
     if multiple:
         a = a * divisor
     expected = quotient_reference(a, divisor)
     integral = expected is not None and all(c.denominator == 1 for c in expected)
-    divisions = [lambda: a.exact_div(divisor)] + ([lambda: a / b] if isinstance(b, int) else [])
-    for divide in divisions:
-        if integral:
-            assert coefficients(divide()) == expected
-        else:
-            with pytest.raises(InexactDivisionError):
-                divide()
+    divide = (lambda: a / b) if by_int else (lambda: a.div_q_power_minus_one(abs(b)))
+    if integral:
+        assert coefficients(divide()) == expected
+    else:
+        with pytest.raises(InexactDivisionError):
+            divide()
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,6 @@ from nilorb.exactnum import PolyQ
 from nilorb.fforacle import FieldSpec, monic_irreducibles
 from nilorb.partitions import (
     Partition,
-    centralizer_order,
     column_sum,
     column_weight,
     divisors,
@@ -18,7 +17,7 @@ from nilorb.partitions import (
     q_binomial,
     weight_denominator,
 )
-from rf_arithmetic import RF, value_at
+from rf_arithmetic import RF, centralizer_order, value_at
 
 
 
@@ -69,8 +68,9 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((0,))
-    # a part that is not an int is refused, never truncated or converted
-    for parts in ([2.7, 1.2], [2.0], ("3", "1")):
+    # a part that is not an int is refused, never truncated or converted; nor
+    # is a bool, an int to isinstance, which would print as Partition(2, True)
+    for parts in ([2.7, 1.2], [2.0], ("3", "1"), [2, True], (3, False)):
         with pytest.raises(TypeError, match="partition parts must be ints"):
             Partition(parts)
 
@@ -136,7 +136,8 @@ def test_self_inner_product_lower_bound():
 
 
 def test_centralizer_order_of_scalar_types_is_gl_order():
-    # the type with n parts equal to 1 centralizes to the full group
+    # the type with n parts equal to 1 centralizes to the full group: a check
+    # of the reference that the weight tests divide by
     for n in range(1, 5):
         lam = Partition((1,) * n)
         poly = centralizer_order(lam)
@@ -230,8 +231,8 @@ def test_q_binomials():
             b = q_binomial(n, k)
             assert b == q_binomial(n, n - k)
             assert value_at(b, 1) == len([s for s in range(2 ** n) if bin(s).count("1") == k])
-            quotient = weight_denominator(n).exact_div(weight_denominator(k) * weight_denominator(n - k))
-            assert b == quotient
+            # D_n / (D_k D_(n-k)), by multiplication
+            assert b * weight_denominator(k) * weight_denominator(n - k) == weight_denominator(n)
     with pytest.raises(ValueError):
         q_binomial(3, 4)
 
