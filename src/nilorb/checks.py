@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .exactnum import SizeGuardError, _Record
+from .exactnum import SizeGuardError, _check_ints, _Record
 from .partitions import column_weight, inner_product, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
@@ -33,7 +33,6 @@ from .pipeline import (
     _orbit_log_mismatch,
     _weight_mismatch,
     absolutely_indecomposable_count,
-    coefficient_table,
     fraction_texts,
     weight_series,
 )
@@ -43,6 +42,13 @@ from .pipeline import (
 #: 10.3 s at g = 2 and 11.8 s at g = 5 (2 cores, Python 3.11.7), about twice
 #: N = 24 (7,337 partitions).  N = 27 (14,741) is refused.
 _WEIGHT_ROUTES_PARTITIONS = 12_000
+#: the largest window N * Q of coefficients that ``verify_triple_product``
+#: and ``verify_g1_product`` multiply in.  The product makes about
+#: (N Q)**2 / 4 coefficient updates, so its time grows as the window's
+#: square: at N * Q = 16,000, kwi took 8.3 s at (g, N, Q) = (2, 16, 1000) and
+#: 9.5 s at (2, 20, 800), and g1-product 6.1 s at (16, 1000) (in process, 2
+#: cores, Python 3.11.7); 0.54 s at (2, 12, 288).
+_PRODUCT_WINDOW = 16_000
 
 
 class VerificationReport(_Record):
@@ -80,8 +86,7 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
     follows their number; past ``_WEIGHT_ROUTES_PARTITIONS`` of them this
     raises ``SizeGuardError`` before any work, counting them only up to the
     first n that passes it."""
-    if g < 1 or order < 1:
-        raise ValueError("g and order must be >= 1")
+    _check_ints(1, g=g, order=order)
     count = 0
     for n in range(1, order + 1):
         count += partition_count(n)
@@ -98,8 +103,7 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
 def verify_product_routes(g: int, order: int) -> VerificationReport:
     """Compare the two independent constructions of log M for X**1..X**order,
     reporting the first X**n at which they differ rather than raising."""
-    if g < 1 or order < 1:
-        raise ValueError("g and order must be >= 1")
+    _check_ints(1, g=g, order=order)
     mismatches = (_orbit_log_mismatch(g, n, _log_orbit_component_coefficient(g, n))
                   for n in range(1, order + 1))
     return VerificationReport("thm5-routes", g, order, None,
@@ -163,6 +167,16 @@ def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]
     return rows
 
 
+def _guard_window(identity: str, x_order: int, q_order: int) -> None:
+    """Refuse truncation orders below 1, and a window past
+    ``_PRODUCT_WINDOW``, before any work."""
+    _check_ints(1, x_order=x_order, q_order=q_order)
+    if x_order * q_order > _PRODUCT_WINDOW:
+        raise SizeGuardError(f"{identity} at N={x_order}, Q={q_order} multiplies in a window of "
+                             f"N*Q = {x_order * q_order} coefficients, beyond the guard of "
+                             f"{_PRODUCT_WINDOW}")
+
+
 def _product_check(identity: str, g: int, tables: dict, x_order: int,
                    q_order: int) -> VerificationReport:
     """Compare the product of the exponent tables (``_product_rows``) with
@@ -189,35 +203,36 @@ def verify_triple_product(
     with s + i > q_order are 1 modulo the q-truncation and are skipped.
     The factors of one (n, s + i) merge into one power of one binomial,
     applied in one pass through its binomial series, so the right side
-    stays in integer arithmetic on rows of q-coefficients.
+    stays in integer arithmetic on rows of q-coefficients.  A window
+    x_order * q_order past ``_PRODUCT_WINDOW`` raises ``SizeGuardError``
+    before any work.
     ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
     deliberate-corruption hook for negative-control testing; it must lie
     inside the window (n <= x_order, s <= q_order) and have d != 0.
     """
-    if x_order < 1 or q_order < 1:
-        raise ValueError("truncation orders must be >= 1")
-    tables: dict[int, list[int]] = {
-        n: list(coefficient_table(g, n)) for n in range(1, x_order + 1)
-    }
+    _check_ints(1, g=g)
+    _guard_window("kwi", x_order, q_order)
     if perturb is not None:
         pn, ps, delta = perturb
         # a zero delta, or a coefficient past q**q_order, changes nothing
         # inside the window, so the control could not fail
         if not (1 <= pn <= x_order and 0 <= ps <= q_order) or delta == 0:
             raise ValueError("perturbation outside the verified window")
-        table = tables[pn]
-        table.extend([0] * (ps + 1 - len(table)))
-        table[ps] += delta
-
+    tables = {n: list(absolutely_indecomposable_count(g, n).coefficient_list)
+              for n in range(1, x_order + 1)}
+    if perturb is not None:
+        tables[pn].extend([0] * (ps + 1 - len(tables[pn])))
+        tables[pn][ps] += delta
     return _product_check("kwi", g, tables, x_order, q_order)
 
 
 def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
     """At g = 1 the weight series equals the plain double product of
     (1 - q**i X**n); this builds that product directly, without going
-    through the counting polynomials: every exponent table is (1,)."""
-    if x_order < 1 or q_order < 1:
-        raise ValueError("truncation orders must be >= 1")
+    through the counting polynomials: every exponent table is (1,).  A
+    window past ``_PRODUCT_WINDOW`` raises ``SizeGuardError`` before any
+    work."""
+    _guard_window("g1-product", x_order, q_order)
     return _product_check("g1-product", 1, dict.fromkeys(range(1, x_order + 1), (1,)),
                           x_order, q_order)
 
@@ -226,10 +241,8 @@ def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
     """List every negative coefficient of the absolutely-indecomposable
     counts for n up to n_max.  An empty list means the nonnegativity
     conjecture holds in range; a nonempty one is a finding, not an error."""
-    if g < 2:
-        raise ValueError("the nonnegativity scan needs g >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_ints(2, g=g)
+    _check_ints(1, n_max=n_max)
     negatives = []
     polys = []
     for n in range(1, n_max + 1):

@@ -17,7 +17,10 @@ This module is the numeric tower the rest of the package sits on:
   writes each cyclotomic factor as a quotient of factors q**e - 1 by the
   Moebius function, which lives here with ``divisors``,
 * ``_Record``: the immutable value record that every record of the
-  package (a partition, a count, a report, an orbit) subclasses.
+  package (a partition, a count, a report, an orbit) subclasses,
+* ``_check_ints``: the package's one check of an integer argument (a count,
+  an order, a degree, an exponent or a scalar operand), which refuses a
+  value whose type is not exactly ``int`` and one below its bound.
 
 Nothing here ever rounds.  All values, ``PolyQ``, ``RationalFunctionQ`` and
 ``FieldSpec`` included, are immutable after construction (assigning to a
@@ -45,6 +48,17 @@ class InternalCheckError(AssertionError):
 
 class SizeGuardError(ValueError):
     """A request exceeds what a brute-force route can run at desk scale."""
+
+
+def _check_ints(least: int | None = None, **arguments) -> None:
+    """Refuse, by its name, each of ``arguments`` whose type is not exactly
+    ``int`` (``TypeError``: a ``bool`` is an ``int`` too, but no count) or,
+    when ``least`` is given, whose value is below it (``ValueError``)."""
+    for name, value in arguments.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 class _Record:
@@ -112,8 +126,11 @@ class PolyQ(_Record):
     ``numerators`` in ascending degree.  It is stored with no trailing zero
     coefficient, so equal values have equal representations.  The zero
     polynomial is ``()`` and reports ``degree() == -1`` (standing in for
-    "minus infinity").  Its scalar operands are ``int``s, and it compares
-    and hashes equal to the ``int`` of a constant.
+    "minus infinity").  Its scalar operands, on either side of ``+``, ``-``
+    and ``*`` and right of ``/``, are ``int``s, by ``_check_ints``'s rule: a
+    ``bool`` or a ``float`` raises ``TypeError``.  It compares and hashes
+    equal to the ``int`` of a constant, and unequal to anything else, a
+    ``bool`` included.
     """
 
     __slots__ = ("numerators",)
@@ -121,8 +138,7 @@ class PolyQ(_Record):
     def __init__(self, numerators: Iterable[int] = ()):
         nums = list(numerators)
         for x in nums:
-            if type(x) is not int:  # a bool is an int too, but no coefficient
-                raise TypeError(f"expected an int, got {type(x).__name__}")
+            _check_ints(coefficient=x)
         super().__init__(_stripped(nums))
 
     # -- constructors -------------------------------------------------
@@ -130,15 +146,13 @@ class PolyQ(_Record):
     @staticmethod
     def q_power(k: int) -> "PolyQ":
         """The monomial q**k."""
-        if k < 0:
-            raise ValueError("q_power requires k >= 0")
+        _check_ints(0, k=k)
         return _poly([0] * k + [1])
 
     @staticmethod
     def q_power_minus_one(k: int) -> "PolyQ":
         """The binomial q**k - 1, for k >= 1."""
-        if k < 1:
-            raise ValueError("q_power_minus_one requires k >= 1")
+        _check_ints(1, k=k)
         return _poly([-1] + [0] * (k - 1) + [1])
 
     # -- inspection ----------------------------------------------------
@@ -153,7 +167,7 @@ class PolyQ(_Record):
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "PolyQ | int") -> "PolyQ":
-        a, b = self.numerators, _coerce_poly(other).numerators
+        a, b = self.numerators, _operand(other).numerators
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -167,12 +181,15 @@ class PolyQ(_Record):
         return _poly([-x for x in self.numerators])
 
     def __sub__(self, other: "PolyQ | int") -> "PolyQ":
-        return self + (-_coerce_poly(other))
+        return self + -_operand(other)
+
+    def __rsub__(self, other: int) -> "PolyQ":
+        return -self + other
 
     def __mul__(self, other: "PolyQ | int") -> "PolyQ":
-        if isinstance(other, int):
+        if type(other) is int:
             return _poly([x * other for x in self.numerators])
-        a, b = self.numerators, _coerce_poly(other).numerators
+        a, b = self.numerators, _operand(other).numerators
         if not a or not b:
             return PolyQ()
         out = [0] * (len(a) + len(b) - 1)
@@ -187,8 +204,7 @@ class PolyQ(_Record):
     def __truediv__(self, d: int) -> "PolyQ":
         """The quotient by a nonzero integer d, which must divide every
         coefficient (``div_q_power_minus_one`` divides by a polynomial)."""
-        if not isinstance(d, int):
-            return NotImplemented
+        _check_ints(divisor=d)
         if d == 0:
             raise ZeroDivisionError("polynomial division by zero")
         if any(x % d for x in self.numerators):
@@ -214,8 +230,7 @@ class PolyQ(_Record):
         which are the Q_i past the quotient's degree: a nonzero one is a
         remainder, and raises ``InexactDivisionError``.
         """
-        if j < 1:
-            raise ValueError("div_q_power_minus_one requires j >= 1")
+        _check_ints(1, j=j)
         out = [0] * j
         for x in self.numerators:
             out.append(out[-j] - x)
@@ -227,8 +242,7 @@ class PolyQ(_Record):
 
     def adams(self, d: int) -> "PolyQ":
         """Substitute q -> q**d."""
-        if d < 1:
-            raise ValueError("adams substitution requires d >= 1")
+        _check_ints(1, d=d)
         if d == 1 or self.is_zero:
             return self
         out = [0] * (self.degree() * d + 1)
@@ -245,7 +259,7 @@ class PolyQ(_Record):
     # -- comparisons and display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = _poly([other])
         elif not isinstance(other, PolyQ):
             return NotImplemented
@@ -282,16 +296,17 @@ def _poly(nums: list[int]) -> PolyQ:
     return p
 
 
-def _coerce_poly(x: "PolyQ | int") -> PolyQ:
+def _operand(x: "PolyQ | int") -> PolyQ:
+    """An operand of PolyQ's arithmetic: a PolyQ, or an int as a constant."""
     if isinstance(x, PolyQ):
         return x
-    return PolyQ([x])
+    _check_ints(scalar=x)
+    return _poly([x])
 
 
 def mobius(n: int) -> int:
     """Standard Moebius function via trial factorization."""
-    if n < 1:
-        raise ValueError("mobius is defined on positive integers")
+    _check_ints(1, n=n)
     result = 1
     p = 2
     while p * p <= n:
@@ -308,8 +323,7 @@ def mobius(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError("divisors requires n >= 1")
+    _check_ints(1, n=n)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -372,8 +386,7 @@ class RationalFunctionQ(_Record):
         conjecture; and ``pipeline._orbit_log_mismatch`` builds its mismatch
         text from numerators whose factors do cancel.
         """
-        if n < 1:
-            raise ValueError("the denominator n(q^n - 1) needs n >= 1")
+        _check_ints(1, n=n)
         top, bottom = num, PolyQ.q_power_minus_one(n)
         for d in divisors(n):
             # Phi_d divides q**d - 1, so it divides top only if it divides

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactnum import InternalCheckError, PolyQ, _Record, divisors, mobius
+from .exactnum import InternalCheckError, PolyQ, _check_ints, _Record, divisors, mobius
 
 
 class Partition(_Record):
@@ -74,8 +74,7 @@ class Partition(_Record):
 
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, exactly once, in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
+    _check_ints(0, n=n)
     return [Partition(p) for p in _parts_desc(n, n)]
 
 
@@ -154,8 +153,7 @@ def orbit_weight(lam: Partition, g: int) -> PolyQ:
     """
     if lam.weight < 1:
         raise ValueError("orbit weight needs a nonempty partition")
-    if g < 1:
-        raise ValueError("tuple length g must be >= 1")
+    _check_ints(1, g=g)
     ip = inner_product(lam, lam)
     num, shift = weight_denominator(lam.weight), g * (ip - lam.length) - ip
     for m in lam.exponential_form().values():
@@ -177,12 +175,12 @@ def orbit_weight(lam: Partition, g: int) -> PolyQ:
 # c_1 = c.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: q_binomial(2.0, 1) misses, and is refused
 def q_binomial(n: int, k: int) -> PolyQ:
     """The Gaussian binomial [n; k]_q, 0 <= k <= n, by the q-Pascal rule
     [n; k] = [n-1; k-1] + q**k [n-1; k]."""
-    if not 0 <= k <= n:
-        raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
+    _check_ints(0, k=k)
+    _check_ints(k, n=n)
     if k in (0, n):
         return PolyQ.q_power(0)
     return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
@@ -229,8 +227,7 @@ def monic_irreducible_numerator(d: int) -> PolyQ:
     are rational in general, though its values at prime powers are
     integers; the product route to log M weighs by it.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    _check_ints(1, d=d)
     total = PolyQ()
     for e in divisors(d):
         total = total + mobius(e) * PolyQ.q_power_minus_one(d // e)

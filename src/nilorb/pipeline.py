@@ -40,7 +40,7 @@ from typing import Optional
 
 from . import KINDS, poly_text
 from .exactnum import (InexactDivisionError, InternalCheckError, PolyQ, RationalFunctionQ,
-                       _Record, divisors, mobius)
+                       _check_ints, _Record, divisors, mobius)
 from .partitions import (
     column_sum,
     column_weight,
@@ -198,10 +198,8 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
     """Numerators over D_n = weight_denominator(n) of the coefficients of
     X**0..X**order of the generating series whose X**n coefficient sums the
     partition weights of n (constant term 1)."""
-    if g < 1:
-        raise ValueError("tuple length g must be >= 1")
-    if order < 0:
-        raise ValueError("series order must be >= 0")
+    _check_ints(1, g=g)
+    _check_ints(0, order=order)
     return _memo(g).grown("weights", order + 1, lambda n, _: _weight(g, n))[: order + 1]
 
 
@@ -220,8 +218,7 @@ def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
     """Coefficient of X**n in the formal log of the weight series."""
-    if g < 1 or n < 1:
-        raise ValueError("g and n must be >= 1")
+    _check_ints(1, g=g, n=n)
     return RationalFunctionQ(_log_numerators(g, n)[n], n)
 
 
@@ -239,8 +236,7 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     Polynomiality, the degree bound (g-1)*n*n and integrality are
     mathematically guaranteed, so violations raise.
     """
-    if g < 1 or n < 1:
-        raise ValueError("g and n must be >= 1")
+    _check_ints(1, g=g, n=n)
     return _memo(g).grown("a_counts", n, lambda k, _: _absolutely_indecomposable(g, k + 1))[n - 1]
 
 
@@ -267,16 +263,10 @@ def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
     return CountingPolynomial("A", g, n, poly)
 
 
-def coefficient_table(g: int, n: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the absolutely-indecomposable count."""
-    return absolutely_indecomposable_count(g, n).coefficient_list
-
-
 def indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of indecomposable orbits: the double divisor sum over
     transported absolutely-indecomposable counts."""
-    if g < 1 or n < 1:
-        raise ValueError("g and n must be >= 1")
+    _check_ints(1, g=g, n=n)
     return _memo(g).grown("i_counts", n, lambda k, _: _indecomposable(g, k + 1))[n - 1]
 
 
@@ -370,8 +360,7 @@ def _orbit_log(g: int, n: int) -> PolyQ:
 def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
     """Full orbit counts for n = 1..order: the exp of log M, once both
     routes to log M agree coefficientwise."""
-    if g < 1 or order < 1:
-        raise ValueError("g and order must be >= 1")
+    _check_ints(1, g=g, order=order)
     return _memo(g).grown("orbits", order, lambda k, lower: _orbit_count(g, k + 1, lower))[:order]
 
 

@@ -40,6 +40,25 @@ def test_weight_routes_guard_counts_no_further_than_it_must(nilorb_env):
                            "up to n=27, beyond the guard of 12000\n")
 
 
+def test_products_refuse_windows_past_their_guard(capsys, monkeypatch):
+    def reached(*args):
+        raise LookupError("the product's work began")
+
+    # the guard refuses before the exponent tables or the weight series are
+    # built, and lets N * Q = 16,000 through
+    monkeypatch.setattr(checks, "absolutely_indecomposable_count", reached)
+    monkeypatch.setattr(checks, "_product_check", reached)
+    for verify in (lambda n, q: checks.verify_triple_product(2, n, q), checks.verify_g1_product):
+        with pytest.raises(LookupError):
+            verify(16, 1000)
+        with pytest.raises(SizeGuardError, match="N=1, Q=16001 .* N\\*Q = 16001 coefficients"):
+            verify(1, 16001)
+    code = cli.main(["verify", "g1-product", "--N", "200", "--Q", "40000"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "nilorb: g1-product at N=200, Q=40000 multiplies in a window of N*Q = 8000000 "
+        "coefficients, beyond the guard of 16000\n")
+
+
 # ---------------------------------------------------------------------------
 # each check stays off the route it checks, observed in fresh interpreters
 
@@ -119,8 +138,9 @@ elif check == "kwi":
         tangled(checks, "_bi_mul_power", lambda: pipeline._log_numerators(2, 1))
     calls = trace(checks.verify_triple_product, 2, 4, 16)
     bad = [c for c in calls if c[0] in {"log_coefficients", "exp_coefficients", "_log_numerators"}
-           and "coefficient_table" not in c[1]]
-    witness = any(c[0] == "_log_numerators" and "coefficient_table" in c[1] for c in calls)
+           and "absolutely_indecomposable_count" not in c[1]]
+    witness = any(c[0] == "_log_numerators" and "absolutely_indecomposable_count" in c[1]
+                  for c in calls)
 elif check in ("oracle-M", "oracle-IA"):
     # no oracle function reaches the chain: the chain runs only where
     # _oracle_rows fetches the engine's value that it compares

@@ -60,6 +60,21 @@ def test_polyq_takes_its_integer_form():
     assert p != Fraction(1, 2) and PolyQ([1]) != Fraction(1, 2)
 
 
+def test_scalar_operands_follow_one_integer_rule():
+    p = PolyQ([1, 2])
+    # the reflected forms work as the forward ones do
+    assert 1 - p == -(p - 1) == PolyQ([0, -2])
+    assert 2 * p == p * 2 == PolyQ([2, 4]) and 1 + p == p + 1 == PolyQ([2, 2])
+    # a bool is an int too, but no scalar; nor is a float, on either side
+    for op in (lambda: p + True, lambda: p * True, lambda: True * p, lambda: p / True,
+               lambda: True - p, lambda: 1.5 - p):
+        with pytest.raises(TypeError):
+            op()
+    # == follows the rule too, answering False where the others raise
+    assert (PolyQ([1]) == True) is False and PolyQ([1]) != True
+    assert PolyQ([1]) == 1 and 1 in {PolyQ([1])}
+
+
 def test_no_module_imports_fractions():
     for path in sorted(Path(nilorb.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

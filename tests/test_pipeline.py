@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorb import checks, cli, exactnum, fforacle, pipeline, poly_text
+from nilorb import checks, cli, exactnum, fforacle, partitions, pipeline, poly_text
 from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
 from nilorb.partitions import Partition, divisors, mobius, partition_count, weight_denominator
 from nilorb.series import exp_coefficients, log_coefficients
@@ -83,12 +83,65 @@ def test_log_coefficient_quadratic_term_pairs():
     assert pipeline.log_weight_coefficient(2, 2) == expected
 
 
-def test_log_coefficient_rejects_g_and_n_below_one(monkeypatch):
+# every entry that takes a count, an order, a degree or an exponent: its
+# valid arguments, the name of one integer argument and that argument's
+# least value
+INTEGER_ARGUMENTS = [
+    (PolyQ.q_power, {"k": 2}, "k", 0),
+    (PolyQ.q_power_minus_one, {"k": 2}, "k", 1),
+    (PolyQ([1, 1]).div_q_power_minus_one, {"j": 2}, "j", 1),
+    (PolyQ([1, 1]).adams, {"d": 2}, "d", 1),
+    (mobius, {"n": 2}, "n", 1),
+    (divisors, {"n": 2}, "n", 1),
+    (RationalFunctionQ, {"num": ONE, "n": 2}, "n", 1),
+    (partitions.partitions_of, {"n": 2}, "n", 0),
+    (partitions.orbit_weight, {"lam": Partition((1,)), "g": 2}, "g", 1),
+    (partitions.q_binomial, {"n": 3, "k": 2}, "k", 0),
+    (partitions.q_binomial, {"n": 3, "k": 2}, "n", 2),  # n >= k
+    (partitions.monic_irreducible_numerator, {"d": 2}, "d", 1),
+    (pipeline.weight_series, {"g": 2, "order": 2}, "g", 1),
+    (pipeline.weight_series, {"g": 2, "order": 2}, "order", 0),
+    *((entry, {"g": 2, "n": 2}, name, 1) for name in ("g", "n")
+      for entry in (pipeline.log_weight_coefficient, pipeline.absolutely_indecomposable_count,
+                    pipeline.indecomposable_count)),
+    *((entry, {"g": 2, "order": 2}, name, 1) for name in ("g", "order")
+      for entry in (pipeline.orbit_count_series, checks.verify_weight_routes,
+                    checks.verify_product_routes)),
+    *((checks.verify_triple_product, {"g": 2, "x_order": 2, "q_order": 3}, name, 1)
+      for name in ("g", "x_order", "q_order")),
+    *((checks.verify_g1_product, {"x_order": 2, "q_order": 3}, name, 1)
+      for name in ("x_order", "q_order")),
+    (checks.scan_nonnegativity, {"g": 2, "n_max": 2}, "g", 2),
+    (checks.scan_nonnegativity, {"g": 2, "n_max": 2}, "n_max", 1),
+]
+
+
+def integer_argument_cases():
+    for entry, arguments, name, least in INTEGER_ARGUMENTS:
+        for value in (True, 2.0, "2", least - 1):
+            yield pytest.param(entry, {**arguments, name: value}, name,
+                               ValueError if type(value) is int else TypeError,
+                               id=f"{entry.__qualname__}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("entry, arguments, name, error", integer_argument_cases())
+def test_integer_arguments_are_refused_before_any_memo(monkeypatch, entry, arguments, name,
+                                                       error):
+    # a bool, a float or a str is no count, and neither is a value below
+    # the bound; the refusal names the argument and comes before any memo
     monkeypatch.setattr(pipeline, "_MEMOS", {})
-    for g, n in ((0, 3), (-1, 2), (2, 0)):
-        with pytest.raises(ValueError, match="g and n must be >= 1"):
-            pipeline.log_weight_coefficient(g, n)
-    assert pipeline._MEMOS == {}  # rejected before any memo is touched
+    with pytest.raises(error, match=f"^{name} must be "):
+        entry(**arguments)
+    assert pipeline._MEMOS == {}
+
+
+def test_a_refused_bool_g_leaves_no_record_behind(monkeypatch):
+    # True == 1 and hashes as 1, so a memo made for it would serve g = 1
+    # with records labelled g=True
+    monkeypatch.setattr(pipeline, "_MEMOS", {})
+    with pytest.raises(TypeError, match="^g must be an int, got bool$"):
+        pipeline.absolutely_indecomposable_count(True, 2)
+    assert str(pipeline.absolutely_indecomposable_count(1, 2)) == "A_1(2,q) = 1"
 
 
 H_SIZES = [(g, n) for g in range(1, 6) for n in range(1, 13)]
