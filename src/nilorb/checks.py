@@ -49,6 +49,16 @@ _WEIGHT_ROUTES_PARTITIONS = 12_000
 #: 9.5 s at (2, 20, 800), and g1-product 6.1 s at (16, 1000) (in process, 2
 #: cores, Python 3.11.7); 0.54 s at (2, 12, 288).
 _PRODUCT_WINDOW = 16_000
+#: the largest g * N**3 up to which ``verify_triple_product`` and
+#: ``verify_g1_product`` (at g = 1) build the chain they compare, before
+#: any product.  The log stage multiplies about N**2 / 2 pairs of
+#: polynomials of q-degree up to about g N**2, some (g N**3)**2 / 6
+#: coefficient products.  A to n = N with the weight series took 3.3 s at
+#: (g, N) = (2, 28), 2.6 s at (1, 35), 2.3 s at (3, 24), 1.9 s at (5, 20)
+#: and 1.3 s at (10, 16), at g N**3 <= 44,000 each; A to n = 40 at g = 2
+#: took 37 s, and the weight series alone to N = 60 at g = 1 about 15 s
+#: (in process, 2 cores, Python 3.11.7).
+_PRODUCT_CHAIN = 44_000
 
 
 class VerificationReport(_Record):
@@ -167,14 +177,18 @@ def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]
     return rows
 
 
-def _guard_window(identity: str, x_order: int, q_order: int) -> None:
-    """Refuse truncation orders below 1, and a window past
-    ``_PRODUCT_WINDOW``, before any work."""
+def _guard_product(identity: str, g: int, x_order: int, q_order: int) -> None:
+    """Refuse truncation orders below 1, a window past ``_PRODUCT_WINDOW``
+    and a chain past ``_PRODUCT_CHAIN``, before any work."""
     _check_ints(1, x_order=x_order, q_order=q_order)
     if x_order * q_order > _PRODUCT_WINDOW:
         raise SizeGuardError(f"{identity} at N={x_order}, Q={q_order} multiplies in a window of "
                              f"N*Q = {x_order * q_order} coefficients, beyond the guard of "
                              f"{_PRODUCT_WINDOW}")
+    if g * x_order ** 3 > _PRODUCT_CHAIN:
+        raise SizeGuardError(f"{identity} at g={g}, N={x_order} builds the chain to X^{x_order} "
+                             f"at g*N^3 = {g * x_order ** 3}, beyond the guard of "
+                             f"{_PRODUCT_CHAIN}")
 
 
 def _product_check(identity: str, g: int, tables: dict, x_order: int,
@@ -204,14 +218,14 @@ def verify_triple_product(
     The factors of one (n, s + i) merge into one power of one binomial,
     applied in one pass through its binomial series, so the right side
     stays in integer arithmetic on rows of q-coefficients.  A window
-    x_order * q_order past ``_PRODUCT_WINDOW`` raises ``SizeGuardError``
-    before any work.
+    x_order * q_order past ``_PRODUCT_WINDOW``, or a g * x_order**3 past
+    ``_PRODUCT_CHAIN``, raises ``SizeGuardError`` before any work.
     ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
     deliberate-corruption hook for negative-control testing; it must lie
     inside the window (n <= x_order, s <= q_order) and have d != 0.
     """
     _check_ints(1, g=g)
-    _guard_window("kwi", x_order, q_order)
+    _guard_product("kwi", g, x_order, q_order)
     if perturb is not None:
         pn, ps, delta = perturb
         # a zero delta, or a coefficient past q**q_order, changes nothing
@@ -230,9 +244,9 @@ def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
     """At g = 1 the weight series equals the plain double product of
     (1 - q**i X**n); this builds that product directly, without going
     through the counting polynomials: every exponent table is (1,).  A
-    window past ``_PRODUCT_WINDOW`` raises ``SizeGuardError`` before any
-    work."""
-    _guard_window("g1-product", x_order, q_order)
+    window past ``_PRODUCT_WINDOW``, or an x_order**3 past
+    ``_PRODUCT_CHAIN``, raises ``SizeGuardError`` before any work."""
+    _guard_product("g1-product", 1, x_order, q_order)
     return _product_check("g1-product", 1, dict.fromkeys(range(1, x_order + 1), (1,)),
                           x_order, q_order)
 

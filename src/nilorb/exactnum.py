@@ -208,7 +208,7 @@ class PolyQ(_Record):
         if d == 0:
             raise ZeroDivisionError("polynomial division by zero")
         if any(x % d for x in self.numerators):
-            raise InexactDivisionError(f"inexact division: {self} by {d}")
+            raise InexactDivisionError(f"inexact division by {d}")
         return _poly([x // d for x in self.numerators])
 
     def shift(self, k: int) -> "PolyQ":
@@ -218,7 +218,7 @@ class PolyQ(_Record):
         if k >= 0:
             return _poly([0] * k + list(nums)) if nums else self
         if any(nums[:-k]):
-            raise InexactDivisionError(f"inexact division: {self} by q^{-k}")
+            raise InexactDivisionError(f"inexact division by q^{-k}")
         return _poly(list(nums[-k:]))
 
     def div_q_power_minus_one(self, j: int) -> "PolyQ":
@@ -235,7 +235,7 @@ class PolyQ(_Record):
         for x in self.numerators:
             out.append(out[-j] - x)
         if any(out[-j:]):
-            raise InexactDivisionError(f"inexact division: {self} by q^{j} - 1")
+            raise InexactDivisionError(f"inexact division by q^{j} - 1")
         return _poly(out[j:-j])
 
     # -- substitution and evaluation -----------------------------------

@@ -9,11 +9,16 @@ orbit counts read one cached table of the permutations that conjugation
 by each group element induces on the nilpotent matrices: Burnside counts
 their fixed points, the listing applies them.  They share that table as
 they share ``mat_mul`` and the two enumerations; each is still compared
-with the engine, which shares none of this code.  Hard
-size guards keep every call honest about what can actually be enumerated;
-each reads only the sizes it guards, so it runs before any work that grows
-with them.  The algebra guard sits in ``_span``, the one enumeration of a
-commutant, so no caller can enumerate one unguarded.  The oracle only
+with the engine, which shares none of this code.  Hard size guards keep
+every call honest about what can actually be enumerated; each reads only
+the sizes it guards, so it runs before any work that grows with them.
+Every count an entry point takes (the field size q, an order n, a tuple
+length g, a degree d, a coefficient of f) first passes the package's one
+integer rule, ``exactnum._check_ints``, before any table lookup or cached
+work, and the three cached enumerations key on the type of each argument
+as well as its value, so neither ``True`` nor ``2.0`` reads an entry that
+1 or 2 left.  The algebra guard sits in ``_span``, the one enumeration of
+a commutant, so no caller can enumerate one unguarded.  The oracle only
 counts: each closed form a count should equal is compared once, in the row
 of the ``oracle`` command that reports it (``checks``).  Records hold no
 field that another determines: an ``OrbitRecord`` is local exactly when it
@@ -37,7 +42,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import InternalCheckError, SizeGuardError, _Record
+from .exactnum import InternalCheckError, SizeGuardError, _check_ints, _Record
 from .partitions import Partition
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -123,10 +128,11 @@ class FieldSpec(_Record):
     division by zero fails rather than reads a value), each indexed by
     element; a - b is ``add[a][neg[b]]`` and the elements are ``range(q)``.
 
-    ``FieldSpec.of(q)`` is its constructor.  It looks q up in the table
-    before anything is built, so an unsupported field is refused whatever
-    its size, and verifies the tables against the field axioms exhaustively,
-    so a bad modulus cannot produce silently wrong counts downstream.
+    ``FieldSpec.of(q)`` is its constructor.  It checks q by the integer
+    rule and looks it up in the table before anything is built, so an
+    unsupported field is refused whatever its size, and verifies the tables
+    against the field axioms exhaustively, so a bad modulus cannot produce
+    silently wrong counts downstream.
     """
 
     __slots__ = ("p", "q", "add", "mul", "neg", "inv")
@@ -134,6 +140,7 @@ class FieldSpec(_Record):
     @classmethod
     def of(cls, q: int) -> "FieldSpec":
         """Field with exactly q elements: a q of ``_FIELDS``."""
+        _check_ints(2, q=q)
         if q not in _FIELDS:
             if q > max(_FIELDS):
                 raise SizeGuardError(f"fields beyond {max(_FIELDS)} elements are not supported (q={q})")
@@ -256,8 +263,7 @@ def _nullspace(field: FieldSpec, rows: list[list[int]], n_cols: int) -> list[tup
 
 
 def _guard_matrix_space(field: FieldSpec, n: int) -> None:
-    if n < 1:
-        raise SizeGuardError("matrix order must be >= 1")
+    _check_ints(1, n=n)
     if not ((n <= 3 and field.q <= 3) or (n <= 2 and field.q <= 9)):
         raise SizeGuardError(
             f"enumerating {field.q}^{n * n} matrices exceeds the desk-scale guard"
@@ -269,14 +275,14 @@ def _all_matrices(field: FieldSpec, n: int):
         yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def nilpotent_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
     """All nilpotent n x n matrices, in row-major lexicographic order."""
     _guard_matrix_space(field, n)
     return tuple(m for m in _all_matrices(field, n) if is_nilpotent(field, m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def invertible_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
     """The full general linear group, count-asserted against the product
     of (q**n - q**i)."""
@@ -293,15 +299,14 @@ def invertible_matrices(field: FieldSpec, n: int) -> tuple[Matrix, ...]:
 
 
 def _guard_orbit_space(field: FieldSpec, n: int, g: int) -> None:
-    if g < 1:
-        raise SizeGuardError("tuple length g must be >= 1")
+    _check_ints(1, n=n, g=g)
     if g > (_ORBIT_REACH_N1 if n == 1 else _ORBIT_REACH.get((n, field.q), 0)):
         raise SizeGuardError(
             f"orbit enumeration at n={n}, q={field.q}, g={g} exceeds the guard"
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _conjugation_tables(field: FieldSpec, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[Matrix, ...]]:
     """For each group element t, the permutation m -> t^-1 m t it induces
     on the (sorted) nilpotent matrices: i maps to the j with t m_j = m_i t,
@@ -447,15 +452,13 @@ def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int,
     if order % nonunits:
         raise InternalCheckError("radical size does not divide the algebra order")
     residue = order // nonunits
-    s = 0
+    if residue == 1:
+        raise InternalCheckError("local algebra with trivial residue")
     m = residue
     while m > 1:
         if m % field.q:
             raise InternalCheckError("residue size is not a power of the field size")
         m //= field.q
-        s += 1
-    if s < 1:
-        raise InternalCheckError("local algebra with trivial residue")
     return k, residue
 
 
@@ -528,10 +531,8 @@ def is_irreducible(field: FieldSpec, f: Sequence[int]) -> bool:
     while f and f[-1] == 0:
         f.pop()
     d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
+    if d <= 1:
+        return d == 1
     for e in range(1, d // 2 + 1):
         for tail in itertools.product(range(field.q), repeat=e):
             if not any(_monic_remainder(field, f, tail + (1,))):
@@ -542,14 +543,9 @@ def is_irreducible(field: FieldSpec, f: Sequence[int]) -> bool:
 def monic_irreducibles(field: FieldSpec, d: int, exclude_x: bool = True) -> list[tuple[int, ...]]:
     """Enumerate monic irreducible polynomials of degree d (ascending
     coefficients), excluding the monomial x by default."""
-    out = []
-    for tail in itertools.product(range(field.q), repeat=d):
-        f = tuple(tail) + (1,)
-        if exclude_x and d == 1 and f[0] == 0:
-            continue
-        if is_irreducible(field, f):
-            out.append(f)
-    return out
+    _check_ints(1, d=d)
+    monics = (tail + (1,) for tail in itertools.product(range(field.q), repeat=d))
+    return [f for f in monics if not (exclude_x and f == (0, 1)) and is_irreducible(field, f)]
 
 
 def _guard_commutant_order(field: FieldSpec, d: int, lam: Partition) -> None:
@@ -570,9 +566,10 @@ def nilpotent_commutant_count(field: FieldSpec, f: Sequence[int], lam: Partition
     ``_span`` refuses a commutant past ``_ALGEBRA_LIMIT`` elements before
     any is enumerated."""
     f = tuple(f)
-    d = len(f) - 1
-    if d < 1 or f[-1] != 1:
+    _check_ints(**{f"f[{i}]": c for i, c in enumerate(f)})
+    if len(f) < 2 or f[-1] != 1:
         raise ValueError("f must be monic of degree >= 1")
+    d = len(f) - 1
     if any(not 0 <= c < field.q for c in f):
         raise ValueError("f has coefficients outside the field")
     _guard_commutant_order(field, d, lam)

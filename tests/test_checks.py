@@ -59,6 +59,29 @@ def test_products_refuse_windows_past_their_guard(capsys, monkeypatch):
         "coefficients, beyond the guard of 16000\n")
 
 
+def test_products_refuse_chains_past_their_guard(capsys, monkeypatch):
+    def reached(*args):
+        raise LookupError("the chain's work began")
+
+    # the guard reads g and N alone, so it refuses before A or the weight
+    # series is built, and lets g * N^3 = 44,000 through
+    monkeypatch.setattr(checks, "absolutely_indecomposable_count", reached)
+    monkeypatch.setattr(checks, "weight_series", reached)
+    for g, n in ((44, 10), (2, 28)):
+        with pytest.raises(LookupError):
+            checks.verify_triple_product(g, n, 1)
+    with pytest.raises(LookupError):
+        checks.verify_g1_product(35, 1)
+    with pytest.raises(SizeGuardError, match="^kwi at g=2, N=40 .* g\\*N\\^3 = 128000, "):
+        checks.verify_triple_product(2, 40, 100)
+    with pytest.raises(SizeGuardError, match="^g1-product at g=1, N=36 .* g\\*N\\^3 = 46656, "):
+        checks.verify_g1_product(36, 1)
+    code = cli.main(["verify", "g1-product", "--N", "60", "--Q", "60"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "nilorb: g1-product at g=1, N=60 builds the chain to X^60 at g*N^3 = 216000, "
+        "beyond the guard of 44000\n")
+
+
 # ---------------------------------------------------------------------------
 # each check stays off the route it checks, observed in fresh interpreters
 

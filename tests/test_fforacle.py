@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -188,6 +189,56 @@ def test_size_guards():
             next(orbit_listing(FieldSpec.of(q), 1, _ORBIT_REACH_N1 + 1))
         with pytest.raises(SizeGuardError):
             burnside_orbit_count(FieldSpec.of(q), 1, 10 ** 9)
+
+
+# every oracle entry that takes a count: its valid arguments, the name of
+# one integer argument and that argument's least value
+ORACLE_INTEGER_ARGUMENTS = [
+    (FieldSpec.of, {"q": 2}, "q", 2),
+    *((entry, {"field": F2, "n": 2}, "n", 1)
+      for entry in (nilpotent_matrices, invertible_matrices, fforacle._conjugation_tables)),
+    *((entry, {"field": F2, "n": 2, "g": 2}, name, 1) for name in ("n", "g")
+      for entry in (burnside_orbit_count, orbit_listing, orbits, indecomposability_counts)),
+    (monic_irreducibles, {"field": F2, "d": 2}, "d", 1),
+]
+ORACLE_CACHES = (nilpotent_matrices, invertible_matrices, fforacle._conjugation_tables)
+
+
+def oracle_integer_argument_cases():
+    for entry, arguments, name, least in ORACLE_INTEGER_ARGUMENTS:
+        for value in (True, 2.0, "2", least - 1):
+            yield pytest.param(entry, {**arguments, name: value}, name,
+                               ValueError if type(value) is int else TypeError,
+                               id=f"{entry.__qualname__}-{name}-{value!r}")
+    # f's coefficients pass the rule one by one; f's degree is bounded below
+    arguments = {"field": F2, "lam": Partition((1,))}
+    for value in (True, 2.0, "2"):
+        yield pytest.param(nilpotent_commutant_count, {**arguments, "f": (value, 1)}, "f[0]",
+                           TypeError, id=f"nilpotent_commutant_count-f[0]-{value!r}")
+    yield pytest.param(nilpotent_commutant_count, {**arguments, "f": (1,)}, "f", ValueError,
+                       id="nilpotent_commutant_count-f-(1,)")
+
+
+@pytest.mark.parametrize("entry, arguments, name, error", oracle_integer_argument_cases())
+def test_oracle_integer_arguments_are_refused_before_any_cached_work(entry, arguments, name,
+                                                                    error):
+    # a bool, a float or a str is no count, and neither is a value below
+    # the bound; the refusal names the argument and adds no cache entry
+    sizes = [cache.cache_info().currsize for cache in ORACLE_CACHES]
+    with pytest.raises(error, match=f"^{re.escape(name)} must be "):
+        next(entry(**arguments))  # the listing is a generator: its guard runs at next
+    assert [cache.cache_info().currsize for cache in ORACLE_CACHES] == sizes
+
+
+def test_a_cached_order_serves_no_bool():
+    # True == 1 and hashes as 1: an untyped cache would hand the n = 1 list
+    # to n = True without running the guard
+    assert len(nilpotent_matrices(F2, 1)) == 1
+    with pytest.raises(TypeError, match="^n must be an int, got bool$"):
+        nilpotent_matrices(F2, True)
+    with pytest.raises(TypeError, match="^g must be an int, got float$"):
+        burnside_orbit_count(F2, 2, 2.0)
+    assert burnside_orbit_count(F2, 2, 2) == 5
 
 
 def test_rank():

@@ -144,6 +144,18 @@ def test_a_refused_bool_g_leaves_no_record_behind(monkeypatch):
     assert str(pipeline.absolutely_indecomposable_count(1, 2)) == "A_1(2,q) = 1"
 
 
+def test_building_h_renders_no_polynomial(monkeypatch):
+    # RationalFunctionQ tries each cyclotomic factor by exact divisions that
+    # mostly fail; a failed division names its divisor alone, so the search
+    # renders no dividend through poly_text
+    calls = []
+    monkeypatch.setattr(exactnum, "poly_text", lambda texts: calls.append(texts) or poly_text(texts))
+    monkeypatch.setattr(pipeline, "_MEMOS", {})
+    for n in range(1, 13):
+        pipeline.log_weight_coefficient(5, n)
+    assert calls == []
+
+
 H_SIZES = [(g, n) for g in range(1, 6) for n in range(1, 13)]
 
 
