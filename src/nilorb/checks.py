@@ -24,7 +24,7 @@ import re
 from typing import Optional
 
 from .exactnum import SizeGuardError, _check_ints, _Record
-from .partitions import column_weight, inner_product, partition_count, weight_denominator
+from .partitions import column_weight, partition_count, weight_denominator
 from .pipeline import (
     CountingPolynomial,
     Mismatch,
@@ -49,15 +49,18 @@ _WEIGHT_ROUTES_PARTITIONS = 12_000
 #: 9.5 s at (2, 20, 800), and g1-product 6.1 s at (16, 1000) (in process, 2
 #: cores, Python 3.11.7); 0.54 s at (2, 12, 288).
 _PRODUCT_WINDOW = 16_000
-#: the largest g * N**3 up to which ``verify_triple_product`` and
-#: ``verify_g1_product`` (at g = 1) build the chain they compare, before
-#: any product.  The log stage multiplies about N**2 / 2 pairs of
-#: polynomials of q-degree up to about g N**2, some (g N**3)**2 / 6
-#: coefficient products.  A to n = N with the weight series took 3.3 s at
-#: (g, N) = (2, 28), 2.6 s at (1, 35), 2.3 s at (3, 24), 1.9 s at (5, 20)
-#: and 1.3 s at (10, 16), at g N**3 <= 44,000 each; A to n = 40 at g = 2
-#: took 37 s, and the weight series alone to N = 60 at g = 1 about 15 s
-#: (in process, 2 cores, Python 3.11.7).
+#: the largest g * N**3 up to which ``verify_triple_product``,
+#: ``verify_g1_product`` (at g = 1), ``verify_product_routes`` and
+#: ``scan_nonnegativity`` build the chain they check.  The log stage
+#: multiplies about N**2 / 2 pairs of polynomials of q-degree up to about
+#: g N**2, some (g N**3)**2 / 6 coefficient products.  A to n = N with the
+#: weight series took 3.3 s at (g, N) = (2, 28), 2.6 s at (1, 35), 2.3 s at
+#: (3, 24), 1.9 s at (5, 20) and 1.3 s at (10, 16), at g N**3 <= 44,000
+#: each; A to n = 40 at g = 2 took 37 s, and the weight series alone to
+#: N = 60 at g = 1 about 15 s (in process, 2 cores, Python 3.11.7).  From
+#: the command line thm5-routes took 3.8 s and conjecture-scan 4.2 s at
+#: (2, 28), against 9.9 s at (2, 32) and 18.5 s at (2, 36), on the same
+#: host.
 _PRODUCT_CHAIN = 44_000
 
 
@@ -112,8 +115,11 @@ def verify_weight_routes(g: int, order: int) -> VerificationReport:
 
 def verify_product_routes(g: int, order: int) -> VerificationReport:
     """Compare the two independent constructions of log M for X**1..X**order,
-    reporting the first X**n at which they differ rather than raising."""
+    reporting the first X**n at which they differ rather than raising.  A
+    g * order**3 past ``_PRODUCT_CHAIN`` raises ``SizeGuardError`` before
+    any work."""
     _check_ints(1, g=g, order=order)
+    _guard_chain("thm5-routes", g, order)
     mismatches = (_orbit_log_mismatch(g, n, _log_orbit_component_coefficient(g, n))
                   for n in range(1, order + 1))
     return VerificationReport("thm5-routes", g, order, None,
@@ -177,6 +183,15 @@ def _expand_weight_series(g: int, x_order: int, q_order: int) -> list[list[int]]
     return rows
 
 
+def _guard_chain(identity: str, g: int, x_order: int) -> None:
+    """Refuse a chain to X**x_order at g past ``_PRODUCT_CHAIN``, reading
+    g and x_order alone, so before any of the chain is built."""
+    if g * x_order ** 3 > _PRODUCT_CHAIN:
+        raise SizeGuardError(f"{identity} at g={g}, N={x_order} builds the chain to X^{x_order} "
+                             f"at g*N^3 = {g * x_order ** 3}, beyond the guard of "
+                             f"{_PRODUCT_CHAIN}")
+
+
 def _guard_product(identity: str, g: int, x_order: int, q_order: int) -> None:
     """Refuse truncation orders below 1, a window past ``_PRODUCT_WINDOW``
     and a chain past ``_PRODUCT_CHAIN``, before any work."""
@@ -185,10 +200,7 @@ def _guard_product(identity: str, g: int, x_order: int, q_order: int) -> None:
         raise SizeGuardError(f"{identity} at N={x_order}, Q={q_order} multiplies in a window of "
                              f"N*Q = {x_order * q_order} coefficients, beyond the guard of "
                              f"{_PRODUCT_WINDOW}")
-    if g * x_order ** 3 > _PRODUCT_CHAIN:
-        raise SizeGuardError(f"{identity} at g={g}, N={x_order} builds the chain to X^{x_order} "
-                             f"at g*N^3 = {g * x_order ** 3}, beyond the guard of "
-                             f"{_PRODUCT_CHAIN}")
+    _guard_chain(identity, g, x_order)
 
 
 def _product_check(identity: str, g: int, tables: dict, x_order: int,
@@ -254,9 +266,12 @@ def verify_g1_product(x_order: int, q_order: int) -> VerificationReport:
 def scan_nonnegativity(g: int, n_max: int) -> ScanReport:
     """List every negative coefficient of the absolutely-indecomposable
     counts for n up to n_max.  An empty list means the nonnegativity
-    conjecture holds in range; a nonempty one is a finding, not an error."""
+    conjecture holds in range; a nonempty one is a finding, not an error.
+    A g * n_max**3 past ``_PRODUCT_CHAIN`` raises ``SizeGuardError`` before
+    any work."""
     _check_ints(2, g=g)
     _check_ints(1, n_max=n_max)
+    _guard_chain("conjecture-scan", g, n_max)
     negatives = []
     polys = []
     for n in range(1, n_max + 1):
@@ -421,7 +436,7 @@ _ORACLE_FLAGS = {"g": "--g", "n": "--n", "lam": "--lambda", "f": "--f"}
 
 
 def _oracle_rows(args) -> tuple[list[dict], dict]:
-    from . import fforacle, pipeline
+    from . import fforacle, partitions, pipeline
 
     # in every check the oracle counts first, so that its guards refuse a
     # size past its reach before the chain or a closed form does work that
@@ -458,8 +473,8 @@ def _oracle_rows(args) -> tuple[list[dict], dict]:
         fforacle._guard_commutant_order(field, d, args.lam)
         count = fforacle.nilpotent_commutant_count(
             field, tuple(coeffs.get(k, 0) % field.p for k in range(d + 1)), args.lam)
-        formula = args.q ** (d * (inner_product(args.lam, args.lam) - args.lam.length))
-        rows = [_row("nilpotent commutant count", formula, count)]
+        engine = args.q ** (d * partitions.nilpotent_commutant_exponent(args.lam))
+        rows = [_row("nilpotent commutant count", engine, count)]
         params = {"check": args.check, "lambda": list(args.lam.parts),
                   "f": args.f, "q": args.q}
     else:  # nilcount-total

@@ -118,10 +118,10 @@ def _cache_file(root: Path, kind: str, g: int, mode: str, value: int) -> Path:
 _CACHE_ENTRY_GLOB = "v*__*.json"
 
 
-def _sha256():
-    """A new SHA-256 object from the interpreter's own module, as in the
-    stdlib's random module: hashlib loads OpenSSL, which adds about 3.5 MB to
-    each process."""
+def _sha256(chunks) -> str:
+    """The hex SHA-256 of the bytes ``chunks`` in turn, from the
+    interpreter's own module, as in the stdlib's random module: hashlib
+    loads OpenSSL, which adds about 3.5 MB to each process."""
     try:
         from _sha256 import sha256  # Python 3.10 and 3.11
     except ImportError:
@@ -129,7 +129,10 @@ def _sha256():
             from _sha2 import sha256  # Python 3.12 and later
         except ImportError:
             from hashlib import sha256
-    return sha256()
+    digest = sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 @lru_cache(maxsize=None)
@@ -137,56 +140,46 @@ def _engine_source_digest() -> str:
     """SHA-256 over the package's ``.py`` sources, so an engine change that
     keeps its version number still invalidates every stored entry.  Computed
     on first use of the cache only."""
-    digest = _sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return digest.hexdigest()
+    return _sha256(path.name.encode() + b"\0" + path.read_bytes() + b"\0"
+                   for path in sorted(Path(__file__).parent.glob("*.py")))
 
 
-def _outputs_digest(outputs) -> str:
-    """SHA-256 over the sorted-key compact JSON of a cache entry's outputs
-    (written by json's C encoder), so an entry edited after it was stored
-    is never served."""
-    digest = _sha256()
-    digest.update(json.dumps(outputs, sort_keys=True, separators=(",", ":")).encode())
-    return digest.hexdigest()
+def _entry_digest(kind: str, g: int, mode: str, value: int, outputs) -> str:
+    """SHA-256 over the sorted-key compact JSON (json's C encoder) of a
+    request's key and its outputs, so an entry is served only for the key it
+    was stored under, and only as it was stored."""
+    return _sha256([json.dumps([kind, g, mode, value, outputs], sort_keys=True,
+                               separators=(",", ":")).encode()])
 
 
 def cache_load(root: Path, kind: str, g: int, mode: str, value: int) -> dict | None:
-    """Load cached outputs; corruption, an unreadable entry, a stale engine
-    version or changed engine sources mean a miss (with a warning on
-    corruption or a read error), never a wrong answer.  Corruption includes
-    outputs that parse but no longer match the digest stored with them."""
+    """Load cached outputs, or None on a miss; never a wrong answer, and no
+    file content raises.  An entry stored by other engine sources is a
+    silent miss.  Anything else wrong is a miss with a warning: a read
+    error, JSON that is not an entry, or a digest that does not match the
+    requested key and the stored outputs (an edited coefficient, an entry
+    copied from another key's name)."""
     path = _cache_file(root, kind, g, mode, value)
     if not path.exists():
         return None
     try:
         entry = json.loads(path.read_text())
-        if (entry["engine_version"] != ENGINE_VERSION
-                or entry.get("engine_source") != _engine_source_digest()):
+        if type(entry) is not dict:
+            raise ValueError("not a JSON object")
+        if entry["engine_source"] != _engine_source_digest():
             return None
-        if (entry["kind"], entry["g"], entry["mode"], entry["value"]) != (kind, g, mode, value):
-            raise ValueError("cache key mismatch")
-        if entry["outputs_sha256"] != _outputs_digest(entry["outputs"]):
+        if entry["sha256"] != _entry_digest(kind, g, mode, value, entry["outputs"]):
             raise ValueError("outputs digest mismatch")
         return entry["outputs"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"nilorb: ignoring unreadable cache entry {path}: {exc}", file=sys.stderr)
         return None
 
 
 def cache_store(root: Path, kind: str, g: int, mode: str, value: int, outputs: dict) -> None:
     root.mkdir(parents=True, exist_ok=True)
-    entry = {
-        "engine_version": ENGINE_VERSION,
-        "engine_source": _engine_source_digest(),
-        "kind": kind,
-        "g": g,
-        "mode": mode,
-        "value": value,
-        "outputs": outputs,
-        "outputs_sha256": _outputs_digest(outputs),
-    }
+    entry = {"engine_source": _engine_source_digest(), "outputs": outputs,
+             "sha256": _entry_digest(kind, g, mode, value, outputs)}
     path = _cache_file(root, kind, g, mode, value)
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
     try:

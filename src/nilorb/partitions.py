@@ -128,6 +128,13 @@ def inner_product(lam: Partition, mu: Partition) -> int:
     return via_conjugates
 
 
+def nilpotent_commutant_exponent(lam: Partition) -> int:
+    """<lam,lam> - length(lam): the nilpotent matrices that commute with a
+    fixed nilpotent matrix of Jordan type lam over a field of Q elements
+    number Q**(this)."""
+    return inner_product(lam, lam) - lam.length
+
+
 @lru_cache(maxsize=None)
 def weight_denominator(n: int) -> PolyQ:
     """D_n = (q - 1)(q**2 - 1)...(q**n - 1), D_0 = 1: a multiple of the
@@ -149,13 +156,15 @@ def orbit_weight(lam: Partition, g: int) -> PolyQ:
     multiplicities m of (q - 1)...(q**m - 1).  So the numerator is D_n
     divided by each q**j - 1, j <= m, for each m, then shifted by
     g(<lam,lam> - length) - <lam,lam> + sum m(m+1)/2, which is at least
-    sum m(m-1)/2 >= 0 because length = sum m.
+    sum m(m-1)/2 >= 0 because length = sum m.  With
+    e = ``nilpotent_commutant_exponent(lam)`` = <lam,lam> - length, that
+    shift starts at (g - 1) e - length.
     """
     if lam.weight < 1:
         raise ValueError("orbit weight needs a nonempty partition")
     _check_ints(1, g=g)
-    ip = inner_product(lam, lam)
-    num, shift = weight_denominator(lam.weight), g * (ip - lam.length) - ip
+    exponent = nilpotent_commutant_exponent(lam)
+    num, shift = weight_denominator(lam.weight), (g - 1) * exponent - lam.length
     for m in lam.exponential_form().values():
         shift += m * (m + 1) // 2
         for j in range(1, m + 1):

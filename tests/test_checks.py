@@ -82,6 +82,36 @@ def test_products_refuse_chains_past_their_guard(capsys, monkeypatch):
         "beyond the guard of 44000\n")
 
 
+def test_orbit_routes_and_scan_refuse_chains_past_their_guard(capsys, monkeypatch):
+    def reached(*args):
+        raise LookupError("the chain's work began")
+
+    # thm5-routes and conjecture-scan read g and N alone too, so they refuse
+    # before log M or A is built, and let g * N^3 = 44,000 through
+    monkeypatch.setattr(checks, "_log_orbit_component_coefficient", reached)
+    monkeypatch.setattr(checks, "_orbit_log_mismatch", reached)
+    monkeypatch.setattr(checks, "absolutely_indecomposable_count", reached)
+    for g, n in ((44, 10), (2, 28)):
+        with pytest.raises(LookupError):
+            checks.verify_product_routes(g, n)
+        with pytest.raises(LookupError):
+            checks.scan_nonnegativity(g, n)
+    with pytest.raises(SizeGuardError,
+                       match="^thm5-routes at g=2, N=29 .* g\\*N\\^3 = 48778, "):
+        checks.verify_product_routes(2, 29)
+    with pytest.raises(SizeGuardError,
+                       match="^conjecture-scan at g=45, N=10 .* g\\*N\\^3 = 45000, "):
+        checks.scan_nonnegativity(45, 10)
+    for argv, message in (
+            (["verify", "thm5-routes", "--g", "2", "--N", "32"],
+             "thm5-routes at g=2, N=32 builds the chain to X^32 at g*N^3 = 65536"),
+            (["conjecture-scan", "--g", "2", "--Nmax", "36"],
+             "conjecture-scan at g=2, N=36 builds the chain to X^36 at g*N^3 = 93312")):
+        code = cli.main(argv)
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"nilorb: {message}, beyond the guard of 44000\n")
+
+
 # ---------------------------------------------------------------------------
 # each check stays off the route it checks, observed in fresh interpreters
 
@@ -191,6 +221,30 @@ elif check in ("oracle-M", "oracle-IA"):
     witness = ({c[0] for c in chain if c[1][-1] == "_oracle_rows"} == fetches
                and any(c[0] in {"burnside_orbit_count", "indecomposability_counts"}
                        for c in calls))
+elif check == "oracle-nilcount":
+    # the commutant count reaches no chain function: the chain runs only
+    # where _oracle_rows fetches the engine's exponent that it compares
+    import types
+    from nilorb import fforacle
+    oracle_names = {name for name, obj in vars(fforacle).items()
+                    if callable(obj) and getattr(obj, "__module__", None) == fforacle.__name__}
+    lam = partitions.Partition((2, 1))
+    if tangle:
+        tangled(fforacle, "is_nilpotent", lambda: partitions.nilpotent_commutant_exponent(lam))
+
+    def oracle():
+        args = types.SimpleNamespace(check="nilcount", lam=lam, f="x", q=3)
+        rows, _ = checks._oracle_rows(args)
+        return types.SimpleNamespace(passed=all(row["match"] for row in rows))
+
+    calls = trace(oracle)
+    chain = [c for c in calls if c[0] in chain_names]
+    bad = [c for c in chain if oracle_names & set(c[1])
+           or (not chain_names & set(c[1])
+               and (c[1][-1], c[0]) != ("_oracle_rows", "nilpotent_commutant_exponent"))]
+    witness = ({c[0] for c in chain if c[1][-1] == "_oracle_rows"}
+               == {"nilpotent_commutant_exponent"}
+               and any(c[0] == "nilpotent_commutant_count" for c in calls))
 else:  # g1-product
     # the double product calls nothing of the chain; only the weight series
     # it is compared with does
@@ -204,7 +258,8 @@ else:  # g1-product
 print(json.dumps({"witness": witness, "violations": bad[:3]}))
 """
 
-ROUTE_CHECKS = ("weight-routes", "thm5-routes", "kwi", "g1-product", "oracle-M", "oracle-IA")
+ROUTE_CHECKS = ("weight-routes", "thm5-routes", "kwi", "g1-product", "oracle-M", "oracle-IA",
+                "oracle-nilcount")
 
 
 def route_probe(env, check: str, tangle: bool) -> dict:

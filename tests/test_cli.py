@@ -1,13 +1,15 @@
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilorb
-from nilorb import KINDS, checks, cli, fforacle, pipeline
+from nilorb import KINDS, checks, cli, fforacle, partitions, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.pipeline import CountingPolynomial
 
@@ -176,27 +178,102 @@ def test_cache_corruption_recovers(tmp_path, capsys):
 
 def _edit_coefficients(entry):
     entry["outputs"]["polynomials"][0]["coeffs"] = ["0", "0", "7"]
+    return entry
+
+
+def _without(field):
+    return lambda entry: {key: v for key, v in entry.items() if key != field}
 
 
 @pytest.mark.parametrize("corrupt, reason", [
-    (lambda entry: entry.update(outputs={"polys": []}), "outputs digest mismatch"),
+    (lambda entry: {**entry, "outputs": {"polys": []}}, "outputs digest mismatch"),
     (_edit_coefficients, "outputs digest mismatch"),
-    (lambda entry: entry.pop("outputs_sha256"), "'outputs_sha256'"),
-    (lambda entry: entry.update(outputs_sha256=7), "outputs digest mismatch"),
-], ids=["outputs-replaced", "coefficient-edited", "digest-missing", "digest-ill-typed"])
+    (_without("sha256"), "'sha256'"),
+    (lambda entry: {**entry, "sha256": 7}, "outputs digest mismatch"),
+    (_without("outputs"), "'outputs'"),
+    (_without("engine_source"), "'engine_source'"),
+    (lambda entry: [], "not a JSON object"),
+    (lambda entry: "entry", "not a JSON object"),
+    (lambda entry: None, "not a JSON object"),
+], ids=["outputs-replaced", "coefficient-edited", "digest-missing", "digest-ill-typed",
+        "outputs-missing", "source-missing", "json-list", "json-string", "json-null"])
 def test_cache_entry_that_parses_but_is_corrupt_is_recomputed(tmp_path, capsys, corrupt, reason):
     args = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", str(tmp_path)]
     code, expected, _ = run(capsys, *args[:-2], "--no-cache")
     assert (code, expected) == (0, GOLDEN_PRETTY[3] + "\n")
     assert run(capsys, *args) == (0, expected, "")
     path = cli._cache_file(tmp_path, "A", 2, "n", 3)
-    entry = json.loads(path.read_text())
-    corrupt(entry)
-    path.write_text(json.dumps(entry))
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     warning = f"nilorb: ignoring unreadable cache entry {path}: {reason}\n"
     assert run(capsys, *args) == (0, expected, warning)
     # the recomputed entry replaced the corrupt one
     assert run(capsys, *args) == (0, expected, "")
+
+
+def test_cache_entry_holds_its_source_digest_outputs_and_one_digest(tmp_path):
+    outputs = {"polynomials": []}
+    cli.cache_store(tmp_path, "A", 2, "n", 3, outputs)
+    entry = json.loads(cli._cache_file(tmp_path, "A", 2, "n", 3).read_text())
+    assert entry == {"engine_source": cli._engine_source_digest(), "outputs": outputs,
+                     "sha256": cli._entry_digest("A", 2, "n", 3, outputs)}
+    # the digest covers the key: no two keys share it
+    keys = [(kind, g, mode, value) for kind in KINDS for g in (2, 3) for mode in "nN"
+            for value in (3, 4)]
+    assert len({cli._entry_digest(*key, outputs) for key in keys}) == len(keys)
+
+
+@pytest.mark.parametrize("source, target", [
+    (("A", 2, "n", 3), ("A", 2, "n", 4)),
+    (("A", 2, "n", 3), ("A", 2, "N", 3)),
+    (("A", 2, "n", 3), ("I", 2, "n", 3)),
+    (("A", 2, "n", 3), ("A", 3, "n", 3)),
+], ids=["value", "mode", "kind", "g"])
+def test_cache_entry_under_another_keys_name_is_recomputed(tmp_path, capsys, source, target):
+    # an entry copied from n3's name to n4's is well formed and from these
+    # sources, but stored for another key: its digest says so
+    def argv(kind, g, mode, value):
+        return ["compute", "--kind", kind, "--g", str(g), f"--{mode}", str(value),
+                "--format", "json", "--cache-dir", str(tmp_path)]
+
+    def result(code, out, err):
+        envelope = json.loads(out)
+        envelope.pop("timing_ms")
+        return code, envelope, err
+
+    assert run(capsys, *argv(*source))[0] == 0
+    code, expected, _ = result(*run(capsys, *argv(*target)[:-2], "--no-cache"))
+    assert code == 0
+    path = cli._cache_file(tmp_path, *target)
+    shutil.copy(cli._cache_file(tmp_path, *source), path)
+    warning = f"nilorb: ignoring unreadable cache entry {path}: outputs digest mismatch\n"
+    assert result(*run(capsys, *argv(*target))) == (0, expected, warning)
+    assert result(*run(capsys, *argv(*target))) == (0, expected, "")
+
+
+def test_cache_entry_nested_past_the_parser_is_recomputed(tmp_path, capsys):
+    # JSON nested deeper than the parser recurses raises RecursionError,
+    # which is a warning too, never a traceback
+    path = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    warning = capsys.readouterr().err
+    assert warning.startswith(f"nilorb: ignoring unreadable cache entry {path}: ")
+    assert "recursion" in warning
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                    max_leaves=8))
+def test_no_json_value_in_an_entry_raises(tmp_path_factory, value):
+    # any JSON value at an entry's path, or as its outputs and digest, is a
+    # miss, and none raises
+    root = tmp_path_factory.getbasetemp()
+    path = cli._cache_file(root, "A", 2, "n", 3)
+    for content in (value, {"engine_source": cli._engine_source_digest(), "outputs": value,
+                            "sha256": value}):
+        path.write_text(json.dumps(content))
+        assert cli.cache_load(root, "A", 2, "n", 3) is None
 
 
 def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path, capsys):
@@ -261,20 +338,26 @@ def test_cache_entry_names_differ_in_more_than_case(tmp_path):
         assert len(names) == 2, kind
 
 
-def test_cache_version_bump_is_miss(tmp_path):
+def test_cache_entry_of_another_engine_version_is_not_read(tmp_path, capsys, monkeypatch):
+    # the version is in the entry's name alone: an entry stored under one
+    # version is never opened under another
+    monkeypatch.setattr(cli, "ENGINE_VERSION", "0.0.0")
     cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
-    entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
-    data = json.loads(entry.read_text())
-    data["engine_version"] = "0.0.0"
-    entry.write_text(json.dumps(data))
+    stored = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    assert cli.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
+    monkeypatch.setattr(cli, "ENGINE_VERSION", nilorb.__version__)
+    assert cli._cache_file(tmp_path, "A", 2, "n", 3) != stored
     assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    assert capsys.readouterr().err == ""
+    assert [path.name for path in tmp_path.iterdir()] == [stored.name]
 
 
-def test_cache_engine_source_change_is_miss(tmp_path, monkeypatch):
+def test_cache_engine_source_change_is_miss(tmp_path, capsys, monkeypatch):
     cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
     assert cli.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
     monkeypatch.setattr(cli, "_engine_source_digest", lambda: "0" * 64)
     assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    assert capsys.readouterr().err == ""  # a stale entry is a silent miss
 
 
 def test_version_does_not_digest_the_sources(capsys):
@@ -666,19 +749,32 @@ def test_oracle_commutant_guard_is_usage_error(capsys):
     ("1", "x^10000000", "2", 10000000),
 ])
 def test_oracle_commutant_order_guard_runs_first(capsys, monkeypatch, lam, f, q, order):
-    # the closed form's inner product grows as the largest part, and f's
-    # coefficient list, which the count is given, as deg f; the order guard
-    # refuses before either is built (the count's own trial division of f is
-    # pinned in test_fforacle)
+    # the engine's exponent (an inner product) grows as the largest part,
+    # and f's coefficient list, which the count is given, as deg f; the order
+    # guard refuses before either is built (the count's own trial division of
+    # f is pinned in test_fforacle)
     def reached(*args):
         raise LookupError("work that grows with the input ran before the guard")
 
-    monkeypatch.setattr(checks, "inner_product", reached)
+    monkeypatch.setattr(partitions, "nilpotent_commutant_exponent", reached)
     monkeypatch.setattr(fforacle, "nilpotent_commutant_count", reached)
     code, out, err = run(capsys, "oracle", "--check", "nilcount", "--lambda", lam,
                          "--f", f, "--q", q)
     assert (code, out, err) == (
         2, "", f"nilorb: commutant enumeration at order {order} over q={q} exceeds the guard\n")
+
+
+def test_oracle_nilcount_compares_the_engines_exponent(capsys, monkeypatch):
+    # the row's engine value is q^(deg f * e(lam)) with e from the engine's
+    # partitions module, the exponent its orbit weights use: one more in e
+    # is a mismatch (exit 1), not a value the row computed on its own
+    argv = ["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", "x", "--q", "3"]
+    rows = "nilpotent commutant count  engine={}  oracle=27  {}\n"
+    assert run(capsys, *argv) == (0, rows.format(27, "ok"), "")
+    exponent = partitions.nilpotent_commutant_exponent
+    monkeypatch.setattr(partitions, "nilpotent_commutant_exponent",
+                        lambda lam: exponent(lam) + 1)
+    assert run(capsys, *argv) == (1, rows.format(81, "MISMATCH"), "")
 
 
 def test_oracle_matrix_guard_runs_before_the_closed_form(nilorb_env):

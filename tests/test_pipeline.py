@@ -640,6 +640,50 @@ print(json.dumps(cells))
     assert sorted(cells) == [(2, s, c) for s in range(1, 10) for c in range(1, s + 1)]
 
 
+#: the polynomial products of each request of the benchmark's cold-chain
+#: workload, from cold: (calls of ``PolyQ.__mul__`` with two nonzero
+#: ``PolyQ`` operands, the sum of len(a) * len(b) over them)
+COLD_CHAIN_PRODUCTS = {
+    ("A", "2", "--N", "9"): (187, 29_623),
+    ("I", "2", "--N", "9"): (187, 29_623),
+    ("M", "2", "--N", "9"): (255, 32_338),
+    ("H", "2", "--N", "9"): (187, 29_623),
+    ("A", "2", "--n", "11"): (301, 98_316),
+    ("A", "3", "--n", "9"): (187, 55_282),
+    ("A", "5", "--n", "7"): (104, 24_908),
+    ("M", "3", "--N", "7"): (148, 14_395),
+}
+
+
+def test_cold_chain_makes_exactly_its_polynomial_products(run_fresh):
+    # a count of work with no noise in it: a change to the chain's algebra
+    # that adds or removes products, or lengthens their operands, moves it
+    counted = {}
+    for kind, g, flag, value in COLD_CHAIN_PRODUCTS:
+        out = run_fresh(f"""
+import contextlib, io, json
+from nilorb import cli
+from nilorb.exactnum import PolyQ
+products, terms = 0, 0
+multiply = PolyQ.__mul__
+def counting(a, b):
+    global products, terms
+    if isinstance(b, PolyQ) and a.numerators and b.numerators:
+        products += 1
+        terms += len(a.numerators) * len(b.numerators)
+    return multiply(a, b)
+PolyQ.__mul__ = counting
+argv = ["compute", "--kind", "{kind}", "--g", "{g}", "{flag}", "{value}", "--no-cache",
+        "--format", "json"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+print(json.dumps([products, terms]))
+""")
+        counted[kind, g, flag, value] = tuple(json.loads(out))
+    assert counted == COLD_CHAIN_PRODUCTS
+    assert tuple(map(sum, zip(*counted.values()))) == (1_556, 314_108)
+
+
 def test_weight_routes_agree():
     for g in (1, 2, 3):
         report = checks.verify_weight_routes(g, 8)
