@@ -799,16 +799,20 @@ print(report.mismatch.x_degree)
 
 
 def test_log_denominator_negative_control(run_fresh):
-    # one more 1 / D_3 in the X^3 coefficient of the weight series gives its
-    # log a denominator that does not divide 3(q^3 - 1); it is put into the memo,
-    # behind the per-run check of the two weight routes
-    out = run_fresh("""
+    # one more 1 / D_3 in the X^3 coefficient of the weight series, or one
+    # more q in the log's lower numerator K_2, which enters the X^3 sum
+    # part-way through its divisions, gives the X^3 log a denominator that
+    # does not divide 3(q^3 - 1); each is put into the memo, behind the
+    # per-run check of the two weight routes
+    for field, n, corruption in (("weights", 3, "1"), ("logs", 2, "PolyQ.q_power(1)")):
+        out = run_fresh(f"""
 import contextlib, io
 from nilorb import cli, pipeline
-from nilorb.exactnum import InternalCheckError
-weights = list(pipeline.weight_series(2, 3))
-weights[3] = weights[3] + 1
-pipeline._memo(2).weights = tuple(weights)
+from nilorb.exactnum import InternalCheckError, PolyQ
+pipeline.weight_series(2, 3), pipeline._log_numerators(2, 2)
+entries = list(pipeline._memo(2).{field})
+entries[{n}] = entries[{n}] + {corruption}
+pipeline._memo(2).{field} = tuple(entries)
 try:
     pipeline.log_weight_coefficient(2, 3)
 except InternalCheckError as exc:
@@ -818,7 +822,7 @@ else:
 with contextlib.redirect_stderr(io.StringIO()):
     print(cli.main(["verify", "kwi", "--g", "2", "--N", "3", "--Q", "12"]))
 """)
-    assert out == "3"
+        assert out == "3", field
 
 
 @pytest.mark.parametrize("corruption, message", [
