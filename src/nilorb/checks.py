@@ -51,16 +51,18 @@ _WEIGHT_ROUTES_PARTITIONS = 12_000
 _PRODUCT_WINDOW = 16_000
 #: the largest g * N**3 up to which ``verify_triple_product``,
 #: ``verify_g1_product`` (at g = 1), ``verify_product_routes`` and
-#: ``scan_nonnegativity`` build the chain they check.  The log stage
-#: multiplies about N**2 / 2 pairs of polynomials of q-degree up to about
-#: g N**2, some (g N**3)**2 / 6 coefficient products.  A to n = N with the
-#: weight series took 3.3 s at (g, N) = (2, 28), 2.6 s at (1, 35), 2.3 s at
-#: (3, 24), 1.9 s at (5, 20) and 1.3 s at (10, 16), at g N**3 <= 44,000
-#: each; A to n = 40 at g = 2 took 37 s, and the weight series alone to
-#: N = 60 at g = 1 about 15 s (in process, 2 cores, Python 3.11.7).  From
-#: the command line thm5-routes took 3.8 s and conjecture-scan 4.2 s at
-#: (2, 28), against 9.9 s at (2, 32) and 18.5 s at (2, 36), on the same
-#: host.
+#: ``scan_nonnegativity`` build the chain they check.  For each of the
+#: N**2 / 2 pairs k < n the log stage multiplies K_k by p_(n-k), of
+#: q-degrees about (g - 1) k**2 and (g - 1/2) (n - k)**2, and that by
+#: [n; k]_q: some (g N**3)**2 / 150 coefficient products in all, 9.2 to 14.2
+#: million at the sizes below, where the rest of A's chain makes at most a
+#: fifth as many.  A to n = N with the weight series took 1.4 s at
+#: (g, N) = (2, 28), 1.0 s at (1, 35), 1.2 s at (3, 24), 1.2 s at (5, 20)
+#: and 0.9 s at (10, 16), at g N**3 <= 44,000 each; A to n = 40 at g = 2
+#: took 14 s, and the weight series alone to N = 60 at g = 1 about 10 s (in
+#: process, 2 cores, Python 3.11.7).  From the command line thm5-routes took
+#: 1.9 s and conjecture-scan 1.5 s at (2, 28), against 3.3 s at (2, 32) and
+#: 6.7 s at (2, 36), on the same host.
 _PRODUCT_CHAIN = 44_000
 
 

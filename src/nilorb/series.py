@@ -4,10 +4,11 @@ A series a_0 + a_1 X + ... + a_N X**N is the tuple (a_0, ..., a_N) of its
 coefficients, so the truncation order is the tuple's length minus one and
 every result has the length of its input.  Both run on integer numerators
 over closed-form denominators: ``log_coefficients`` takes the weight series
-over D_n and gives n times its log over q**n - 1, dividing out the factors
-q**j - 1 of D_(n-1) one at a time, and ``exp_coefficients``
-takes n times a log and gives its exp, dividing each coefficient exactly by
-its index, so a coefficient that is not integral raises.  ``exp`` runs over
+over D_n and gives n times its log over q**n - 1, dividing exactly by each
+factor q**k - 1 of D_(n-1) as it sums the recurrence's terms (Horner's
+rule), and ``exp_coefficients`` takes n times a log and gives its exp,
+dividing each coefficient exactly by its index, so a coefficient that is
+not integral raises.  ``exp`` runs over
 any coefficient ring with exact ``+``, ``*`` and division by a nonzero
 integer, such as ``PolyQ`` (the orbit counts).  Each also takes a prefix
 ``known`` of its own result and computes only the coefficients after it, so
@@ -16,18 +17,10 @@ the chain grows a log or an exp one order at a time.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .exactnum import InexactDivisionError, InternalCheckError, PolyQ
-from .partitions import q_binomial, weight_denominator
-
-
-@lru_cache(maxsize=None)
-def _log_cofactor(n: int, k: int) -> PolyQ:
-    """D_n / ((q**k - 1) D_(n-k)) = [n; k]_q D_(k-1), as a product: it does
-    not depend on the series, so every g shares it."""
-    return q_binomial(n, k) * weight_denominator(k - 1)
+from .partitions import q_binomial
 
 
 def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[PolyQ, ...]:
@@ -36,27 +29,30 @@ def log_coefficients(p: Sequence[PolyQ], known: Sequence[PolyQ] = ()) -> tuple[P
 
     Uses the derivative recurrence n*h_n = n*a_n - sum k*h_k*a_{n-k}
     (O(N^2) coefficient operations, against O(N^3) for the alternating sum
-    of log(1 + x)).  With k*h_k = K_k / (q**k - 1), term k goes over D_n
-    with the cofactor D_n / ((q**k - 1) D_{n-k}) = [n; k]_q D_{k-1}, so
-    T_n = n*h_n*D_n is a polynomial and K_n = n*h_n*(q**n - 1) = T_n / D_{n-1},
-    divided out one factor q**j - 1, j < n, at a time.  Each division is
-    exact exactly when K_n is a polynomial, as it must be
-    for the weight series (H_n = sum over d | n of
-    A_{n/d}(q**d) / (d(q**d - 1))), so an inexact one raises
-    InternalCheckError.  h_n depends only on a_0..a_n, so the recurrence
-    resumes after a prefix ``known`` of the same log's numerators.
+    of log(1 + x)).  With k*h_k = K_k / (q**k - 1), and
+    D_n = (q**k - 1) [n; k]_q D_{k-1} D_{n-k}, K_n = n*h_n*(q**n - 1) is
+    T_n / D_{n-1}, where T_n = n*p_n - sum K_k p_{n-k} [n; k]_q D_{k-1}.
+    Horner's rule in the factors q**k - 1 of D_{n-1} divides as it sums:
+    S_0 = n*p_n, S_k = (S_{k-1} - K_k p_{n-k} [n; k]_q) / (q**k - 1) for
+    k = 1..n-1, and K_n = S_{n-1}.  S_k is T_n plus the terms j > k not yet
+    subtracted, over D_k, and D_k divides each D_{j-1}, j > k, so every S_k
+    is a polynomial when D_{n-1} divides T_n, that is when K_n is one, as it
+    must be for the weight series (H_n = sum over d | n of
+    A_{n/d}(q**d) / (d(q**d - 1))); so each division is exact exactly when
+    K_n is a polynomial, and an inexact one raises InternalCheckError.  h_n
+    depends only on a_0..a_n, so the recurrence resumes after a prefix
+    ``known`` of the same log's numerators.
     """
     if p[0] != 1:
         raise ValueError("log requires constant term 1")
     out = list(known) or [PolyQ()]
     for n in range(len(out), len(p)):
         acc = p[n] * n
-        for k in range(1, n):
-            if not (out[k].is_zero or p[n - k].is_zero):
-                acc = acc - out[k] * p[n - k] * _log_cofactor(n, k)
         try:
-            for j in range(1, n):
-                acc = acc.div_q_power_minus_one(j)
+            for k in range(1, n):
+                if not (out[k].is_zero or p[n - k].is_zero):
+                    acc = acc - out[k] * p[n - k] * q_binomial(n, k)
+                acc = acc.div_q_power_minus_one(k)
         except InexactDivisionError:
             raise InternalCheckError(
                 f"the denominator of the X^{n} log coefficient does not divide q^{n} - 1"

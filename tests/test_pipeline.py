@@ -644,14 +644,14 @@ print(json.dumps(cells))
 #: workload, from cold: (calls of ``PolyQ.__mul__`` with two nonzero
 #: ``PolyQ`` operands, the sum of len(a) * len(b) over them)
 COLD_CHAIN_PRODUCTS = {
-    ("A", "2", "--N", "9"): (187, 29_623),
-    ("I", "2", "--N", "9"): (187, 29_623),
-    ("M", "2", "--N", "9"): (255, 32_338),
-    ("H", "2", "--N", "9"): (187, 29_623),
-    ("A", "2", "--n", "11"): (301, 98_316),
-    ("A", "3", "--n", "9"): (187, 55_282),
-    ("A", "5", "--n", "7"): (104, 24_908),
-    ("M", "3", "--N", "7"): (148, 14_395),
+    ("A", "2", "--N", "9"): (151, 19_177),
+    ("I", "2", "--N", "9"): (151, 19_177),
+    ("M", "2", "--N", "9"): (219, 21_892),
+    ("H", "2", "--N", "9"): (151, 19_177),
+    ("A", "2", "--n", "11"): (246, 62_104),
+    ("A", "3", "--n", "9"): (151, 37_948),
+    ("A", "5", "--n", "7"): (83, 18_769),
+    ("M", "3", "--N", "7"): (127, 10_888),
 }
 
 
@@ -681,7 +681,7 @@ print(json.dumps([products, terms]))
 """)
         counted[kind, g, flag, value] = tuple(json.loads(out))
     assert counted == COLD_CHAIN_PRODUCTS
-    assert tuple(map(sum, zip(*counted.values()))) == (1_556, 314_108)
+    assert tuple(map(sum, zip(*counted.values()))) == (1_279, 209_132)
 
 
 def test_weight_routes_agree():
