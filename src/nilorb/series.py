@@ -8,11 +8,11 @@ over D_n and gives n times its log over q**n - 1, dividing exactly by each
 factor q**k - 1 of D_(n-1) as it sums the recurrence's terms (Horner's
 rule), and ``exp_coefficients`` takes n times a log and gives its exp,
 dividing each coefficient exactly by its index, so a coefficient that is
-not integral raises.  ``exp`` runs over
-any coefficient ring with exact ``+``, ``*`` and division by a nonzero
-integer, such as ``PolyQ`` (the orbit counts).  Each also takes a prefix
-``known`` of its own result and computes only the coefficients after it, so
-the chain grows a log or an exp one order at a time.
+not integral raises.  ``exp`` runs over any coefficient ring with exact
+``+``, ``*`` and division by a nonzero integer, such as ``PolyQ`` (the
+orbit counts).  Each also takes a prefix ``known`` of its own result and
+computes only the coefficients after it, so the chain grows a log or an
+exp one order at a time.
 """
 
 from __future__ import annotations

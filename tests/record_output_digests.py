@@ -3,9 +3,9 @@
 Each digest is taken over the sorted-key compact JSON of
 ``pipeline.request_outputs(kind, g, "N", N)``, one per request, and
 ``output_digests.json`` beside this file holds them; the tier-1 test
-``test_output_digests.py`` recomputes each from cold and compares exactly.
-Rewrite the file only when an output changes on purpose, from the root of
-a source checkout::
+``test_outputs_match_their_committed_digests`` recomputes each from cold
+and compares exactly.  Rewrite the file only when an output changes on
+purpose, from the root of a source checkout::
 
     PYTHONPATH=src python3 tests/record_output_digests.py
 """
@@ -16,26 +16,22 @@ import json
 from hashlib import sha256
 from pathlib import Path
 
+from nilorb import pipeline
+
 #: (g, N) of each request: every kind at every point, n = 1..N
 GRID = ((1, 14), (2, 24), (3, 20), (4, 12), (5, 16), (7, 8))
 KINDS = ("A", "I", "M", "H")
 DIGESTS = Path(__file__).with_name("output_digests.json")
 
 
-def request_name(kind: str, g: int, order: int) -> str:
-    return f"{kind} g={g} N={order}"
-
-
 def output_digests() -> dict[str, str]:
     """The digest of each request on the grid, in this interpreter."""
-    from nilorb import pipeline
-
     digests = {}
     for g, order in GRID:
         for kind in KINDS:
             payload = pipeline.request_outputs(kind, g, "N", order)
             text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            digests[request_name(kind, g, order)] = sha256(text.encode()).hexdigest()
+            digests[f"{kind} g={g} N={order}"] = sha256(text.encode()).hexdigest()
     return digests
 
 

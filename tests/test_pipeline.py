@@ -3,6 +3,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -682,6 +683,41 @@ print(json.dumps([products, terms]))
         counted[kind, g, flag, value] = tuple(json.loads(out))
     assert counted == COLD_CHAIN_PRODUCTS
     assert tuple(map(sum, zip(*counted.values()))) == (1_279, 209_132)
+
+
+TESTS = str(Path(__file__).resolve().parent)
+
+
+def changed_requests(setup: str = "") -> str:
+    """Code that runs ``setup`` and prints, as JSON, the requests whose
+    digests ``record_output_digests.changed_requests`` finds changed."""
+    return f"""
+import json, sys
+sys.path.insert(0, {TESTS!r})
+import record_output_digests
+from nilorb import pipeline
+from nilorb.exactnum import PolyQ
+{setup}
+print(json.dumps(record_output_digests.changed_requests()))
+"""
+
+
+def test_outputs_match_their_committed_digests(run_fresh):
+    # every A, I, M and H payload on the grid, from cold, byte for byte
+    assert json.loads(run_fresh(changed_requests())) == []
+
+
+def test_output_digests_negative_control(run_fresh):
+    # one coefficient of one memoised A, changed after I and M were built
+    # from it, reaches only the A request that reads it
+    out = run_fresh(changed_requests("""
+pipeline.orbit_count_series(7, 8)
+memo = pipeline._memo(7)
+cp = memo.a_counts[2]
+wrong = pipeline.CountingPolynomial("A", 7, 3, cp.value + PolyQ.q_power(1))
+memo.a_counts = memo.a_counts[:2] + (wrong,) + memo.a_counts[3:]
+"""))
+    assert json.loads(out) == ["A g=7 N=8"]
 
 
 def test_weight_routes_agree():
