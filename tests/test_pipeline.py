@@ -641,83 +641,52 @@ print(json.dumps(cells))
     assert sorted(cells) == [(2, s, c) for s in range(1, 10) for c in range(1, s + 1)]
 
 
-#: the polynomial products of each request of the benchmark's cold-chain
-#: workload, from cold: (calls of ``PolyQ.__mul__`` with two nonzero
-#: ``PolyQ`` operands, the sum of len(a) * len(b) over them)
-COLD_CHAIN_PRODUCTS = {
-    ("A", "2", "--N", "9"): (151, 19_177),
-    ("I", "2", "--N", "9"): (151, 19_177),
-    ("M", "2", "--N", "9"): (219, 21_892),
-    ("H", "2", "--N", "9"): (151, 19_177),
-    ("A", "2", "--n", "11"): (246, 62_104),
-    ("A", "3", "--n", "9"): (151, 37_948),
-    ("A", "5", "--n", "7"): (83, 18_769),
-    ("M", "3", "--N", "7"): (127, 10_888),
-}
-
-
-def test_cold_chain_makes_exactly_its_polynomial_products(run_fresh):
-    # a count of work with no noise in it: a change to the chain's algebra
-    # that adds or removes products, or lengthens their operands, moves it
-    counted = {}
-    for kind, g, flag, value in COLD_CHAIN_PRODUCTS:
-        out = run_fresh(f"""
-import contextlib, io, json
-from nilorb import cli
-from nilorb.exactnum import PolyQ
-products, terms = 0, 0
-multiply = PolyQ.__mul__
-def counting(a, b):
-    global products, terms
-    if isinstance(b, PolyQ) and a.numerators and b.numerators:
-        products += 1
-        terms += len(a.numerators) * len(b.numerators)
-    return multiply(a, b)
-PolyQ.__mul__ = counting
-argv = ["compute", "--kind", "{kind}", "--g", "{g}", "{flag}", "{value}", "--no-cache",
-        "--format", "json"]
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(argv) == 0
-print(json.dumps([products, terms]))
-""")
-        counted[kind, g, flag, value] = tuple(json.loads(out))
-    assert counted == COLD_CHAIN_PRODUCTS
-    assert tuple(map(sum, zip(*counted.values()))) == (1_279, 209_132)
-
-
 TESTS = str(Path(__file__).resolve().parent)
 
 
-def changed_requests(setup: str = "") -> str:
-    """Code that runs ``setup`` and prints, as JSON, the requests whose
-    digests ``record_output_digests.changed_requests`` finds changed."""
+def chain_record_changes(setup: str = "") -> str:
+    """Code that runs ``setup`` and prints, as JSON, the rows and fields
+    that ``record_chain.changes`` finds moved."""
     return f"""
 import json, sys
 sys.path.insert(0, {TESTS!r})
-import record_output_digests
+import record_chain
 from nilorb import pipeline
 from nilorb.exactnum import PolyQ
 {setup}
-print(json.dumps(record_output_digests.changed_requests()))
+print(json.dumps(record_chain.changes()))
 """
 
 
-def test_outputs_match_their_committed_digests(run_fresh):
-    # every A, I, M and H payload on the grid, from cold, byte for byte
-    assert json.loads(run_fresh(changed_requests())) == []
+def test_chain_matches_its_committed_record(run_fresh):
+    # every payload byte for byte, and every count of polynomial products,
+    # a count of work with no noise in it
+    moved = json.loads(run_fresh(chain_record_changes()))
+    assert moved == {}, "\n".join(f"{row}: {field} {old} -> {new}"
+                                   for row, fields in moved.items()
+                                   for field, (old, new) in fields.items())
 
 
-def test_output_digests_negative_control(run_fresh):
-    # one coefficient of one memoised A, changed after I and M were built
-    # from it, reaches only the A request that reads it
-    out = run_fresh(changed_requests("""
-pipeline.orbit_count_series(7, 8)
-memo = pipeline._memo(7)
-cp = memo.a_counts[2]
-wrong = pipeline.CountingPolynomial("A", 7, 3, cp.value + PolyQ.q_power(1))
-memo.a_counts = memo.a_counts[:2] + (wrong,) + memo.a_counts[3:]
+def test_chain_record_negative_control(run_fresh):
+    # a wrong degree in the A_7(3) payload moves only that row's digest, and
+    # a product by 1 after each coefficient of log M moves only the M rows'
+    # counts, since it changes no output
+    out = run_fresh(chain_record_changes("""
+payload = pipeline.CountingPolynomial.payload
+def wrong_payload(cp):
+    out = payload(cp)
+    if (cp.kind, cp.g, cp.n) == ("A", 7, 3):
+        out["degree"] += 1
+    return out
+pipeline.CountingPolynomial.payload = wrong_payload
+orbit_log = pipeline._orbit_log
+pipeline._orbit_log = lambda g, n: orbit_log(g, n) * PolyQ([1])
 """))
-    assert json.loads(out) == ["A g=7 N=8"]
+    moved = {row: sorted(fields) for row, fields in json.loads(out).items()}
+    m_rows = ["M g=1 N=14", "M g=2 N=24", "M g=3 N=20", "M g=4 N=12", "M g=5 N=16",
+              "M g=7 N=8", "M g=2 N=9", "M g=3 N=7", "M g=3 N=22"]
+    assert moved == {"A g=7 N=8": ["sha256"],
+                     **{row: ["coefficient_products", "products"] for row in m_rows}}
 
 
 def test_weight_routes_agree():
