@@ -689,6 +689,24 @@ pipeline._orbit_log = lambda g, n: orbit_log(g, n) * PolyQ([1])
                      **{row: ["coefficient_products", "products"] for row in m_rows}}
 
 
+def test_chain_record_holds_the_cold_chain_workload():
+    # the record's count rows stand for the benchmark's cold-chain requests:
+    # each request of that workload, in order, is a session of its own
+    import record_chain
+    workloads = json.loads((Path(TESTS).parent / "perfbench" / "workloads.json").read_text())
+    [cold] = [w for w in workloads["workloads"] if w["name"] == "cold-chain"]
+    requests = []
+    for request in cold["requests"]:
+        args = request["args"]
+        mode = next(flag[2:] for flag in ("--N", "--n") if flag in args)
+        value = int(args[args.index(f"--{mode}") + 1])
+        assert "--no-cache" in args
+        requests.append((args[args.index("--kind") + 1], int(args[args.index("--g") + 1]),
+                         mode, value))
+    singles = [session[0] for session in record_chain.SESSIONS if len(session) == 1]
+    assert singles == [*requests, ("M", 3, "N", 22)]
+
+
 def test_weight_routes_agree():
     for g in (1, 2, 3):
         report = checks.verify_weight_routes(g, 8)
