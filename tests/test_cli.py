@@ -2,8 +2,10 @@ import importlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,54 @@ def test_a_result_that_cannot_be_written_exits_2(nilorb_env, unbuffered, fmt):
                               stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (
         2, "nilorb: cannot write the result: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
+def test_a_diagnostic_that_cannot_be_written_changes_nothing(nilorb_env, tmp_path):
+    # a usage error still exits 2, and a result that could not be cached is
+    # still printed, when standard error refuses every write
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    runs = [(2, "", ["frobnicate"]),
+            (0, GOLDEN_PRETTY[3] + "\n",
+             ["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", str(not_a_dir)])]
+    for code, out, argv in runs:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "nilorb", *argv], stdout=subprocess.PIPE,
+                                  stderr=full, text=True, env=nilorb_env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+
+
+def spawn_nilorb(env, argv, closed: int, other_to) -> int:
+    """Exit code of ``python -m nilorb argv`` started with descriptor
+    ``closed`` (1 or 2) closed and the other of the two on the file
+    ``other_to``."""
+    actions = [(os.POSIX_SPAWN_CLOSE, closed),
+               (os.POSIX_SPAWN_OPEN, 3 - closed, str(other_to), os.O_WRONLY | os.O_CREAT, 0o600)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "nilorb", *argv], env,
+                         file_actions=actions)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"{argv} still ran after 60 s")
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(done[1])
+
+
+def test_a_closed_stream_gets_the_documented_exit(nilorb_env, tmp_path):
+    # with no standard output the result is refused as one that cannot be
+    # written; with no standard error a diagnostic is dropped, never printed
+    # on standard output, and the exit code is kept
+    compute = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
+    runs = [(1, compute, 2, "nilorb: cannot write the result: standard output is closed\n"),
+            (2, compute, 0, GOLDEN_PRETTY[3] + "\n"),
+            (2, ["frobnicate"], 2, "")]
+    for i, (closed, argv, code, other) in enumerate(runs):
+        other_to = tmp_path / f"fd{3 - closed}_{i}"
+        assert spawn_nilorb(nilorb_env, argv, closed, other_to) == code, (closed, argv)
+        assert other_to.read_text() == other, (closed, argv)
 
 
 def test_compute_rejects_invalid_g(capsys):
@@ -964,6 +1014,112 @@ def test_entry_point_help(nilorb_env):
     )
     assert proc.returncode == 0
     assert "--kind" in proc.stdout
+
+
+# runs the command line through ``cli.entry``, as ``python -m nilorb`` does,
+# after registering one exit function and running CONTROL; that function
+# reports on standard error how many threads were alive and whether the
+# chain was loaded, with no newline, so that only a flush puts it out
+_ENTRY = """
+import atexit, sys, threading
+from nilorb import cli
+
+def report():
+    sys.stderr.write(f"exit function: threads {threading.active_count()}, "
+                     f"chain {'nilorb.pipeline' in sys.modules}")
+
+atexit.register(report)
+CONTROL
+cli.entry()
+"""
+
+
+def entry_run(env, *argv, control: str = "") -> subprocess.CompletedProcess:
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", _ENTRY.replace("CONTROL", control), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_left_cleanly(proc, code: int, chain: bool) -> None:
+    """``entry`` left with ``code``, once the exit function had run exactly
+    once, with the main thread alone, and its report had been flushed."""
+    before, _, report = proc.stderr.rpartition("exit function: ")
+    assert proc.returncode == code, proc.stderr
+    assert report == f"threads 1, chain {chain}", proc.stderr
+    assert "exit function: " not in before, proc.stderr
+
+
+def test_entry_flushes_runs_the_exit_functions_and_keeps_the_code(nilorb_env, tmp_path):
+    compute = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", str(tmp_path)]
+    stored = entry_run(nilorb_env, *compute)
+    assert_left_cleanly(stored, 0, chain=True)
+    # the entry the first process stored is whole: the next one is a hit
+    hit = entry_run(nilorb_env, *compute)
+    assert_left_cleanly(hit, 0, chain=False)
+    assert stored.stdout == hit.stdout == GOLDEN_PRETTY[3] + "\n"
+    failed = entry_run(nilorb_env, "verify", "kwi", "--g", "2", "--N", "5", "--Q", "20",
+                       "--perturb", "2,1,1")
+    assert_left_cleanly(failed, 1, chain=True)
+    usage = entry_run(nilorb_env, "compute", "--kind", "A", "--g", "0", "--n", "3")
+    assert_left_cleanly(usage, 2, chain=False)
+    assert usage.stdout == ""
+    # a result several times a pipe's buffer reaches the reader whole
+    large = entry_run(nilorb_env, "compute", "--kind", "M", "--g", "30", "--N", "8",
+                      "--format", "json", "--no-cache")
+    assert_left_cleanly(large, 0, chain=True)
+    assert len(large.stdout) > 65536
+    assert json.loads(large.stdout)["outputs"]["polynomials"][-1]["n"] == 8
+
+
+@pytest.mark.parametrize("control", [
+    "atexit._run_exitfuncs = lambda: None",  # an entry that skips the exit functions
+    "sys.stderr.flush = lambda: None",  # an entry that skips the flush
+])
+def test_entry_contract_control(nilorb_env, control):
+    proc = entry_run(nilorb_env, "--version", control=control)
+    with pytest.raises(AssertionError):
+        assert_left_cleanly(proc, 0, chain=False)
+    assert_left_cleanly(entry_run(nilorb_env, "--version"), 0, chain=False)
+
+
+# runs each command line of the JSON list argv[1] through ``cli.main`` in
+# one interpreter, after CONTROL, prints the exit codes, and then exits
+# normally, with the interpreter's teardown
+_IN_TURN = """
+import contextlib, io, json, os, sys
+from nilorb import cli
+
+CONTROL
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(*codes)
+"""
+
+
+def dev_mode_run(env, commands, control: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           _IN_TURN.replace("CONTROL", control), json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_no_command_leaves_a_resource_for_teardown(nilorb_env, tmp_path):
+    # ``entry`` skips the teardown that would warn of a file left open, so
+    # every command runs here in a dev-mode process that does tear down,
+    # with every warning an error
+    cache = ["--cache-dir", str(tmp_path)]
+    compute = ["compute", "--kind", "A", "--g", "2", "--n", "3", *cache]
+    commands = [compute, compute, ["cache", "list", *cache], ["cache", "clear", *cache],
+                ["verify", "kwi", "--g", "2", "--N", "3", "--Q", "9"],
+                ["oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2"],
+                ["conjecture-scan", "--g", "2", "--Nmax", "3"], ["--help"]]
+    proc = dev_mode_run(nilorb_env, commands)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, " ".join(["0"] * len(commands)) + "\n", "removed 1 cache entries\n")
+    # control: a file left open for teardown to close shows
+    leaked = dev_mode_run(nilorb_env, [["--version"]], control="cli._left = open(os.devnull)")
+    assert "ResourceWarning: unclosed file" in leaked.stderr
 
 
 # ---------------------------------------------------------------------------
