@@ -309,7 +309,7 @@ def _parse_perturb(text: str) -> tuple[int, int, int]:
 
 def arguments(command: str) -> tuple:
     """The handler and the arguments (``cli._option``) of ``verify``,
-    ``oracle`` or ``conjecture-scan``."""
+    ``oracle`` or ``conjecture-scan``; any other name raises ``KeyError``."""
     from .cli import _option as option, _positive_int
 
     formats = option("--format", choices=("json", "pretty"), default="pretty",
@@ -336,11 +336,13 @@ def arguments(command: str) -> tuple:
                    help="partition as comma-separated parts, e.g. 2,1"),
             option("--f", help="monic polynomial over the field, e.g. x or x^2+x+1"),
             formats)
-    return cmd_scan, (  # conjecture-scan
-        option("--g", _positive_int, required=True, help="tuple length"),
-        option("--Nmax", _positive_int, required=True, dest="n_max",
-               help="largest matrix order"),
-        formats)
+    if command == "conjecture-scan":
+        return cmd_scan, (
+            option("--g", _positive_int, required=True, help="tuple length"),
+            option("--Nmax", _positive_int, required=True, dest="n_max",
+                   help="largest matrix order"),
+            formats)
+    raise KeyError(f"{command!r} is not a check command")
 
 
 def _report_payload(report: VerificationReport) -> dict:

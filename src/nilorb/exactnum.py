@@ -389,13 +389,11 @@ class RationalFunctionQ(_Record):
         _check_ints(1, n=n)
         top, bottom = num, PolyQ.q_power_minus_one(n)
         for d in divisors(n):
-            # Phi_d divides q**d - 1, so it divides top only if it divides
-            # top mod q**d - 1: its d coefficients are tried first
+            # Phi_d divides q**d - 1, so it divides top exactly when it divides
+            # top mod q**d - 1, whose d coefficients are tried first
             nums = top.numerators
             if _over_cyclotomic(_poly([sum(nums[i::d]) for i in range(d)]), d) is not None:
-                quot = _over_cyclotomic(top, d)
-                if quot is not None:
-                    top, bottom = quot, _over_cyclotomic(bottom, d)
+                top, bottom = _over_cyclotomic(top, d), _over_cyclotomic(bottom, d)
         c = gcd(n, *top.numerators)
         super().__init__(top / c, bottom * (n // c))
 

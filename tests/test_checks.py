@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from nilorb import checks, cli
-from nilorb.exactnum import SizeGuardError
+from nilorb.exactnum import PolyQ, SizeGuardError
 from nilorb.partitions import partition_count
+from nilorb.pipeline import CountingPolynomial
 
 # ---------------------------------------------------------------------------
 # the cost guard of verify weight-routes
@@ -110,6 +111,45 @@ def test_orbit_routes_and_scan_refuse_chains_past_their_guard(capsys, monkeypatc
         code = cli.main(argv)
         assert (code, *capsys.readouterr()) == (
             2, "", f"nilorb: {message}, beyond the guard of 44000\n")
+
+
+# ---------------------------------------------------------------------------
+# the scan's negative control, and the table of check commands
+
+
+def test_scan_reports_a_negative_coefficient(capsys, monkeypatch):
+    # A_2(3,q) = q^4 + 3q^2 + 2q with its q^1 coefficient set to -1: the
+    # scan must list that term, and the command must fail (exit 1)
+    count = checks.absolutely_indecomposable_count
+
+    def negated(g, n):
+        cp = count(g, n)
+        if (g, n) != (2, 3):
+            return cp
+        coeffs = list(cp.coefficient_list)
+        coeffs[1] = -1
+        return CountingPolynomial(cp.kind, g, n, PolyQ(coeffs))
+
+    monkeypatch.setattr(checks, "absolutely_indecomposable_count", negated)
+    assert checks.scan_nonnegativity(2, 3).negative_terms == ((3, 1, -1),)
+    code = cli.main(["conjecture-scan", "--g", "2", "--Nmax", "3"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "negative coefficient at n=3, s=1: -1"
+    code = cli.main(["conjecture-scan", "--g", "2", "--Nmax", "3", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert '"all_nonnegative": false' in out
+    assert json.loads(out)["outputs"]["scan"]["negative_terms"] == [[3, 1, -1]]
+
+
+def test_arguments_refuses_a_name_it_does_not_declare():
+    handlers = {name: checks.arguments(name)[0] for name in cli._CHECK_COMMANDS}
+    assert handlers == {"verify": checks.cmd_verify, "oracle": checks.cmd_oracle,
+                        "conjecture-scan": checks.cmd_scan}
+    for name in ("compute", "cache", "conjecture_scan", "no-such-command"):
+        with pytest.raises(KeyError, match=f"'{name}' is not a check command"):
+            checks.arguments(name)
 
 
 # ---------------------------------------------------------------------------

@@ -784,8 +784,14 @@ def test_oracle_guard_is_usage_error(capsys):
         assert err == f"nilorb: {guard.value}\n"
 
 
-def test_oracle_commutant_guard_is_usage_error(capsys):
-    # M_4(F_3), the commutant of a scalar 4 x 4 matrix, has 3^16 elements
+def test_oracle_commutant_guard_is_usage_error(capsys, monkeypatch):
+    # M_4(F_3), the commutant of a scalar 4 x 4 matrix, has 3^16 elements;
+    # the guard refuses it before ``_span`` builds the first, so a guard that
+    # let it through fails here at once, not after an hour of enumeration
+    def built(n):
+        raise LookupError("an element of the commutant was built")
+
+    monkeypatch.setattr(fforacle, "zero_matrix", built)
     for f in ("x", "x+1", "x+2"):
         code, out, err = run(capsys, "oracle", "--check", "nilcount", "--lambda", "1,1,1,1",
                              "--f", f, "--q", "3")
@@ -840,13 +846,14 @@ def test_oracle_matrix_guard_runs_before_the_closed_form(nilorb_env):
 
 def test_oracle_field_guard_runs_before_any_work(nilorb_env):
     # 1,000,000,007 is a prime: the field table refuses it by lookup, where
-    # a search for its smallest divisor would run past the timeout
-    proc = subprocess.run(
-        [sys.executable, "-m", "nilorb", "oracle", "--check", "nilcount-total",
-         "--n", "1", "--q", "1000000007"],
-        capture_output=True, text=True, env=nilorb_env, timeout=5)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", "nilorb: fields beyond 9 elements are not supported (q=1000000007)\n")
+    # a search for its smallest divisor would run past the timeout, for the
+    # closed-form count and for the orbit enumeration alike
+    for check in (["nilcount-total", "--n", "1"], ["M", "--g", "1", "--n", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilorb", "oracle", "--check", *check, "--q", "1000000007"],
+            capture_output=True, text=True, env=nilorb_env, timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "nilorb: fields beyond 9 elements are not supported (q=1000000007)\n"), check
 
 
 def test_oracle_missing_arguments(capsys):
@@ -930,9 +937,12 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
     (["compute", "--kind", "A", "--g", "2", "--n", "3", "--cache-dir", ""],
      "--cache-dir needs a value"),
     (["compute", "--kind=", "A", "--g", "2", "--n", "3"], "--kind needs a value"),
+    ([*COMPUTE, "--no-cache=x"], "--no-cache takes no value"),
     # the terms must make up the whole text of --f: none is dropped unread
     *((["oracle", "--check", "nilcount", "--lambda", "2,1", "--f", f, "--q", "3"],
        f"cannot parse polynomial {f!r}") for f in ("x+", "x--", "+", "x^2--1", "x^2++x", " ")),
+    (["oracle", "--check", "nilcount", "--lambda", "1", "--f", "2y", "--q", "3"],
+     "cannot parse term '2y' in '2y'"),
     # each oracle check takes its own options, and refuses the others
     (["oracle", "--check", "M", "--n", "2", "--q", "2"], "--check M needs --g and --n"),
     (["oracle", "--check", "nilcount", "--f", "x", "--q", "2"],
@@ -948,11 +958,13 @@ COMPUTE = ["compute", "--kind", "A", "--g", "2", "--n", "3", "--no-cache"]
      "--check nilcount takes no --n"),
 ])
 def test_usage_errors_are_one_line_and_exit_2(capsys, monkeypatch, tmp_path, argv, problem):
-    monkeypatch.setenv("NILORB_CACHE", str(tmp_path))
+    # a refused command creates no cache directory
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NILORB_CACHE", str(cache))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("nilorb: ") and problem in err and len(err.splitlines()) == 1
-    assert not any(tmp_path.iterdir())
+    assert not cache.exists()
 
 
 def test_polynomial_text_parses_term_by_term():
@@ -1008,12 +1020,13 @@ def test_module_invocation(nilorb_env):
 
 
 def test_entry_point_help(nilorb_env):
-    proc = subprocess.run(
-        [sys.executable, "-m", "nilorb", "compute", "--help"],
-        capture_output=True, text=True, env=nilorb_env,
-    )
-    assert proc.returncode == 0
-    assert "--kind" in proc.stdout
+    for command in ([], *([name] for name, _, _ in cli._COMMANDS)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilorb", *command, "--help"],
+            capture_output=True, text=True, env=nilorb_env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), command
+        assert proc.stdout.startswith(" ".join(["usage: nilorb", *command])), command
 
 
 # runs the command line through ``cli.entry``, as ``python -m nilorb`` does,
@@ -1060,9 +1073,14 @@ def test_entry_flushes_runs_the_exit_functions_and_keeps_the_code(nilorb_env, tm
     failed = entry_run(nilorb_env, "verify", "kwi", "--g", "2", "--N", "5", "--Q", "20",
                        "--perturb", "2,1,1")
     assert_left_cleanly(failed, 1, chain=True)
-    usage = entry_run(nilorb_env, "compute", "--kind", "A", "--g", "0", "--n", "3")
-    assert_left_cleanly(usage, 2, chain=False)
-    assert usage.stdout == ""
+    # a usage error is one line on standard error, and nothing on standard output
+    for argv in (["frobnicate"], [*compute, "--form", "json"],
+                 ["compute", "--kind", "A", "--g", "0", "--n", "3"]):
+        usage = entry_run(nilorb_env, *argv)
+        assert_left_cleanly(usage, 2, chain=False)
+        message = usage.stderr.rpartition("exit function: ")[0]
+        assert usage.stdout == "", argv
+        assert message.startswith("nilorb: ") and message.find("\n") == len(message) - 1, argv
     # a result several times a pipe's buffer reaches the reader whole
     large = entry_run(nilorb_env, "compute", "--kind", "M", "--g", "30", "--N", "8",
                       "--format", "json", "--no-cache")

@@ -444,6 +444,10 @@ def test_nilpotent_commutant_guards():
         nilpotent_commutant_count(F2, (1, 1, 1), Partition((3,)))
     with pytest.raises(ValueError):
         nilpotent_commutant_count(F2, (1, 0, 1), Partition((1,)))  # x^2+1 reducible
+    # the command line reduces each coefficient mod p, so only a caller
+    # reaches this refusal
+    with pytest.raises(ValueError, match="^f has coefficients outside the field$"):
+        nilpotent_commutant_count(F3, (5, 1), Partition((1,)))
 
 
 def first_element(n):
