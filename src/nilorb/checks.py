@@ -234,13 +234,14 @@ def verify_triple_product(
     stays in integer arithmetic on rows of q-coefficients.  A window
     x_order * q_order past ``_PRODUCT_WINDOW``, or a g * x_order**3 past
     ``_PRODUCT_CHAIN``, raises ``SizeGuardError`` before any work.
-    ``perturb = (n, s, d)`` adds d to the exponent a(n, s) -- a
+    ``perturb = (n, s, d)``, three ints, adds d to the exponent a(n, s) -- a
     deliberate-corruption hook for negative-control testing; it must lie
     inside the window (n <= x_order, s <= q_order) and have d != 0.
     """
     _check_ints(1, g=g)
     _guard_product("kwi", g, x_order, q_order)
     if perturb is not None:
+        _check_ints(**{f"perturb[{i}]": c for i, c in enumerate(perturb)})
         pn, ps, delta = perturb
         # a zero delta, or a coefficient past q**q_order, changes nothing
         # inside the window, so the control could not fail

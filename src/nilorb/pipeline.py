@@ -12,9 +12,10 @@ compares them up to any order, and holds the other identity verifiers.
 Each coefficient is an integer ``PolyQ`` over a denominator known in closed
 form: the weight series' X**n coefficient over D_n = (q - 1)...(q**n - 1),
 its log's over n(q**n - 1), A and M over 1, I and log M over n.  So the
-chain needs no rational arithmetic and no gcd, and each step is a product,
-a sum or an exact division, which raises when it is not exact; a
-``RationalFunctionQ`` is built only for kind H.
+chain needs no rational arithmetic, and each step is a product, a sum or an
+exact division, which raises when it is not exact.  The per-g memo holds
+these numerators; a ``CountingPolynomial`` is built only where a count
+leaves the chain, and a ``RationalFunctionQ`` only for kind H.
 
 log M is always computed by two independent routes and cross-asserted
 coefficientwise, so every run re-verifies the algebra that connects the
@@ -36,7 +37,6 @@ from __future__ import annotations
 import threading
 from itertools import zip_longest
 from math import gcd
-from typing import Optional
 
 from . import KINDS, poly_text
 from .exactnum import (InexactDivisionError, InternalCheckError, PolyQ, RationalFunctionQ,
@@ -68,6 +68,8 @@ class CountingPolynomial(_Record):
     def __init__(self, kind: str, g: int, n: int, value: PolyQ, denominator: int = 1):
         if kind not in KINDS or kind == "H":
             raise ValueError(f"no counting polynomial of kind {kind!r}")
+        _check_ints(1, g=g, denominator=denominator)
+        _check_ints(0, n=n)
         super().__init__(kind, g, n, value, denominator)
 
     @property
@@ -116,35 +118,34 @@ class _ChainMemo:
     """What the chain has built for one tuple length g, kept as prefixes.
 
     ``columns`` holds row s of the column route's table (G(s, c) for
-    c = 0..s); ``weights`` and ``logs`` hold coefficient n of the weight
-    series and of its log, as their numerators over D_n and over
-    n(q**n - 1); ``orbit_logs`` holds n times coefficient n of log M, as
-    agreed by its two routes; ``a_counts``, ``i_counts`` and ``orbits``
-    hold A(g, n), I(g, n) and M(g, n) at index n - 1.  None of these
-    depends on the truncation order, so the longest prefix built so far
-    serves every order.  A prefix is an immutable tuple that is only ever
-    replaced by a longer one built aside, so a concurrent reader always sees
-    a whole prefix; the lock keeps a late, shorter build from replacing a
-    longer one.
+    c = 0..s); every other field holds, at index n, one stage's integer
+    numerator of its X**n coefficient: ``weights`` over D_n, ``logs`` over
+    n(q**n - 1), ``orbit_logs`` (n log M, as its two routes agree) and
+    ``i_counts`` (n I) over n, ``a_counts`` (A) and ``orbits`` (M, with
+    M_0 = 1, the exp's own prefix) over 1.  None of these depends on the
+    truncation order, so the longest prefix built so far serves every
+    order.  A prefix is an immutable tuple that is only ever replaced by a
+    longer one built aside, so a concurrent reader always sees a whole
+    prefix; the lock keeps a late, shorter build from replacing a longer
+    one.
     """
 
-    __slots__ = ("columns", "weights", "logs", "orbit_logs", "a_counts", "i_counts", "orbits",
-                 "_lock")
+    __slots__ = ("g", "columns", "weights", "logs", "orbit_logs", "a_counts", "i_counts",
+                 "orbits", "_lock")
 
-    def __init__(self):
-        one = PolyQ([1])
-        self.columns, self.weights = ((one,),), (one,)
-        self.logs = self.orbit_logs = (PolyQ(),)
-        self.a_counts = self.i_counts = self.orbits = ()
+    def __init__(self, g: int):
+        one, zero = PolyQ([1]), PolyQ()
+        self.g, self.columns, self.weights, self.orbits = g, ((one,),), (one,), (one,)
+        self.logs = self.orbit_logs = self.a_counts = self.i_counts = (zero,)
         self._lock = threading.Lock()
 
     def grown(self, field: str, length: int, step) -> tuple:
         """The prefix held in ``field``, first grown to ``length`` entries by
-        appending step(k, entries before k) for each missing index k."""
+        appending step(g, n, entries before n) for each missing index n."""
         have = getattr(self, field)
         if len(have) < length:
-            for k in range(len(have), length):
-                have += (step(k, have),)
+            for n in range(len(have), length):
+                have += (step(self.g, n, have),)
             with self._lock:
                 if len(getattr(self, field)) < len(have):
                     setattr(self, field, have)
@@ -155,16 +156,17 @@ _MEMOS: dict[int, _ChainMemo] = {}
 
 
 def _memo(g: int) -> _ChainMemo:
-    return _MEMOS.get(g) or _MEMOS.setdefault(g, _ChainMemo())
+    return _MEMOS.get(g) or _MEMOS.setdefault(g, _ChainMemo(g))
+
+
+def _column_row(g: int, s: int, rows) -> tuple[PolyQ, ...]:
+    """Row s of the column route's table: G(s, c) for c = 0..s, where
+    G(s, 0) = 0 for s >= 1."""
+    return (PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1))
 
 
 def _column_rows(g: int, order: int) -> tuple[tuple[PolyQ, ...], ...]:
-    """Rows 0..order of the column route's table: row s holds G(s, c) for
-    c = 0..s, where G(s, 0) = 0 for s >= 1."""
-    def row(s, rows):
-        return (PolyQ(),) + tuple(column_sum(g, rows, s, c) for c in range(1, s + 1))
-
-    return _memo(g).grown("columns", order + 1, row)
+    return _memo(g).grown("columns", order + 1, _column_row)
 
 
 def _partition_weight(g: int, n: int) -> PolyQ:
@@ -172,7 +174,7 @@ def _partition_weight(g: int, n: int) -> PolyQ:
     return sum((orbit_weight(lam, g) for lam in partitions_of(n)), PolyQ())
 
 
-def _weight_mismatch(g: int, n: int, via_columns: PolyQ) -> Optional[Mismatch]:
+def _weight_mismatch(g: int, n: int, via_columns: PolyQ) -> Mismatch | None:
     """The first q-degree at which the column route's X**n numerator differs
     from the partition route's, or None."""
     a, b = via_columns.numerators, _partition_weight(g, n).numerators
@@ -183,10 +185,9 @@ def _weight_mismatch(g: int, n: int, via_columns: PolyQ) -> Optional[Mismatch]:
     return None
 
 
-def _weight(g: int, n: int) -> PolyQ:
+def _weight(g: int, n: int, _) -> PolyQ:
     weight = column_weight(g, _column_rows(g, n)[n], n)
-    mismatch = _weight_mismatch(g, n, weight) if n <= _WEIGHT_CHECK_ORDER else None
-    if mismatch is not None:
+    if n <= _WEIGHT_CHECK_ORDER and (mismatch := _weight_mismatch(g, n, weight)):
         raise InternalCheckError(
             f"weight routes disagree at g={g}, X^{n}, q^{mismatch.q_degree}: "
             f"{mismatch.lhs} vs {mismatch.rhs}"
@@ -200,20 +201,20 @@ def weight_series(g: int, order: int) -> tuple[PolyQ, ...]:
     partition weights of n (constant term 1)."""
     _check_ints(1, g=g)
     _check_ints(0, order=order)
-    return _memo(g).grown("weights", order + 1, lambda n, _: _weight(g, n))[: order + 1]
+    return _memo(g).grown("weights", order + 1, _weight)[: order + 1]
+
+
+def _log(g: int, n: int, have: tuple[PolyQ, ...]) -> PolyQ:
+    """The numerator K_n over n(q**n - 1) of the X**n coefficient of the
+    formal log of the weight series."""
+    try:
+        return log_coefficients(weight_series(g, n), have)[n]
+    except InternalCheckError as exc:  # it names X^n, and g is added
+        raise InternalCheckError(f"at g={g}, {exc}") from None
 
 
 def _log_numerators(g: int, order: int) -> tuple[PolyQ, ...]:
-    """Numerators K_n over n(q**n - 1) of the coefficients of X**0..X**order
-    of the formal log of the weight series."""
-    def log(n, have):
-        weights = weight_series(g, n)
-        try:
-            return log_coefficients(weights, have)[n]
-        except InternalCheckError as exc:  # it names X^n, and g is added
-            raise InternalCheckError(f"at g={g}, {exc}") from None
-
-    return _memo(g).grown("logs", order + 1, log)[: order + 1]
+    return _memo(g).grown("logs", order + 1, _log)[: order + 1]
 
 
 def log_weight_coefficient(g: int, n: int) -> RationalFunctionQ:
@@ -237,10 +238,11 @@ def absolutely_indecomposable_count(g: int, n: int) -> CountingPolynomial:
     mathematically guaranteed, so violations raise.
     """
     _check_ints(1, g=g, n=n)
-    return _memo(g).grown("a_counts", n, lambda k, _: _absolutely_indecomposable(g, k + 1))[n - 1]
+    a = _memo(g).grown("a_counts", n + 1, _absolutely_indecomposable)
+    return CountingPolynomial("A", g, n, a[n])
 
 
-def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
+def _absolutely_indecomposable(g: int, n: int, _) -> PolyQ:
     logs = _log_numerators(g, n)
     total = PolyQ()
     for d in divisors(n):
@@ -257,46 +259,44 @@ def _absolutely_indecomposable(g: int, n: int) -> CountingPolynomial:
             f"{poly.degree()} > {(g - 1) * n * n}"
         )
     try:
-        poly = poly / n
+        return poly / n
     except InexactDivisionError:
         raise InternalCheckError(f"non-integral coefficients for A at g={g}, n={n}") from None
-    return CountingPolynomial("A", g, n, poly)
 
 
 def indecomposable_count(g: int, n: int) -> CountingPolynomial:
     """Count of indecomposable orbits: the double divisor sum over
-    transported absolutely-indecomposable counts."""
+    transported absolutely-indecomposable counts.  The memo holds n I over
+    n; the record holds both divided by their common factor."""
     _check_ints(1, g=g, n=n)
-    return _memo(g).grown("i_counts", n, lambda k, _: _indecomposable(g, k + 1))[n - 1]
+    value = _memo(g).grown("i_counts", n + 1, _indecomposable)[n]
+    c = gcd(n, *value.numerators)
+    return CountingPolynomial("I", g, n, value / c, n // c)
 
 
-def _indecomposable(g: int, n: int) -> CountingPolynomial:
-    """I = the sum over d | n and r | d of mu(d/r) A_(n/d)(q**r) / d, which
-    has rational coefficients in general (I_2(6, q) has 1/3 and 15/2): it
-    is the integer numerator of the sum times n, over n, both divided by
-    their common factor."""
+def _indecomposable(g: int, n: int, _) -> PolyQ:
+    """n I = the sum over d | n and r | d of mu(d/r) (n/d) A_(n/d)(q**r), an
+    integer polynomial; I itself has rational coefficients in general
+    (I_2(6, q) has 1/3 and 15/2)."""
+    a = _memo(g).grown("a_counts", n + 1, _absolutely_indecomposable)
     total = PolyQ()
     for d in divisors(n):
-        a = absolutely_indecomposable_count(g, n // d).value
         for r in divisors(d):
             mu = mobius(d // r)
             if mu:
-                total = total + a.adams(r) * (mu * (n // d))
-    c = gcd(n, *total.numerators)
-    cp = CountingPolynomial("I", g, n, total / c, n // c)
-    _check_prime_power_positivity(cp)
-    return cp
+                total = total + a[n // d].adams(r) * (mu * (n // d))
+    _check_prime_power_positivity("I", g, n, total, n)
+    return total
 
 
-def _check_prime_power_positivity(cp: CountingPolynomial) -> None:
-    """Assert that cp takes positive integer values at the check points:
-    its numerator's value at q0 is a positive multiple of its denominator."""
+def _check_prime_power_positivity(kind: str, g: int, n: int, value: PolyQ, d: int) -> None:
+    """Assert that the count ``value`` / d takes positive integer values at
+    the check points: its value at q0 is a positive multiple of d."""
     for q0 in _CHECK_POINTS:
-        v = cp.value.at(q0)
-        if v <= 0 or v % cp.denominator:
+        v = value.at(q0)
+        if v <= 0 or v % d:
             raise InternalCheckError(
-                f"{cp.kind} at g={cp.g}, n={cp.n} evaluates to "
-                f"{fraction_texts((v,), cp.denominator)[0]} at q={q0}; "
+                f"{kind} at g={g}, n={n} evaluates to {fraction_texts((v,), d)[0]} at q={q0}; "
                 "expected a positive integer"
             )
 
@@ -322,16 +322,12 @@ def _log_orbit_product_coefficient(g: int, n: int) -> PolyQ:
 def _log_orbit_component_coefficient(g: int, n: int) -> PolyQ:
     """n times coefficient n of log M, from the sum over m of I(g, m) * sum
     over k of X**(mk) / k, i.e. the log of the product of
-    (1 - X**m) ** (-I(g, m)): the sum over k | n of (n/k) I(g, n/k), where
-    m I(g, m) is I's numerator times m over its denominator."""
-    total = PolyQ()
-    for k in divisors(n):
-        cp = indecomposable_count(g, n // k)
-        total = total + cp.value * (cp.n // cp.denominator)
-    return total
+    (1 - X**m) ** (-I(g, m)): the sum over m | n of m I(g, m)."""
+    i = _memo(g).grown("i_counts", n + 1, _indecomposable)
+    return sum((i[m] for m in divisors(n)), PolyQ())
 
 
-def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Mismatch]:
+def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Mismatch | None:
     """The product route's coefficient n of log M and the component route's
     ``via_components`` (n times that coefficient), if the two differ, or
     None.
@@ -347,10 +343,9 @@ def _orbit_log_mismatch(g: int, n: int, via_components: PolyQ) -> Optional[Misma
     return None
 
 
-def _orbit_log(g: int, n: int) -> PolyQ:
+def _orbit_log(g: int, n: int, _) -> PolyQ:
     log = _log_orbit_component_coefficient(g, n)
-    mismatch = _orbit_log_mismatch(g, n, log)
-    if mismatch is not None:
+    if mismatch := _orbit_log_mismatch(g, n, log):
         raise InternalCheckError(
             f"orbit-count routes disagree at g={g}, X^{n}: {mismatch.lhs} vs {mismatch.rhs}"
         )
@@ -358,26 +353,26 @@ def _orbit_log(g: int, n: int) -> PolyQ:
 
 
 def orbit_count_series(g: int, order: int) -> tuple[CountingPolynomial, ...]:
-    """Full orbit counts for n = 1..order: the exp of log M, once both
-    routes to log M agree coefficientwise."""
+    """Full orbit counts for n = 1..order."""
     _check_ints(1, g=g, order=order)
-    return _memo(g).grown("orbits", order, lambda k, lower: _orbit_count(g, k + 1, lower))[:order]
-
-
-def _orbit_count(g: int, n: int, lower: tuple[CountingPolynomial, ...]) -> CountingPolynomial:
-    logs = _memo(g).grown("orbit_logs", n + 1, lambda m, _: _orbit_log(g, m))
-    known = (PolyQ([1]),) + tuple(cp.value for cp in lower)
-    try:
-        poly = exp_coefficients(logs[: n + 1], known)[n]
-    except InexactDivisionError:
-        raise InternalCheckError(f"non-integral coefficients for M at g={g}, n={n}") from None
-    cp = CountingPolynomial("M", g, n, poly)
-    _check_prime_power_positivity(cp)
-    return cp
+    return tuple(orbit_count(g, n) for n in range(1, order + 1))
 
 
 def orbit_count(g: int, n: int) -> CountingPolynomial:
-    return orbit_count_series(g, n)[n - 1]
+    """Full orbit count: the exp of log M, once both routes to log M agree
+    coefficientwise."""
+    _check_ints(1, g=g, n=n)
+    return CountingPolynomial("M", g, n, _memo(g).grown("orbits", n + 1, _orbit_count)[n])
+
+
+def _orbit_count(g: int, n: int, lower: tuple[PolyQ, ...]) -> PolyQ:
+    logs = _memo(g).grown("orbit_logs", n + 1, _orbit_log)
+    try:
+        poly = exp_coefficients(logs[: n + 1], lower)[n]
+    except InexactDivisionError:
+        raise InternalCheckError(f"non-integral coefficients for M at g={g}, n={n}") from None
+    _check_prime_power_positivity("M", g, n, poly, 1)
+    return poly
 
 
 def counting_value(kind: str, g: int, n: int) -> CountingPolynomial:

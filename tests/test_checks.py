@@ -194,8 +194,11 @@ def trace(fn, *args):
     calls, stack = [], []
     def profile(frame, event, arg):
         if event == "call":
-            calls.append((frame.f_code.co_name, tuple(stack)))
-            stack.append(frame.f_code.co_name)
+            name = frame.f_code.co_name
+            if name == "grown":  # a memo read names the stage it reads
+                name += " " + frame.f_locals["field"]
+            calls.append((name, tuple(stack)))
+            stack.append(name)
         elif event == "return" and stack:
             stack.pop()
     sys.setprofile(profile)
@@ -216,15 +219,16 @@ if check == "weight-routes":
     witness = (sum(c[0] == "_partition_weight" for c in calls) == 8
                and any(c[0] == "column_weight" for c in calls))
 elif check == "thm5-routes":
-    # the product route to log M never reaches I
+    # the product route to log M never reaches I: neither its step nor the
+    # memo's prefix of it
     if tangle:
         tangled(pipeline, "monic_irreducible_numerator",
                 lambda: pipeline.indecomposable_count(2, 1))
     calls = trace(checks.verify_product_routes, 2, 5)
-    bad = [c for c in calls if c[0] == "indecomposable_count"
+    bad = [c for c in calls if c[0] in {"_indecomposable", "grown i_counts"}
            and "_log_orbit_product_coefficient" in c[1]]
     witness = (sum(c[0] == "_log_orbit_product_coefficient" for c in calls) == 5
-               and any(c[0] == "indecomposable_count" for c in calls))
+               and any(c[0] == "_indecomposable" for c in calls))
 elif check == "kwi":
     # past fetching A's coefficients, the product side takes no log and no exp
     if tangle:

@@ -104,7 +104,9 @@ INTEGER_ARGUMENTS = [
     (pipeline.weight_series, {"g": 2, "order": 2}, "order", 0),
     *((entry, {"g": 2, "n": 2}, name, 1) for name in ("g", "n")
       for entry in (pipeline.log_weight_coefficient, pipeline.absolutely_indecomposable_count,
-                    pipeline.indecomposable_count)),
+                    pipeline.indecomposable_count, pipeline.orbit_count)),
+    *((pipeline.CountingPolynomial, {"kind": "I", "g": 2, "n": 2, "value": ONE, "denominator": 2},
+       name, least) for name, least in (("g", 1), ("n", 0), ("denominator", 1))),
     *((entry, {"g": 2, "order": 2}, name, 1) for name in ("g", "order")
       for entry in (pipeline.orbit_count_series, checks.verify_weight_routes,
                     checks.verify_product_routes)),
@@ -386,6 +388,14 @@ def test_triple_product_rejects_perturbations_outside_the_window(perturb):
         checks.verify_triple_product(2, 3, 6, perturb=perturb)
 
 
+@pytest.mark.parametrize("perturb, index", [((2, 1, 0.5), 2), ((2, True, 1), 1), (("2", 1, 1), 0)])
+def test_triple_product_refuses_a_perturbation_that_is_not_ints(perturb, index):
+    # a float delta would run the exact product in floats, True would be
+    # taken as s = 1, and a str would fail in a bare comparison
+    with pytest.raises(TypeError, match=rf"^perturb\[{index}\] must be an int, got "):
+        checks.verify_triple_product(2, 3, 6, perturb=perturb)
+
+
 def test_triple_product_at_g1_equals_plain_product():
     assert checks.verify_triple_product(1, 4, 10).passed
     assert checks.verify_g1_product(4, 10).passed
@@ -553,11 +563,12 @@ print(json.dumps([refused, str(pipeline.absolutely_indecomposable_count(2, 3)),
 
 def test_positivity_check_on_integer_values():
     def check(kind, g, n, value, denominator=1):
-        pipeline._check_prime_power_positivity(
-            pipeline.CountingPolynomial(kind, g, n, value, denominator))
+        pipeline._check_prime_power_positivity(kind, g, n, value, denominator)
 
     check("M", 2, 2, PolyQ([1, 2]))
-    pipeline._check_prime_power_positivity(pipeline.indecomposable_count(2, 6))  # rational
+    i = pipeline.indecomposable_count(2, 6)  # rational
+    check("I", 2, 6, i.value, i.denominator)
+    check("I", 2, 6, pipeline._memo(2).i_counts[6], 6)  # as the memo holds it, 6 I over 6
     # (q^2 + q) / 2 is an integer at every q, q / 2 is not at q = 3
     check("I", 2, 1, PolyQ([0, 1, 1]), 2)
     with pytest.raises(InternalCheckError, match=r"evaluates to 3/2 at q=3; expected a positive"):
@@ -680,7 +691,7 @@ def wrong_payload(cp):
     return out
 pipeline.CountingPolynomial.payload = wrong_payload
 orbit_log = pipeline._orbit_log
-pipeline._orbit_log = lambda g, n: orbit_log(g, n) * PolyQ([1])
+pipeline._orbit_log = lambda g, n, have: orbit_log(g, n, have) * PolyQ([1])
 """))
     moved = {row: sorted(fields) for row, fields in json.loads(out).items()}
     m_rows = ["M g=1 N=14", "M g=2 N=24", "M g=3 N=20", "M g=4 N=12", "M g=5 N=16",
@@ -751,7 +762,13 @@ print(json.dumps([verify, compute, stdout.getvalue(), stderr.getvalue()]))
 def test_shorter_orbit_count_reuses_the_longer_series(run_fresh):
     out = run_fresh("""
 from nilorb import pipeline
+from nilorb.exactnum import PolyQ
 series = pipeline.orbit_count_series(2, 6)
+memo = pipeline._memo(2)
+for field in memo.__slots__:
+    if field not in ("g", "columns", "_lock"):
+        held = getattr(memo, field)
+        assert len(held) == 7 and all(type(v) is PolyQ for v in held), field
 def refuse(g, n):
     raise AssertionError("an M route was built again")
 pipeline._log_orbit_product_coefficient = refuse
@@ -797,17 +814,14 @@ print(json.dumps([first, built]))
 
 
 def test_orbit_count_routes_negative_control(run_fresh):
-    # a wrong I(2, 3) reaches only the component route, first at X^3
+    # q more in I(2, 3), put into the memo as 3q more in 3 I(2, 3): it
+    # reaches only the component route, first at X^3
     out = run_fresh("""
 from nilorb import checks, pipeline
-from nilorb.exactnum import InternalCheckError, PolyQ, RationalFunctionQ
-count = pipeline.indecomposable_count
-def corrupted(g, n):
-    cp = count(g, n)
-    if n != 3:
-        return cp
-    return pipeline.CountingPolynomial("I", g, n, cp.value + PolyQ([0, 1]))
-pipeline.indecomposable_count = corrupted
+from nilorb.exactnum import InternalCheckError, PolyQ
+pipeline.indecomposable_count(2, 3)
+memo = pipeline._memo(2)
+memo.i_counts = memo.i_counts[:3] + (memo.i_counts[3] + PolyQ([0, 3]),)
 report = checks.verify_product_routes(2, 5)
 assert not report.passed and report.mismatch.q_degree is None
 try:
@@ -890,7 +904,7 @@ import contextlib, io, json
 from nilorb import cli, pipeline
 pipeline.orbit_count_series(2, 1)
 memo = pipeline._memo(2)
-logs = memo.grown("orbit_logs", 3, lambda m, _: pipeline._orbit_log(2, m))
+logs = memo.grown("orbit_logs", 3, pipeline._orbit_log)
 memo.orbit_logs = logs[:2] + (logs[2] + 1,)
 stdout, stderr = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -902,15 +916,15 @@ print(json.dumps([code, stdout.getvalue(), stderr.getvalue()]))
 
 
 def test_i_value_negative_control(run_fresh):
-    # A(2, 2) = 2q less q^2, put into the memo: I(2, 2), its numerator over 2
-    # reduced, carries it and is 0 at q = 2, which I's check refuses
+    # A(2, 2) = 2q less q^2, put into the memo: 2 I(2, 2), its numerator
+    # over 2, carries it and is 0 at q = 2, which I's check refuses
     out = run_fresh("""
 import contextlib, io, json
 from nilorb import cli, pipeline
 from nilorb.exactnum import PolyQ
-counts = [pipeline.absolutely_indecomposable_count(2, n) for n in (1, 2)]
-counts[1] = pipeline.CountingPolynomial("A", 2, 2, counts[1].value - PolyQ.q_power(2))
-pipeline._memo(2).a_counts = tuple(counts)
+pipeline.absolutely_indecomposable_count(2, 2)
+memo = pipeline._memo(2)
+memo.a_counts = memo.a_counts[:2] + (memo.a_counts[2] - PolyQ.q_power(2),)
 stdout, stderr = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
     code = cli.main(["compute", "--kind", "I", "--g", "2", "--n", "2", "--no-cache"])
@@ -927,9 +941,9 @@ def test_a_prefix_negative_control(run_fresh):
 import contextlib, io, json
 from nilorb import cli, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ
-counts = [pipeline.absolutely_indecomposable_count(2, n) for n in (1, 2, 3)]
-counts[2] = pipeline.CountingPolynomial("A", 2, 3, counts[2].value + PolyQ([0, 1]))
-pipeline._memo(2).a_counts = tuple(counts)
+pipeline.absolutely_indecomposable_count(2, 3)
+memo = pipeline._memo(2)
+memo.a_counts = memo.a_counts[:3] + (memo.a_counts[3] + PolyQ([0, 1]),)
 carried = str(pipeline.indecomposable_count(2, 3).value)
 try:
     pipeline.orbit_count_series(2, 5)
@@ -953,15 +967,15 @@ print(json.dumps([carried, raised, verify, compute, stdout.getvalue(), stderr.ge
 
 
 def test_late_shorter_build_keeps_the_longer_prefix():
-    memo = pipeline._ChainMemo()
+    memo = pipeline._ChainMemo(2)
 
-    def step(k, have):
+    def step(g, n, have):
         # a longer build by another caller lands while this one runs
-        assert memo.grown("orbits", 3, lambda k, _: f"m{k + 1}") == ("m1", "m2", "m3")
+        assert memo.grown("orbits", 4, lambda g, n, _: f"m{n}") == (ONE, "m1", "m2", "m3")
         return "m1"
 
-    assert memo.grown("orbits", 1, step) == ("m1",)
-    assert memo.orbits == ("m1", "m2", "m3")
+    assert memo.grown("orbits", 2, step) == (ONE, "m1")
+    assert memo.orbits == (ONE, "m1", "m2", "m3")
 
 
 def test_concurrent_requests_match_sequential_ones(run_fresh):
