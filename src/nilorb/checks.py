@@ -21,7 +21,6 @@ that ``compute`` loads none of this module.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .exactnum import SizeGuardError, _check_ints, _Record
 from .partitions import column_weight, partition_count, weight_denominator
@@ -221,7 +220,7 @@ def verify_triple_product(
     g: int,
     x_order: int,
     q_order: int,
-    perturb: Optional[tuple[int, int, int]] = None,
+    perturb: tuple[int, int, int] | None = None,
 ) -> VerificationReport:
     """Check that the weight series equals the triple product over
     (n, s, i) of (1 - q**(s+i) X**n) ** a(n, s), where a(n, s) are the

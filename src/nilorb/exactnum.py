@@ -29,8 +29,8 @@ field raises ``AttributeError``) and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 from . import poly_text, quotient_text
 
@@ -250,7 +250,9 @@ class PolyQ(_Record):
         return _poly(out)
 
     def at(self, x: int) -> int:
-        """The value at the integer q = x, by Horner's rule."""
+        """The value at the integer q = x, by Horner's rule; an ``x`` that is
+        not exactly an ``int`` raises ``TypeError``, so nothing rounds."""
+        _check_ints(x=x)
         acc = 0
         for c in reversed(self.numerators):
             acc = acc * x + c

@@ -39,8 +39,8 @@ arithmetic by indexing them.  Matrices are tuples of row tuples.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
 
 from .exactnum import InternalCheckError, SizeGuardError, _check_ints, _Record
 from .partitions import Partition
@@ -429,7 +429,7 @@ def _span(field: FieldSpec, basis: list[Matrix]):
         yield acc
 
 
-def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, Optional[int]]:
+def _endomorphism_profile(field: FieldSpec, matrices: MatrixTuple) -> tuple[int, int | None]:
     """Dimension of the endomorphism algebra, and its residue field's size
     when it is local (None when it is not).
 

@@ -17,7 +17,7 @@ exp one order at a time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exactnum import InexactDivisionError, InternalCheckError, PolyQ
 from .partitions import q_binomial

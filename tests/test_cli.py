@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilorb
-from nilorb import KINDS, checks, cli, fforacle, partitions, pipeline
+from nilorb import KINDS, cache, checks, cli, fforacle, partitions, pipeline
 from nilorb.exactnum import InternalCheckError, PolyQ
 from nilorb.pipeline import CountingPolynomial
 
@@ -252,7 +252,7 @@ def test_cache_entry_that_parses_but_is_corrupt_is_recomputed(tmp_path, capsys, 
     code, expected, _ = run(capsys, *args[:-2], "--no-cache")
     assert (code, expected) == (0, GOLDEN_PRETTY[3] + "\n")
     assert run(capsys, *args) == (0, expected, "")
-    path = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    path = cache._cache_file(tmp_path, "A", 2, "n", 3)
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     warning = f"nilorb: ignoring unreadable cache entry {path}: {reason}\n"
     assert run(capsys, *args) == (0, expected, warning)
@@ -262,14 +262,14 @@ def test_cache_entry_that_parses_but_is_corrupt_is_recomputed(tmp_path, capsys, 
 
 def test_cache_entry_holds_its_source_digest_outputs_and_one_digest(tmp_path):
     outputs = {"polynomials": []}
-    cli.cache_store(tmp_path, "A", 2, "n", 3, outputs)
-    entry = json.loads(cli._cache_file(tmp_path, "A", 2, "n", 3).read_text())
-    assert entry == {"engine_source": cli._engine_source_digest(), "outputs": outputs,
-                     "sha256": cli._entry_digest("A", 2, "n", 3, outputs)}
+    cache.cache_store(tmp_path, "A", 2, "n", 3, outputs)
+    entry = json.loads(cache._cache_file(tmp_path, "A", 2, "n", 3).read_text())
+    assert entry == {"engine_source": cache._engine_source_digest(), "outputs": outputs,
+                     "sha256": cache._entry_digest("A", 2, "n", 3, outputs)}
     # the digest covers the key: no two keys share it
     keys = [(kind, g, mode, value) for kind in KINDS for g in (2, 3) for mode in "nN"
             for value in (3, 4)]
-    assert len({cli._entry_digest(*key, outputs) for key in keys}) == len(keys)
+    assert len({cache._entry_digest(*key, outputs) for key in keys}) == len(keys)
 
 
 @pytest.mark.parametrize("source, target", [
@@ -293,8 +293,8 @@ def test_cache_entry_under_another_keys_name_is_recomputed(tmp_path, capsys, sou
     assert run(capsys, *argv(*source))[0] == 0
     code, expected, _ = result(*run(capsys, *argv(*target)[:-2], "--no-cache"))
     assert code == 0
-    path = cli._cache_file(tmp_path, *target)
-    shutil.copy(cli._cache_file(tmp_path, *source), path)
+    path = cache._cache_file(tmp_path, *target)
+    shutil.copy(cache._cache_file(tmp_path, *source), path)
     warning = f"nilorb: ignoring unreadable cache entry {path}: outputs digest mismatch\n"
     assert result(*run(capsys, *argv(*target))) == (0, expected, warning)
     assert result(*run(capsys, *argv(*target))) == (0, expected, "")
@@ -303,9 +303,9 @@ def test_cache_entry_under_another_keys_name_is_recomputed(tmp_path, capsys, sou
 def test_cache_entry_nested_past_the_parser_is_recomputed(tmp_path, capsys):
     # JSON nested deeper than the parser recurses raises RecursionError,
     # which is a warning too, never a traceback
-    path = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    path = cache._cache_file(tmp_path, "A", 2, "n", 3)
     path.write_text("[" * 100_000 + "]" * 100_000)
-    assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    assert cache.cache_load(tmp_path, "A", 2, "n", 3) is None
     warning = capsys.readouterr().err
     assert warning.startswith(f"nilorb: ignoring unreadable cache entry {path}: ")
     assert "recursion" in warning
@@ -319,11 +319,11 @@ def test_no_json_value_in_an_entry_raises(tmp_path_factory, value):
     # any JSON value at an entry's path, or as its outputs and digest, is a
     # miss, and none raises
     root = tmp_path_factory.getbasetemp()
-    path = cli._cache_file(root, "A", 2, "n", 3)
-    for content in (value, {"engine_source": cli._engine_source_digest(), "outputs": value,
+    path = cache._cache_file(root, "A", 2, "n", 3)
+    for content in (value, {"engine_source": cache._engine_source_digest(), "outputs": value,
                             "sha256": value}):
         path.write_text(json.dumps(content))
-        assert cli.cache_load(root, "A", 2, "n", 3) is None
+        assert cache.cache_load(root, "A", 2, "n", 3) is None
 
 
 def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path, capsys):
@@ -337,7 +337,7 @@ def test_cache_dir_that_is_a_file_still_prints_the_result(tmp_path, capsys):
 
 
 def test_directory_at_an_entry_path_is_a_miss(tmp_path, capsys):
-    entry = cli._cache_file(tmp_path, "A", 2, "n", 3)
+    entry = cache._cache_file(tmp_path, "A", 2, "n", 3)
     entry.mkdir()
     code, out, err = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "3",
                          "--cache-dir", str(tmp_path))
@@ -357,7 +357,7 @@ def test_no_home_directory_needs_a_cache_dir_only_when_caching(capsys, monkeypat
         raise RuntimeError("Could not determine home directory.")
 
     monkeypatch.delenv("NILORB_CACHE", raising=False)
-    monkeypatch.setattr(cli.Path, "home", classmethod(no_home))
+    monkeypatch.setattr(cache.Path, "home", classmethod(no_home))
     compute = ["compute", "--kind", "A", "--g", "2", "--n", "3"]
     assert run(capsys, *compute, "--no-cache") == (0, GOLDEN_PRETTY[3] + "\n", "")
     message = ("nilorb: no home directory to keep the cache in: "
@@ -368,7 +368,7 @@ def test_no_home_directory_needs_a_cache_dir_only_when_caching(capsys, monkeypat
 
 def test_cache_clear_reports_an_entry_it_cannot_remove(tmp_path, capsys):
     # an entry that cannot be removed (a directory at n3) stops no other
-    n2, n3, n4 = (cli._cache_file(tmp_path, "A", 2, "n", n) for n in (2, 3, 4))
+    n2, n3, n4 = (cache._cache_file(tmp_path, "A", 2, "n", n) for n in (2, 3, 4))
     n2.write_text("{}")
     n3.mkdir()
     n4.write_text("{}")
@@ -384,52 +384,54 @@ def test_cache_entry_names_differ_in_more_than_case(tmp_path):
     # a case-insensitive file system (the macOS and Windows defaults) would
     # store --n 3 and --N 3 as one file, and each would evict the other
     for kind in KINDS:
-        names = {cli._cache_file(tmp_path, kind, 2, mode, 3).name.lower() for mode in "nN"}
+        names = {cache._cache_file(tmp_path, kind, 2, mode, 3).name.lower() for mode in "nN"}
         assert len(names) == 2, kind
 
 
 def test_cache_entry_of_another_engine_version_is_not_read(tmp_path, capsys, monkeypatch):
     # the version is in the entry's name alone: an entry stored under one
     # version is never opened under another
-    monkeypatch.setattr(cli, "ENGINE_VERSION", "0.0.0")
-    cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
-    stored = cli._cache_file(tmp_path, "A", 2, "n", 3)
-    assert cli.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
-    monkeypatch.setattr(cli, "ENGINE_VERSION", nilorb.__version__)
-    assert cli._cache_file(tmp_path, "A", 2, "n", 3) != stored
-    assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    monkeypatch.setattr(cache, "ENGINE_VERSION", "0.0.0")
+    cache.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
+    stored = cache._cache_file(tmp_path, "A", 2, "n", 3)
+    assert cache.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
+    monkeypatch.setattr(cache, "ENGINE_VERSION", nilorb.__version__)
+    assert cache._cache_file(tmp_path, "A", 2, "n", 3) != stored
+    assert cache.cache_load(tmp_path, "A", 2, "n", 3) is None
     assert capsys.readouterr().err == ""
     assert [path.name for path in tmp_path.iterdir()] == [stored.name]
 
 
 def test_cache_engine_source_change_is_miss(tmp_path, capsys, monkeypatch):
-    cli.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
-    assert cli.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
-    monkeypatch.setattr(cli, "_engine_source_digest", lambda: "0" * 64)
-    assert cli.cache_load(tmp_path, "A", 2, "n", 3) is None
+    cache.cache_store(tmp_path, "A", 2, "n", 3, {"polynomials": []})
+    assert cache.cache_load(tmp_path, "A", 2, "n", 3) == {"polynomials": []}
+    monkeypatch.setattr(cache, "_engine_source_digest", lambda: "0" * 64)
+    assert cache.cache_load(tmp_path, "A", 2, "n", 3) is None
     assert capsys.readouterr().err == ""  # a stale entry is a silent miss
 
 
-def test_version_does_not_digest_the_sources(capsys):
-    cli._engine_source_digest.cache_clear()
+def test_version_does_not_digest_the_sources(capsys, nilorb_env):
+    cache._engine_source_digest.cache_clear()
     assert run(capsys, "--version")[0] == 0
-    assert cli._engine_source_digest.cache_info().misses == 0
+    assert cache._engine_source_digest.cache_info().misses == 0
+    # nor does it load the cache's module at all
+    assert "nilorb.cache" not in modules_loaded(nilorb_env, "--version")[1]
 
 
 def test_source_digest_falls_back_through_each_sha256(monkeypatch):
     import hashlib
     import types
 
-    expected = cli._engine_source_digest.__wrapped__()
+    expected = cache._engine_source_digest.__wrapped__()
     used = []
     sha2 = types.ModuleType("_sha2")
     sha2.sha256 = lambda: used.append("_sha2") or hashlib.sha256()
     monkeypatch.setitem(sys.modules, "_sha256", None)  # as on Python 3.12+
     monkeypatch.setitem(sys.modules, "_sha2", sha2)
-    assert cli._engine_source_digest.__wrapped__() == expected
+    assert cache._engine_source_digest.__wrapped__() == expected
     assert used == ["_sha2"]
     monkeypatch.setitem(sys.modules, "_sha2", None)  # neither: hashlib
-    assert cli._engine_source_digest.__wrapped__() == expected
+    assert cache._engine_source_digest.__wrapped__() == expected
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -454,7 +456,7 @@ def test_cache_list_and_clear_touch_only_cache_entries(tmp_path, capsys):
     code, _, _ = run(capsys, "compute", "--kind", "A", "--g", "2", "--n", "2",
                      "--cache-dir", str(tmp_path))
     assert code == 0
-    entry = cli._cache_file(tmp_path, "A", 2, "n", 2)
+    entry = cache._cache_file(tmp_path, "A", 2, "n", 2)
     code, out, _ = run(capsys, "cache", "list", "--cache-dir", str(tmp_path))
     assert code == 0 and out == f"{entry.name}\n"
     code, _, err = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
@@ -1216,22 +1218,33 @@ def test_no_command_loads_the_parser_modules(tmp_path, nilorb_env):
                           capture_output=True, text=True, env=nilorb_env, check=True)
     compute = ["compute", "--kind", "M", "--g", "2", "--N", "3",
                "--cache-dir", str(tmp_path), "--format"]
+    no_cache = ["compute", "--kind", "M", "--g", "2", "--N", "3", "--no-cache", "--format"]
+    neither, json_only, both = set(), {"json"}, {"json", "nilorb.cache"}
+    # each run's exit code, and which of json and the cache's module it loads:
+    # json only where JSON is read or written, the cache only where it is used
     runs = [
-        (0, ["--version"]),
-        (0, ["--help"]),
-        (0, ["compute", "--help"]),
-        (0, [*compute, "json"]),  # the miss that stores the entry
-        *((0, [*compute, fmt]) for fmt in ("json", "csv", "pretty")),
-        (0, ["cache", "list", "--cache-dir", str(tmp_path)]),
-        (0, ["verify", "weight-routes", "--g", "2", "--N", "3"]),
-        (0, ["oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2"]),
-        (0, ["conjecture-scan", "--g", "2", "--Nmax", "3"]),
-        (2, ["compute", "--kind", "A", "--g", "0", "--n", "3"]),
+        (0, neither, ["--version"]),
+        (0, neither, ["--help"]),
+        (0, neither, ["compute", "--help"]),
+        (0, neither, [*no_cache, "pretty"]),
+        (0, neither, [*no_cache, "csv"]),
+        (0, json_only, [*no_cache, "json"]),
+        (0, both, [*compute, "json"]),  # the miss that stores the entry
+        *((0, both, [*compute, fmt]) for fmt in ("json", "csv", "pretty")),
+        (0, both, ["cache", "list", "--cache-dir", str(tmp_path)]),
+        (0, neither, ["verify", "weight-routes", "--g", "2", "--N", "3"]),
+        (0, json_only, ["verify", "weight-routes", "--g", "2", "--N", "3", "--format", "json"]),
+        (0, neither, ["oracle", "--check", "M", "--g", "1", "--n", "2", "--q", "2"]),
+        (0, neither, ["conjecture-scan", "--g", "2", "--Nmax", "3"]),
+        (2, neither, ["compute", "--kind", "A", "--g", "0", "--n", "3"]),
     ]
-    for expected, argv in runs:
+    preloaded = set(bare.stdout.split())
+    for expected, loads, argv in runs:
         code, modules = modules_loaded(nilorb_env, *argv)
         assert code == expected, argv
-        assert not PARSER_MODULES & (modules - set(bare.stdout.split())), argv
+        taken = modules - preloaded
+        assert not PARSER_MODULES & taken, argv
+        assert taken & both == loads - preloaded, argv
         # and only help compiles the help text's module
         assert ("nilorb.clihelp" in modules) == ("--help" in argv), argv
 
@@ -1243,6 +1256,15 @@ def test_moved_checks_resolve_to_the_checks_module():
         assert getattr(nilorb, name) is value and getattr(pipeline, name) is value, name
     with pytest.raises(AttributeError):
         pipeline.no_such_name
+
+
+def test_cache_functions_resolve_through_cli():
+    # ``cache_load`` and ``cache_store`` stay importable from ``cli``, and no
+    # other name of the cache is forwarded
+    assert cli.cache_load is cache.cache_load and cli.cache_store is cache.cache_store
+    for name in ("_cache_file", "_cache_root", "_engine_source_digest", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_package_exports_resolve_to_their_submodules():

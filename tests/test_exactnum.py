@@ -84,7 +84,10 @@ def test_no_module_imports_fractions():
                 names = [node.module or ""]
             else:
                 continue
-            assert "fractions" not in [name.split(".")[0] for name in names], path.name
+            # nor typing: annotations stay strings, and the ABCs come from
+            # collections.abc
+            roots = [name.split(".")[0] for name in names]
+            assert "fractions" not in roots and "typing" not in roots, path.name
             if isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert "lcm" not in [alias.name for alias in node.names], path.name
 
@@ -198,6 +201,7 @@ def test_evaluate_paper_value():
     # q^4 + 3q^2 + 2q at q = 2
     assert PolyQ([0, 2, 3, 0, 1]).at(2) == 32
     assert PolyQ().at(7) == 0 and PolyQ([5]).at(-3) == 5
+    assert PolyQ([1, 1]).at(-1) == 0  # any int, and nothing else (test_pipeline)
 
 
 # ---------------------------------------------------------------------------

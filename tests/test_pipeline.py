@@ -84,10 +84,12 @@ def test_log_coefficient_quadratic_term_pairs():
     assert pipeline.log_weight_coefficient(2, 2) == expected
 
 
-# every entry that takes a count, an order, a degree or an exponent: its
-# valid arguments, the name of one integer argument and that argument's
-# least value
+# every entry that takes a count, an order, a degree, an exponent or an
+# evaluation point: its valid arguments, the name of one integer argument
+# and that argument's least value (None for a point: any int, and only an
+# int, since a float would round and True count as 1)
 INTEGER_ARGUMENTS = [
+    (PolyQ([1, 1]).at, {"x": 2}, "x", None),
     (PolyQ.q_power, {"k": 2}, "k", 0),
     (PolyQ.q_power_minus_one, {"k": 2}, "k", 1),
     (PolyQ([1, 1]).div_q_power_minus_one, {"j": 2}, "j", 1),
@@ -121,7 +123,7 @@ INTEGER_ARGUMENTS = [
 
 def integer_argument_cases():
     for entry, arguments, name, least in INTEGER_ARGUMENTS:
-        for value in (True, 2.0, "2", least - 1):
+        for value in (True, 2.0, "2", *(() if least is None else (least - 1,))):
             yield pytest.param(entry, {**arguments, name: value}, name,
                                ValueError if type(value) is int else TypeError,
                                id=f"{entry.__qualname__}-{name}-{value!r}")
